@@ -3,16 +3,15 @@
 The pipeline: a graph (or a named family) yields tridiagonal reduction
 coefficients, those define a finite continued fraction whose poles and
 residues form an atomic spectral measure, and the measure turns into exact
-exponential-sum amplitudes per stratum. A dense Jacobi-rotation
-eigendecomposition of the adjacency matrix provides an independent
-brute-force check of every result.
+exponential-sum amplitudes per stratum. The action of exp(-iAt) on the
+origin's vertex state, computed with no eigendecomposition, provides an
+independent brute-force check of every result.
 """
 
 from .amplitudes import (
     AmplitudeSeries,
     ExponentialSum,
     amplitude_series,
-    bessel_j,
     closed_form_q0,
     laplace_return_amplitude,
     return_amplitude,
@@ -40,12 +39,7 @@ from .jacobi import (
     lanczos,
     qd_from_intersection_array,
 )
-from .oracle import (
-    EigenDecomposition,
-    aggregate_to_strata,
-    eigendecompose_symmetric,
-    oracle_amplitudes,
-)
+from .oracle import aggregate_to_strata, oracle_amplitudes
 from .stieltjes import (
     SpectralMeasure,
     associated_poly,
@@ -62,7 +56,6 @@ __all__ = [
     "AmplitudeSeries",
     "CatalogEntry",
     "CtqwError",
-    "EigenDecomposition",
     "ExponentialSum",
     "Graph",
     "IntersectionArray",
@@ -73,12 +66,10 @@ __all__ = [
     "aggregate_to_strata",
     "amplitude_series",
     "associated_poly",
-    "bessel_j",
     "build_graph",
     "classify_qd",
     "closed_form_q0",
     "distance_matrices",
-    "eigendecompose_symmetric",
     "entry_from_spec",
     "intersection_numbers",
     "jacobi_from_strata",

@@ -17,17 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    IndexOutOfRange,
-    InvalidParams,
-    NoClosedForm,
-    OutOfSupportedRange,
-)
+from .errors import IndexOutOfRange, InvalidParams, NoClosedForm
 from .jacobi import JacobiCoefficients
 from .stieltjes import SpectralMeasure, orthonormal_values, stieltjes_pole_sum
-
-MAX_BESSEL_ORDER = 50
-MAX_BESSEL_ARG = 1.0e3
 
 
 @dataclass(frozen=True)
@@ -180,65 +172,3 @@ def closed_form_q0(entry, t):
     if form is None:
         raise NoClosedForm(f"no tabulated closed form for {getattr(entry, 'id', entry)!r}")
     return form(t)
-
-
-def bessel_j(order: int, x: float) -> float:
-    """Bessel function of the first kind J_order(x).
-
-    Power series below |x| = 10, Miller backward recurrence above, both to
-    about 1e-12 absolute over the supported window (order <= 50, |x| <= 1e3).
-    """
-    if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
-        raise OutOfSupportedRange(f"order must be an integer, got {order!r}")
-    if order < 0 or order > MAX_BESSEL_ORDER:
-        raise OutOfSupportedRange(f"order {order} outside [0, {MAX_BESSEL_ORDER}]")
-    x = float(x)
-    if not np.isfinite(x) or abs(x) > MAX_BESSEL_ARG:
-        raise OutOfSupportedRange(f"|x| = {abs(x)} outside supported range")
-    sign = -1.0 if (x < 0 and order % 2 == 1) else 1.0
-    x = abs(x)
-    if x == 0.0:
-        return 1.0 if order == 0 else 0.0
-    if x <= 10.0:
-        return sign * _bessel_series(order, x)
-    return sign * _bessel_miller(order, x)
-
-
-def _bessel_series(order: int, x: float) -> float:
-    half = 0.5 * x
-    # leading term (x/2)^order / order! in log space would be overkill here:
-    # order <= 50 and x <= 10 keep it comfortably inside double range
-    term = 1.0
-    for m in range(1, order + 1):
-        term *= half / m
-    total = term
-    m = 0
-    while True:
-        m += 1
-        term *= -(half * half) / (m * (m + order))
-        total += term
-        if abs(term) < 1e-18 * (1.0 + abs(total)) and m > half:
-            return total
-
-
-def _bessel_miller(order: int, x: float) -> float:
-    top = max(order, int(math.ceil(x)))
-    start = top + 25 + int(2.0 * top ** 0.55)
-    if start % 2 == 1:
-        start += 1
-    jp, jc = 0.0, 1e-30
-    result = 0.0
-    even_sum = 0.0  # accumulates J_0 + 2 sum J_2k for normalization
-    for k in range(start, -1, -1):
-        jm = (2.0 * (k + 1) / x) * jc - jp
-        jp, jc = jc, jm
-        if abs(jc) > 1e250:
-            jc *= 1e-250
-            jp *= 1e-250
-            result *= 1e-250
-            even_sum *= 1e-250
-        if k == order:
-            result = jc
-        if k % 2 == 0:
-            even_sum += jc if k == 0 else 2.0 * jc
-    return result / even_sum

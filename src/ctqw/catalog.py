@@ -17,7 +17,7 @@ from typing import Callable
 
 from .amplitudes import ExponentialSum
 from .errors import InvalidParams, UnknownFamily
-from .graphs import Graph, IntersectionArray, build_graph, stratify
+from .graphs import MAX_VERTICES, Graph, IntersectionArray, build_graph, stratify
 from .jacobi import JacobiCoefficients, jacobi_from_strata, qd_from_intersection_array
 
 SQ = math.sqrt
@@ -380,7 +380,7 @@ def _make_johnson(params) -> CatalogEntry:
     n, d = _int_params(params, 2, "johnson")
     if n < 2 or d < 1 or 2 * d > n:
         raise InvalidParams(f"johnson needs n >= 2 and 1 <= d <= n/2, got ({n},{d})")
-    if math.comb(n, d) > 2000:
+    if math.comb(n, d) > MAX_VERTICES:
         raise InvalidParams(f"johnson({n},{d}) too large to construct")
     b = tuple((d - i) * (n - d - i) for i in range(d))
     c = tuple((i + 1) ** 2 for i in range(d))
@@ -446,7 +446,7 @@ def _make_hamming(params) -> CatalogEntry:
     d, q = _int_params(params, 2, "hamming")
     if d < 1 or q < 2:
         raise InvalidParams(f"hamming needs d >= 1 and q >= 2, got ({d},{q})")
-    if q ** d > 2000:
+    if q ** d > MAX_VERTICES:
         raise InvalidParams(f"hamming({d},{q}) too large to construct")
     b = tuple((d - i) * (q - 1) for i in range(d))
     c = tuple(i + 1 for i in range(d))
@@ -491,8 +491,8 @@ def _make_glued_trees(params) -> CatalogEntry:
     if depth < 1:
         raise InvalidParams(f"glued_trees needs depth >= 1, got {depth}")
     size = 3 * 2 ** depth - 2
-    if size > 2000:
-        raise InvalidParams(f"glued_trees({depth}) has {size} vertices (limit 2000)")
+    if size > MAX_VERTICES:
+        raise InvalidParams(f"glued_trees({depth}) has {size} vertices (limit {MAX_VERTICES})")
     jc = JacobiCoefficients(
         alpha=(0.0,) * (2 * depth + 1), omega=(2.0,) * (2 * depth)
     )
@@ -594,57 +594,37 @@ def _make_appendix(params) -> CatalogEntry:
     )
 
 
-_FAMILIES: dict[str, Callable] = {
-    "complete": _make_complete,
-    "cycle": _make_cycle,
-    "petersen": _make_petersen,
-    "johnson": _make_johnson,
-    "srg": _make_srg,
-    "dihedral_srg": _make_dihedral,
-    "hamming": _make_hamming,
-    "path": _make_path,
-    "glued_trees": _make_glued_trees,
-    "tchebichef1": _make_tchebichef1,
-    "tchebichef2": _make_tchebichef2,
-    "appendix": _make_appendix,
-}
-
-_SCHEMAS = {
-    "complete": "complete:n",
-    "cycle": "cycle:n",
-    "petersen": "petersen",
-    "johnson": "johnson:n,d",
-    "srg": "srg:v,kappa,lambda,mu",
-    "dihedral_srg": "dihedral_srg:m",
-    "hamming": "hamming:d,q",
-    "path": "path:n",
-    "glued_trees": "glued_trees:depth",
-    "tchebichef1": "tchebichef1:n,m",
-    "tchebichef2": "tchebichef2:n,m",
-}
-
-_FAMILY_PROVENANCE = {
-    "complete": "complete graph family",
-    "cycle": "cycle family",
-    "petersen": "strongly regular (10,3,0,1)",
-    "johnson": "Johnson graph family",
-    "srg": "strongly regular family",
-    "dihedral_srg": "dihedral normal-subgroup strongly regular family",
-    "hamming": "Hamming graph family",
-    "path": "finite path family",
-    "glued_trees": "glued binary trees family",
-    "tchebichef1": "first-kind Chebyshev coefficient family",
-    "tchebichef2": "second-kind Chebyshev coefficient family",
+# family -> (maker, params schema, listing text); the appendix family has no
+# schema of its own because `ctqw catalog` lists its rows one by one
+_FAMILIES: dict[str, tuple[Callable[[tuple], CatalogEntry], str | None, str | None]] = {
+    "complete": (_make_complete, "complete:n", "complete graph family"),
+    "cycle": (_make_cycle, "cycle:n", "cycle family"),
+    "petersen": (_make_petersen, "petersen", "strongly regular (10,3,0,1)"),
+    "johnson": (_make_johnson, "johnson:n,d", "Johnson graph family"),
+    "srg": (_make_srg, "srg:v,kappa,lambda,mu", "strongly regular family"),
+    "dihedral_srg": (
+        _make_dihedral, "dihedral_srg:m", "dihedral normal-subgroup strongly regular family"
+    ),
+    "hamming": (_make_hamming, "hamming:d,q", "Hamming graph family"),
+    "path": (_make_path, "path:n", "finite path family"),
+    "glued_trees": (_make_glued_trees, "glued_trees:depth", "glued binary trees family"),
+    "tchebichef1": (
+        _make_tchebichef1, "tchebichef1:n,m", "first-kind Chebyshev coefficient family"
+    ),
+    "tchebichef2": (
+        _make_tchebichef2, "tchebichef2:n,m", "second-kind Chebyshev coefficient family"
+    ),
+    "appendix": (_make_appendix, None, None),
 }
 
 
 def make_entry(family: str, params=()) -> CatalogEntry:
-    maker = _FAMILIES.get(family)
-    if maker is None:
+    known = _FAMILIES.get(family)
+    if known is None:
         raise UnknownFamily(
             f"unknown family {family!r}; known: {', '.join(sorted(_FAMILIES))}"
         )
-    return maker(tuple(params))
+    return known[0](tuple(params))
 
 
 def parse_spec(spec: str) -> tuple[str, tuple]:
@@ -678,10 +658,9 @@ def is_known_family(name: str) -> bool:
 def list_entries() -> tuple[tuple[str, str, str], ...]:
     """(id, params schema, provenance) for every family and appendix row."""
     out = []
-    for family in sorted(_FAMILIES):
-        if family == "appendix":
-            continue
-        out.append((family, _SCHEMAS[family], _FAMILY_PROVENANCE[family]))
+    for family, (_, schema, listing) in sorted(_FAMILIES.items()):
+        if schema is not None:
+            out.append((family, schema, listing))
     for row in _APPENDIX_ROWS:
         rid, name = row[0], row[1]
         out.append(

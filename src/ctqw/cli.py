@@ -205,10 +205,24 @@ def _configure_logging() -> None:
     logging.getLogger().setLevel(level)
 
 
+def _join_eval_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--eval Z`` as ``--eval=Z``.
+
+    argparse takes a separate value that starts with '-' and is not a plain
+    negative number, such as -2.5+0.5j or -1e-3, for an option and rejects it.
+    """
+    out = []
+    tokens = iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token == "--eval" else None
+        out.append(token if value is None else f"{token}={value}")
+    return out
+
+
 def main(argv=None) -> int:
     _configure_logging()
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_eval_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         if args.command == "catalog":
             return cmd_catalog()

@@ -58,18 +58,6 @@ class EigensolverFailure(CtqwError):
     """Tridiagonal eigensolver did not converge."""
 
 
-class NotSymmetric(CtqwError):
-    """Matrix handed to the dense eigensolver is not symmetric."""
-
-
-class ConvergenceFailure(CtqwError):
-    """Jacobi rotation sweep limit reached before the off-norm target."""
-
-
-class OutOfSupportedRange(CtqwError):
-    """Bessel order or argument outside the supported window."""
-
-
 class NoClosedForm(CtqwError):
     """Catalog entry has no tabulated closed-form amplitude."""
 

@@ -2,8 +2,9 @@
 
 A graph is stored twice on purpose: neighbor lists drive the BFS-based
 operations, while the dense symmetric adjacency matrix feeds the numerical
-pipeline and the brute-force oracle. Everything here is immutable after
-construction and all operations are pure.
+pipeline and the brute-force oracle. The dense n x n storage is the only
+reason for the MAX_VERTICES cap: no step needs a dense eigensolve. Everything
+here is immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import (
     NotDistanceRegular,
 )
 
-MAX_VERTICES = 2000  # dense eigensolves stay tractable at desk scale
+MAX_VERTICES = 2000  # bounds the dense n x n adjacency storage
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,128 +1,50 @@
-"""Brute-force reference: dense symmetric eigendecomposition by cyclic Jacobi
-rotations and direct evaluation of the propagator matrix elements.
+"""Brute-force reference: the propagator column exp(-iAt)|origin> computed as
+the action of the matrix exponential on the origin's vertex state.
 
-The rotation eigensolver is written out here rather than delegated to the
-tridiagonal machinery used by the pipeline: the two routes must share no
-code for the cross-checks to mean anything.
+The action comes from scipy's ``expm_multiply``, the truncated-Taylor method
+of Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 2011). It needs no
+eigendecomposition, so it shares no algorithm with the pipeline's tridiagonal
+reduction and measure extraction: the cross-checks compare two independent
+routes.
 """
 
 from __future__ import annotations
 
-import weakref
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ConvergenceFailure, InvalidParams, NotSymmetric
-from .graphs import Graph, Stratification
-
-MAX_DENSE_DIM = 2000
-
-
-@dataclass(frozen=True, eq=False)
-class EigenDecomposition:
-    eigenvalues: np.ndarray   # ascending
-    eigenvectors: np.ndarray  # orthonormal columns, matching order
-
-
-def eigendecompose_symmetric(matrix: np.ndarray, *, max_sweeps: int = 60) -> EigenDecomposition:
-    """Full spectrum of a dense symmetric matrix via cyclic Jacobi rotations.
-
-    Sweeps run until the off-diagonal Frobenius norm falls below 1e-12
-    relative to the matrix norm (quadratic convergence makes the tail cheap).
-    """
-    a = np.array(matrix, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidParams(f"matrix must be square, got shape {a.shape}")
-    n = a.shape[0]
-    if n > MAX_DENSE_DIM:
-        raise InvalidParams(f"matrix too large ({n} > {MAX_DENSE_DIM})")
-    asym = float(np.abs(a - a.T).max())
-    if asym > 1e-12:
-        raise NotSymmetric(f"matrix asymmetry {asym:.3e} exceeds 1e-12")
-    a = 0.5 * (a + a.T)
-
-    v = np.eye(n)
-    if n == 1:
-        return EigenDecomposition(eigenvalues=a.diagonal().copy(), eigenvectors=v)
-    fro = float(np.linalg.norm(a))
-    tol = 1e-12 * max(1.0, fro)
-
-    def off_norm() -> float:
-        # summed directly over off-diagonal entries: the difference
-        # ||A||_F^2 - sum(diag^2) cancels catastrophically near convergence
-        off = a.copy()
-        np.fill_diagonal(off, 0.0)
-        return float(np.linalg.norm(off))
-
-    for _ in range(max_sweeps):
-        off = off_norm()
-        if off <= tol:
-            break
-        skip = tol / (2.0 * n)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                t = np.sign(theta) / (abs(theta) + np.hypot(1.0, theta)) if theta != 0 else 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                row_p, row_q = a[p].copy(), a[q].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vec_p, vec_q = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
-    else:
-        off = off_norm()
-        if off > tol:
-            raise ConvergenceFailure(
-                f"off-norm {off:.3e} after {max_sweeps} sweeps (target {tol:.3e})"
-            )
-
-    order = np.argsort(a.diagonal(), kind="stable")
-    eigenvalues = a.diagonal()[order].copy()
-    eigenvectors = v[:, order].copy()
-    eigenvalues.setflags(write=False)
-    eigenvectors.setflags(write=False)
-    return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
-
-
-# one decomposition per graph instance; reads are safe concurrently and a
-# duplicated population is merely wasted work, never wrong
-_decompositions: "weakref.WeakKeyDictionary[Graph, EigenDecomposition]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def graph_eigendecomposition(g: Graph) -> EigenDecomposition:
-    dec = _decompositions.get(g)
-    if dec is None:
-        dec = eigendecompose_symmetric(g.adjacency_float())
-        _decompositions[g] = dec
-    return dec
+from .errors import InvalidParams
+from .graphs import Graph, Stratification, vertex_state
 
 
 def oracle_amplitudes(g: Graph, origin: int, t):
     """Propagator column <alpha|exp(-iAt)|origin> for every vertex alpha.
 
-    Scalar t gives a vector over vertices; an array t gives shape (n, T).
+    Scalar t gives a vector over vertices; a 1-d grid gives shape (n, T).
+    A grid of more than one sample must be evenly spaced and ascending, as
+    ``np.linspace`` makes it; any other grid raises InvalidParams.
     """
     if not (0 <= origin < g.n):
         raise InvalidParams(f"origin {origin} out of range for n={g.n}")
-    dec = graph_eigendecomposition(g)
     t = np.asarray(t, dtype=np.float64)
-    phases = np.exp(-1j * np.outer(dec.eigenvalues, t.reshape(-1)))
-    weighted = dec.eigenvectors * dec.eigenvectors[origin, :][None, :]
-    out = weighted @ phases
-    return out[:, 0] if t.ndim == 0 else out
+    if t.ndim > 1 or t.size == 0:
+        raise InvalidParams(f"time must be a scalar or a non-empty 1-d grid, not {t.shape}")
+    # expm_multiply samples start + k*h and returns wrong values for h <= 0
+    if t.size > 1 and not (t[-1] > t[0] and np.allclose(
+        t, np.linspace(t[0], t[-1], t.size), rtol=0.0, atol=1e-12 * max(1.0, np.abs(t).max())
+    )):
+        raise InvalidParams("oracle time grid must be evenly spaced and ascending")
+    # imported here: only verification needs it, and it slows every CLI start
+    from scipy.sparse import csr_array
+    from scipy.sparse.linalg import expm_multiply
+
+    generator = -1j * csr_array(g.adjacency)
+    state = vertex_state(g.n, origin)
+    if t.size == 1:
+        column = expm_multiply(t.item() * generator, state)
+        return column if t.ndim == 0 else column[:, None]
+    return expm_multiply(
+        generator, state, start=t[0], stop=t[-1], num=t.size, endpoint=True
+    ).T
 
 
 def aggregate_to_strata(pvec: np.ndarray, strat: Stratification):

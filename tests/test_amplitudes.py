@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
+from scipy.special import jv
 
 from ctqw import make_entry
 from ctqw.amplitudes import (
     ExponentialSum,
     amplitude_series,
-    bessel_j,
     closed_form_q0,
     laplace_return_amplitude,
     return_amplitude,
@@ -16,7 +16,6 @@ from ctqw.errors import (
     IndexOutOfRange,
     InvalidParams,
     NoClosedForm,
-    OutOfSupportedRange,
     PoleProximity,
 )
 from ctqw.jacobi import JacobiCoefficients
@@ -272,48 +271,10 @@ class TestClosedForm:
 
 
 class TestBessel:
-    # reference values frozen from an independent evaluation (scipy.special.jv)
-    FROZEN = [
-        (0, 0.5, 0.938469807240813),
-        (1, 1.0, 0.44005058574493355),
-        (2, 2.0, 0.35283402861563773),
-        (5, 2.0, 0.007039629755871686),
-        (0, 10.0, -0.24593576445134832),
-        (3, 25.7, 0.007552930453381709),
-        (10, 14.25, 0.040555267552623654),
-        (50, 100.0, -0.03869833972852563),
-        (7, 900.0, -0.018054894299951336),
-        (0, 1000.0, 0.024786686152420172),
-        (4, -3.5, 0.20440529303463198),
-    ]
-
-    def test_at_zero(self):
-        assert bessel_j(0, 0.0) == 1.0
-        for order in (1, 2, 17, 50):
-            assert bessel_j(order, 0.0) == 0.0
-
-    @pytest.mark.parametrize("order,x,want", FROZEN)
-    def test_frozen_values(self, order, x, want):
-        assert bessel_j(order, x) == pytest.approx(want, abs=1e-12)
-
-    @pytest.mark.parametrize("x", [1.0, 2.0, 5.0])
-    def test_recurrence_identity(self, x):
-        lhs = bessel_j(0, x) + bessel_j(2, x)
-        rhs = 2.0 * bessel_j(1, x) / x
-        assert lhs == pytest.approx(rhs, abs=1e-13)
-
-    def test_out_of_range(self):
-        with pytest.raises(OutOfSupportedRange):
-            bessel_j(51, 1.0)
-        with pytest.raises(OutOfSupportedRange):
-            bessel_j(-1, 1.0)
-        with pytest.raises(OutOfSupportedRange):
-            bessel_j(0, 1000.5)
-
     def test_path_limit_preview(self):
         # moderate-size preview of the large-n endpoint-path limit
         entry = make_entry("path", (80,))
         m = spectral_measure(entry.jacobi_coefficients())
         for t in np.linspace(0.0, 4.0, 17):
-            want = bessel_j(0, 2 * t) + bessel_j(2, 2 * t)
+            want = jv(0, 2 * t) + jv(2, 2 * t)
             assert return_amplitude(m, t) == pytest.approx(want, abs=1e-7)

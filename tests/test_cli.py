@@ -112,6 +112,12 @@ class TestVerify:
         assert code == 0
         assert "closed-form q0" in out
 
+    def test_near_vertex_cap(self, capsys):
+        # hamming:3,12 has 1728 vertices, close to graphs.MAX_VERTICES
+        code, out, _ = run(capsys, "verify", "--graph", "hamming:3,12")
+        assert code == 0
+        assert "VERIFY PASS" in out
+
     def test_tight_tolerance_fails(self, capsys):
         code, out, _ = run(capsys, "verify", "--graph", "petersen", "--tol", "1e-16")
         assert code == 1
@@ -128,6 +134,17 @@ class TestStieltjes:
         assert np.allclose(measure["nodes"], [-2.0, 1.0, 3.0], atol=1e-9)
         assert np.allclose(measure["weights"], [0.4, 0.5, 0.1], atol=1e-9)
         assert "G_cf=0.333333333333" in out
+
+    def test_eval_values_starting_with_minus(self, capsys):
+        points = ["-2.5+0.5j", "-1e-3", "-0.75"]
+        code, out, _ = run(
+            capsys, "stieltjes", "--graph", "petersen",
+            "--eval", points[0], "--eval", points[1], f"--eval={points[2]}",
+        )
+        assert code == 0
+        lines = [line for line in out.splitlines() if line.startswith("z=")]
+        assert [line.split()[0] for line in lines] == [f"z={z}" for z in points]
+        assert all(" G_cf=" in line and " G_poles=" in line for line in lines)
 
     def test_pole_adjacent_point(self, capsys):
         code, _, err = run(capsys, "stieltjes", "--graph", "petersen", "--eval", "3")

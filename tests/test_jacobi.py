@@ -13,7 +13,6 @@ from ctqw import (
 from ctqw.errors import InvalidParams, NotQDType, ZeroReference
 from ctqw.graphs import IntersectionArray
 from ctqw.jacobi import JacobiCoefficients
-from ctqw.oracle import eigendecompose_symmetric
 
 
 def path_graph(n):
@@ -174,6 +173,6 @@ class TestLanczos:
             if len(off):
                 tri += np.diag(off, 1) + np.diag(off, -1)
             tri_vals = np.linalg.eigvalsh(tri)
-            full_vals = eigendecompose_symmetric(g.adjacency_float()).eigenvalues
+            full_vals = np.linalg.eigvalsh(g.adjacency_float())
             for x in tri_vals:
                 assert np.abs(full_vals - x).min() < 1e-8

@@ -2,55 +2,8 @@ import numpy as np
 import pytest
 
 from ctqw import build_graph, stratify
-from ctqw.errors import InvalidParams, NotSymmetric
-from ctqw.oracle import (
-    aggregate_to_strata,
-    eigendecompose_symmetric,
-    graph_eigendecomposition,
-    oracle_amplitudes,
-)
-
-
-class TestEigendecomposition:
-    def test_k2(self):
-        dec = eigendecompose_symmetric(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.allclose(dec.eigenvalues, (-1.0, 1.0), atol=1e-14)
-
-    def test_petersen_spectrum(self, petersen):
-        dec = graph_eigendecomposition(petersen)
-        vals = np.round(dec.eigenvalues, 9)
-        assert np.allclose(sorted(set(vals)), (-2.0, 1.0, 3.0))
-        assert (vals == -2.0).sum() == 4
-        assert (vals == 1.0).sum() == 5
-        assert (vals == 3.0).sum() == 1
-
-    def test_c4(self):
-        g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        dec = eigendecompose_symmetric(g.adjacency_float())
-        assert np.allclose(dec.eigenvalues, (-2.0, 0.0, 0.0, 2.0), atol=1e-12)
-
-    def test_residual_and_orthogonality(self, rng):
-        for _ in range(5):
-            n = int(rng.integers(3, 40))
-            a = rng.standard_normal((n, n))
-            a = a + a.T
-            dec = eigendecompose_symmetric(a)
-            v, lam = dec.eigenvectors, dec.eigenvalues
-            residual = np.abs(a @ v - v * lam[None, :]).max()
-            assert residual < 1e-9 * max(1.0, np.abs(a).max())
-            assert np.abs(v.T @ v - np.eye(n)).max() < 1e-10
-            assert (np.diff(lam) >= -1e-12).all()
-
-    def test_not_symmetric(self):
-        with pytest.raises(NotSymmetric):
-            eigendecompose_symmetric(np.array([[0.0, 1.0], [0.5, 0.0]]))
-
-    def test_not_square(self):
-        with pytest.raises(InvalidParams):
-            eigendecompose_symmetric(np.zeros((2, 3)))
-
-    def test_decomposition_cached_per_graph(self, petersen):
-        assert graph_eigendecomposition(petersen) is graph_eigendecomposition(petersen)
+from ctqw.errors import InvalidParams
+from ctqw.oracle import aggregate_to_strata, oracle_amplitudes
 
 
 class TestOracleAmplitudes:
@@ -87,6 +40,20 @@ class TestOracleAmplitudes:
     def test_origin_out_of_range(self, petersen):
         with pytest.raises(InvalidParams):
             oracle_amplitudes(petersen, 10, 0.0)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [[0.0, 1.0, 3.0], [2.0, 1.0, 0.0], [1.0, 1.0]],
+        ids=["uneven", "descending", "constant"],
+    )
+    def test_irregular_grid_rejected(self, petersen, grid):
+        with pytest.raises(InvalidParams):
+            oracle_amplitudes(petersen, 0, np.array(grid))
+
+    def test_length_one_grid_matches_scalar(self, petersen):
+        column = oracle_amplitudes(petersen, 0, np.array([2.5]))
+        assert column.shape == (10, 1)
+        assert np.abs(column[:, 0] - oracle_amplitudes(petersen, 0, 2.5)).max() < 1e-15
 
 
 class TestAggregate:
