@@ -1,15 +1,16 @@
 """Graph construction, BFS stratification, distance structure, and regularity tests.
 
-A graph is stored twice on purpose: neighbor lists drive the BFS-based
-operations, while the dense symmetric adjacency matrix feeds the numerical
-pipeline and the brute-force oracle. The dense n x n storage is the only
-reason for the MAX_VERTICES cap: no step needs a dense eigensolve. Everything
-here is immutable after construction and all operations are pure.
+A graph is stored twice: sorted neighbor lists, and the dense symmetric
+adjacency matrix behind the shell and distance-class counts. The neighbor
+lists give, in O(n + m), the sparse CSR adjacency that the distances
+(``scipy.sparse.csgraph``), the Lanczos matvec and the oracle run on. The
+dense n x n storage is the only reason for the MAX_VERTICES cap: no step needs
+a dense eigensolve. Everything here is immutable after construction and all
+operations are pure.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -187,19 +188,32 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return g
 
 
+def _csr_adjacency(g: Graph):
+    """The adjacency as a float64 ``scipy.sparse.csr_array``, from the neighbor lists."""
+    # imported here: scipy.sparse would slow every CLI start
+    from scipy.sparse import csr_array
+
+    indptr = np.zeros(g.n + 1, dtype=np.int64)
+    np.cumsum([nb.size for nb in g.neighbors], out=indptr[1:])
+    indices = np.concatenate(g.neighbors)
+    return csr_array((np.ones(indices.size), indices, indptr), shape=(g.n, g.n))
+
+
+def _distances(g: Graph, indices) -> np.ndarray:
+    """Unweighted shortest-path lengths from ``indices`` (None: all vertices);
+    -1 marks unreachable vertices."""
+    from scipy.sparse.csgraph import shortest_path
+
+    # unit-weight Dijkstra is a BFS per source; "auto" picks O(n^3)
+    # Floyd-Warshall for all pairs on dense graphs
+    d = shortest_path(_csr_adjacency(g), method="D", unweighted=True, indices=indices)
+    d[np.isinf(d)] = -1
+    return d.astype(np.int64)
+
+
 def bfs_distances(g: Graph, source: int) -> np.ndarray:
     """Graph distances from ``source``; -1 marks unreachable vertices."""
-    dist = np.full(g.n, -1, dtype=np.int64)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for v in g.neighbors[u]:
-            if dist[v] < 0:
-                dist[v] = du + 1
-                queue.append(v)
-    return dist
+    return _distances(g, source)
 
 
 def stratify(g: Graph, origin: int) -> Stratification:
@@ -217,10 +231,8 @@ def stratify(g: Graph, origin: int) -> Stratification:
 
 
 def all_pairs_distances(g: Graph) -> np.ndarray:
-    d = np.empty((g.n, g.n), dtype=np.int64)
-    for v in range(g.n):
-        d[v] = bfs_distances(g, v)
-    return d
+    """(n, n) matrix of graph distances; -1 marks unreachable pairs."""
+    return _distances(g, None)
 
 
 def distance_matrices(g: Graph) -> list[np.ndarray]:

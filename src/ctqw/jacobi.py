@@ -16,12 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams, NotQDType, ZeroReference
-from .graphs import Graph, IntersectionArray, Stratification, classify_qd
+from .graphs import Graph, IntersectionArray, Stratification, _csr_adjacency, classify_qd
 
 logger = logging.getLogger(__name__)
 
 # Lanczos stops when the residual norm drops below this fraction of the
-# operator norm; full reorthogonalization keeps ghost modes out.
+# operator norm bound (the largest row sum); full reorthogonalization keeps
+# ghost modes out.
 DEFLATION_TOL = 1e-12
 
 
@@ -131,13 +132,15 @@ def lanczos(
     """Three-term recursion coefficients of the adjacency matrix on the
     Krylov space generated from ``reference``.
 
-    Full reorthogonalization (applied twice per step) keeps the basis
-    orthonormal at desk scale; iteration stops when the residual norm falls
-    below ``deflation_tol`` relative to the operator norm, or when the space
-    is exhausted. With ``return_basis`` the orthonormal Krylov basis is
-    returned as the second element, columns in generation order.
+    Each step is one sparse (CSR) matvec, O(edges), and writes the new basis
+    vector into row k of a preallocated (n, n) array, so the basis is never
+    copied. Full reorthogonalization (applied twice per step, against the
+    rows written so far) keeps the basis orthonormal at desk scale; iteration
+    stops when the residual norm falls below ``deflation_tol`` relative to
+    the largest row sum of the adjacency, or when the space is exhausted.
+    With ``return_basis`` the orthonormal Krylov basis is returned as the
+    second element, an (n, dim) array with columns in generation order.
     """
-    a = g.adjacency_float()
     ref = np.asarray(reference, dtype=np.float64).reshape(-1)
     if ref.shape[0] != g.n:
         raise InvalidParams(f"reference has length {ref.shape[0]}, expected {g.n}")
@@ -146,22 +149,24 @@ def lanczos(
         raise ZeroReference("reference vector has zero norm")
     q = ref / norm
 
-    anorm = max(1.0, float(np.abs(a).sum(axis=1).max()))
+    a = _csr_adjacency(g)
+    anorm = max(1.0, float(a.sum(axis=1).max()))
     cutoff = deflation_tol * anorm
 
-    basis: list[np.ndarray] = []
+    # np.empty rows are not resident until written: memory follows the dimension
+    basis = np.empty((g.n, g.n))
     alphas: list[float] = []
     omegas: list[float] = []
     q_prev = np.zeros(g.n)
     beta = 0.0
     for k in range(g.n):
-        basis.append(q)
+        basis[k] = q
         w = a @ q
         alphas.append(float(q @ w))
         w = w - alphas[-1] * q - beta * q_prev
-        qmat = np.column_stack(basis)
+        done = basis[: k + 1]
         for _ in range(2):
-            w = w - qmat @ (qmat.T @ w)
+            w = w - done.T @ (done @ w)
         beta = float(np.linalg.norm(w))
         if beta <= cutoff or k == g.n - 1:
             if beta <= cutoff and k < g.n - 1:
@@ -173,5 +178,5 @@ def lanczos(
 
     jc = JacobiCoefficients(tuple(alphas), tuple(omegas))
     if return_basis:
-        return jc, np.column_stack(basis)
+        return jc, basis[: jc.dim].T
     return jc

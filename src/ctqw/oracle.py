@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidParams
-from .graphs import Graph, Stratification, vertex_state
+from .graphs import Graph, Stratification, _csr_adjacency, vertex_state
 
 
 def oracle_amplitudes(g: Graph, origin: int, t):
@@ -34,17 +34,22 @@ def oracle_amplitudes(g: Graph, origin: int, t):
     )):
         raise InvalidParams("oracle time grid must be evenly spaced and ascending")
     # imported here: only verification needs it, and it slows every CLI start
-    from scipy.sparse import csr_array
     from scipy.sparse.linalg import expm_multiply
 
-    generator = -1j * csr_array(g.adjacency)
+    generator = -1j * _csr_adjacency(g)
     state = vertex_state(g.n, origin)
-    if t.size == 1:
-        column = expm_multiply(t.item() * generator, state)
-        return column if t.ndim == 0 else column[:, None]
-    return expm_multiply(
-        generator, state, start=t[0], stop=t[-1], num=t.size, endpoint=True
-    ).T
+    # expm_multiply's norm estimate (onenormest) draws from NumPy's global
+    # stream; the caller's stream must come out as it went in
+    rng_state = np.random.get_state()
+    try:
+        if t.size == 1:
+            column = expm_multiply(t.item() * generator, state)
+            return column if t.ndim == 0 else column[:, None]
+        return expm_multiply(
+            generator, state, start=t[0], stop=t[-1], num=t.size, endpoint=True
+        ).T
+    finally:
+        np.random.set_state(rng_state)
 
 
 def aggregate_to_strata(pvec: np.ndarray, strat: Stratification):

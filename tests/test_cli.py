@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,3 +193,17 @@ def test_walk_log_env_sets_level(capsys, monkeypatch):
         assert root.level == logging.DEBUG
     finally:
         root.setLevel(old)
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    # scipy.sparse is imported inside the functions that need it, so that a
+    # CLI start does not pay for it
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", "import ctqw.cli, sys; print('scipy.sparse' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -1,3 +1,4 @@
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -12,6 +13,7 @@ from ctqw.errors import (
 from ctqw.graphs import (
     IntersectionArray,
     all_pairs_distances,
+    bfs_distances,
     build_graph,
     classify_qd,
     distance_matrices,
@@ -22,14 +24,18 @@ from ctqw.graphs import (
 )
 
 
-def random_connected_graph(rng, n, extra_edges):
+def random_connected_edges(rng, n, extra_edges):
     # random spanning tree plus extra chords: connected by construction
     edges = [(int(rng.integers(0, v)), v) for v in range(1, n)]
     for _ in range(extra_edges):
         u, v = rng.integers(0, n, size=2)
         if u != v:
             edges.append((int(u), int(v)))
-    return build_graph(n, edges)
+    return edges
+
+
+def random_connected_graph(rng, n, extra_edges):
+    return build_graph(n, random_connected_edges(rng, n, extra_edges))
 
 
 class TestBuildGraph:
@@ -139,6 +145,42 @@ class TestDistanceMatrices:
                 total += m
             assert (total == 1).all()
             assert (mats[1] == g.adjacency).all()
+
+
+class TestDistancesAgainstNetworkx:
+    """Distances and intersection arrays checked against networkx's own."""
+
+    @pytest.mark.parametrize("n", [2, 7, 40, 120, 200])
+    def test_single_source_and_all_pairs(self, rng, n):
+        edges = random_connected_edges(rng, n, int(rng.integers(0, n)))
+        g = build_graph(n, edges)
+        h = nx.Graph(edges)
+        d = all_pairs_distances(g)
+        assert d.dtype == np.int64 and d.shape == (n, n)
+        for source in range(n):
+            want = np.zeros(n, dtype=np.int64)
+            for v, k in nx.single_source_shortest_path_length(h, source).items():
+                want[v] = k
+            assert (bfs_distances(g, source) == want).all()
+            assert (d[source] == want).all()
+
+    @pytest.mark.parametrize("sizes", [(30, 25), (1, 9), (9, 1)])
+    def test_two_components_rejected(self, rng, sizes):
+        n0, n1 = sizes
+        first = random_connected_edges(rng, n0, n0)
+        second = [(u + n0, v + n0) for u, v in random_connected_edges(rng, n1, n1)]
+        with pytest.raises(DisconnectedGraph):
+            build_graph(n0 + n1, first + second)
+
+    @pytest.mark.parametrize("spec", ["petersen", "hamming:3,4", "johnson:8,3", "cycle:9"])
+    def test_intersection_numbers_match_networkx(self, spec):
+        from ctqw import entry_from_spec
+
+        g = entry_from_spec(spec).build()
+        b, c = nx.intersection_array(nx.from_numpy_array(g.adjacency))
+        ia = intersection_numbers(g)
+        assert list(ia.b) == b
+        assert list(ia.c) == c
 
 
 class TestIntersectionNumbers:

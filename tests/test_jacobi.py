@@ -3,16 +3,20 @@ import pytest
 
 from ctqw import (
     build_graph,
+    classify_qd,
     jacobi_from_strata,
     lanczos,
     make_entry,
     qd_from_intersection_array,
+    return_amplitude,
+    spectral_measure,
     stratify,
     vertex_state,
 )
 from ctqw.errors import InvalidParams, NotQDType, ZeroReference
 from ctqw.graphs import IntersectionArray
 from ctqw.jacobi import JacobiCoefficients
+from ctqw.oracle import oracle_amplitudes
 
 
 def path_graph(n):
@@ -140,6 +144,22 @@ class TestLanczos:
             jc, basis = lanczos(g, ref, return_basis=True)
             gram = basis.T @ basis
             assert np.abs(gram - np.eye(gram.shape[0])).max() < 1e-10
+
+    def test_random_graph_at_scale(self, rng):
+        n = 300
+        edges = [(int(rng.integers(0, v)), v) for v in range(1, n)]
+        edges += [(int(u), int(v)) for u, v in rng.integers(0, n, size=(n, 2)) if u != v]
+        g = build_graph(n, edges)
+        origin = next(o for o in range(n) if not classify_qd(g, stratify(g, o)))
+        jc, basis = lanczos(g, vertex_state(n, origin), return_basis=True)
+        assert basis.shape == (n, jc.dim)
+        assert np.abs(basis.T @ basis - np.eye(jc.dim)).max() < 1e-10
+        diag, off = jc.tridiagonal()
+        tri = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        assert np.abs(basis.T @ g.adjacency_float() @ basis - tri).max() < 1e-10
+        t = np.linspace(0.0, 20.0, 201)
+        q0 = return_amplitude(spectral_measure(jc), t)
+        assert np.abs(q0 - oracle_amplitudes(g, origin, t)[origin]).max() < 1e-8
 
     def test_all_routes_agree_on_catalog(self):
         for spec, params in [

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ctqw import build_graph, stratify
+from ctqw import build_graph, entry_from_spec, stratify
 from ctqw.errors import InvalidParams
 from ctqw.oracle import aggregate_to_strata, oracle_amplitudes
 
@@ -54,6 +54,17 @@ class TestOracleAmplitudes:
         column = oracle_amplitudes(petersen, 0, np.array([2.5]))
         assert column.shape == (10, 1)
         assert np.abs(column[:, 0] - oracle_amplitudes(petersen, 0, 2.5)).max() < 1e-15
+
+    @pytest.mark.parametrize("t", [10.0, np.linspace(0.0, 10.0, 41)], ids=["scalar", "grid"])
+    def test_global_random_stream_untouched(self, t):
+        # |tA|_1 = 120 here: large enough for expm_multiply to estimate norms
+        # by random sampling
+        g = entry_from_spec("johnson:8,2").build()
+        np.random.seed(0)
+        want = np.random.rand()
+        np.random.seed(0)
+        oracle_amplitudes(g, 0, t)
+        assert np.random.rand() == want
 
 
 class TestAggregate:
