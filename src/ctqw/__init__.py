@@ -27,7 +27,6 @@ from .graphs import (
     Stratification,
     build_graph,
     classify_qd,
-    distance_matrices,
     intersection_numbers,
     read_edge_list,
     stratify,
@@ -69,7 +68,6 @@ __all__ = [
     "build_graph",
     "classify_qd",
     "closed_form_q0",
-    "distance_matrices",
     "entry_from_spec",
     "intersection_numbers",
     "jacobi_from_strata",

@@ -28,7 +28,6 @@ class CatalogEntry:
     id: str
     family: str
     params: tuple
-    provenance: str
     builder: Callable[[], Graph] | None = None
     intersection_array: IntersectionArray | None = None
     jacobi: JacobiCoefficients | None = None
@@ -53,13 +52,6 @@ class CatalogEntry:
             return qd_from_intersection_array(self.intersection_array)
         g = self.build()
         return jacobi_from_strata(g, stratify(g, self.natural_origin))
-
-    def shell_sizes(self) -> tuple[int, ...] | None:
-        if self.intersection_array is not None:
-            return self.intersection_array.shell_sizes()
-        if self.builder is not None:
-            return stratify(self.build(), self.natural_origin).kappa
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +325,6 @@ def _make_complete(params) -> CatalogEntry:
         id=_format_id("complete", (n,)),
         family="complete",
         params=(n,),
-        provenance="complete graph family",
         builder=lambda: _complete(n),
         intersection_array=ia,
         closed_form=form,
@@ -352,7 +343,6 @@ def _make_cycle(params) -> CatalogEntry:
         id=_format_id("cycle", (n,)),
         family="cycle",
         params=(n,),
-        provenance="cycle family; large-n runs converge to the infinite-line Bessel forms",
         builder=lambda: _cycle(n),
         intersection_array=ia,
     )
@@ -369,7 +359,6 @@ def _make_petersen(params) -> CatalogEntry:
         id="petersen",
         family="petersen",
         params=(),
-        provenance="strongly regular (10,3,0,1)",
         builder=lambda: _generalized_petersen(5, 2),
         intersection_array=ia,
         closed_form=form,
@@ -403,7 +392,6 @@ def _make_johnson(params) -> CatalogEntry:
         id=_format_id("johnson", (n, d)),
         family="johnson",
         params=(n, d),
-        provenance="Johnson graph family",
         builder=lambda: _johnson(n, d),
         intersection_array=ia,
         closed_form=form,
@@ -419,7 +407,6 @@ def _make_srg(params) -> CatalogEntry:
         id=_format_id("srg", (v, kappa, lam, mu)),
         family="srg",
         params=(v, kappa, lam, mu),
-        provenance="strongly regular family (parameter driven, no construction)",
         intersection_array=ia,
         closed_form=_srg_closed_form(v, kappa, lam, mu),
     )
@@ -435,7 +422,6 @@ def _make_dihedral(params) -> CatalogEntry:
         id=_format_id("dihedral_srg", (m,)),
         family="dihedral_srg",
         params=(m,),
-        provenance="normal-subgroup blueprint of the dihedral group: SRG(2m,m,0,m)",
         builder=lambda: _complete_bipartite(m),
         intersection_array=ia,
         closed_form=form,
@@ -462,7 +448,6 @@ def _make_hamming(params) -> CatalogEntry:
         id=_format_id("hamming", (d, q)),
         family="hamming",
         params=(d, q),
-        provenance="Hamming graph family (binomial spectrum)",
         builder=lambda: _hamming(d, q),
         intersection_array=ia,
         closed_form=form,
@@ -478,7 +463,6 @@ def _make_path(params) -> CatalogEntry:
         id=_format_id("path", (n,)),
         family="path",
         params=(n,),
-        provenance="finite path; natural origin is the endpoint (vertex 0)",
         builder=lambda: _path(n),
         jacobi=jc,
         natural_origin=0,
@@ -500,7 +484,6 @@ def _make_glued_trees(params) -> CatalogEntry:
         id=_format_id("glued_trees", (depth,)),
         family="glued_trees",
         params=(depth,),
-        provenance="two glued balanced binary trees; natural origin is a root",
         builder=lambda: _glued_trees(depth),
         jacobi=jc,
         natural_origin=0,
@@ -539,7 +522,6 @@ def _make_tchebichef1(params) -> CatalogEntry:
         id=_format_id("tchebichef1", (n, m)),
         family="tchebichef1",
         params=(n, m),
-        provenance="first-kind Chebyshev coefficient family (abstract; no graph)",
         jacobi=jc,
         closed_form=form,
     )
@@ -563,8 +545,6 @@ def _make_tchebichef2(params) -> CatalogEntry:
         id=_format_id("tchebichef2", (n, m)),
         family="tchebichef2",
         params=(n, m),
-        provenance="second-kind Chebyshev coefficient family; m=1 is the path, "
-        "m=3/2 the glued-trees chain",
         jacobi=jc,
         closed_form=form,
     )
@@ -586,7 +566,6 @@ def _make_appendix(params) -> CatalogEntry:
         id=f"appendix:{rid}",
         family="appendix",
         params=(rid,),
-        provenance=f'distance-regular reference table row "{name}"',
         builder=builder,
         intersection_array=ia,
         closed_form=form,
@@ -656,7 +635,7 @@ def is_known_family(name: str) -> bool:
 
 
 def list_entries() -> tuple[tuple[str, str, str], ...]:
-    """(id, params schema, provenance) for every family and appendix row."""
+    """(id, params schema, listing text) for every family and appendix row."""
     out = []
     for family, (_, schema, listing) in sorted(_FAMILIES.items()):
         if schema is not None:

@@ -154,8 +154,8 @@ def cmd_stieltjes(cfg: RunConfig, eval_points: list[str]) -> int:
 
 
 def cmd_catalog() -> int:
-    for entry_id, schema, provenance in catalog.list_entries():
-        print(f"{entry_id}\t{schema}\t{provenance}")
+    for entry_id, schema, listing in catalog.list_entries():
+        print(f"{entry_id}\t{schema}\t{listing}")
     return EXIT_OK
 
 

@@ -1,19 +1,17 @@
 """Graph construction, BFS stratification, distance structure, and regularity tests.
 
-A graph is stored twice: sorted neighbor lists, and the dense symmetric
-adjacency matrix behind the shell and distance-class counts. The neighbor
-lists give, in O(n + m), the sparse CSR adjacency that the distances
-(``scipy.sparse.csgraph``), the Lanczos matvec and the oracle run on. The
-dense n x n storage is the only reason for the MAX_VERTICES cap: no step needs
-a dense eigensolve. Everything here is immutable after construction and all
-operations are pure.
+A graph is stored once, as a read-only sparse CSR adjacency matrix. The
+distances (``scipy.sparse.csgraph``), the shell and distance-class counts,
+the Lanczos matvec and the oracle all run on that one matrix, so no step
+builds a dense n x n adjacency or needs a dense eigensolve. Everything here is
+immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -25,7 +23,12 @@ from .errors import (
     NotDistanceRegular,
 )
 
-MAX_VERTICES = 2000  # bounds the dense n x n adjacency storage
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
+
+# bounds the dense n x n arrays: the Lanczos basis and the all-pairs distance
+# matrix (all_pairs_distances, intersection_numbers)
+MAX_VERTICES = 2000
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,18 +36,16 @@ class Graph:
     """Undirected simple connected graph."""
 
     n: int
-    adjacency: np.ndarray          # (n, n) symmetric 0/1, zero diagonal, read-only
-    neighbors: tuple[np.ndarray, ...]  # sorted neighbor ids per vertex
+    # (n, n) float64, symmetric 0/1, zero diagonal, sorted indices; its data,
+    # indices and indptr are read-only
+    adjacency: csr_array
 
     def degree(self, v: int) -> int:
-        return int(self.neighbors[v].size)
+        return int(self.adjacency.indptr[v + 1] - self.adjacency.indptr[v])
 
     @property
     def edge_count(self) -> int:
-        return int(self.adjacency.sum()) // 2
-
-    def adjacency_float(self) -> np.ndarray:
-        return self.adjacency.astype(np.float64)
+        return self.adjacency.nnz // 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,7 +162,8 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     if n > MAX_VERTICES:
         raise InvalidParams(f"graph too large ({n} > {MAX_VERTICES} vertices)")
 
-    adjacency = np.zeros((n, n), dtype=np.int8)
+    us: list[int] = []
+    vs: list[int] = []
     for e in edges:
         try:
             u, v = e
@@ -172,12 +174,21 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise InvalidEdge(f"edge ({u}, {v}) out of range for n={n}")
         if u == v:
             raise InvalidEdge(f"self-loop at vertex {u}")
-        adjacency[u, v] = 1
-        adjacency[v, u] = 1
+        us.append(u)
+        vs.append(v)
 
-    neighbors = tuple(np.flatnonzero(adjacency[v]).astype(np.int64) for v in range(n))
-    g = Graph(n=n, adjacency=adjacency, neighbors=neighbors)
-    adjacency.setflags(write=False)
+    # imported here: scipy.sparse would slow every CLI start
+    from scipy.sparse import coo_array
+
+    rows = np.array(us + vs, dtype=np.int64)
+    cols = np.array(vs + us, dtype=np.int64)
+    adjacency = coo_array((np.ones(rows.size), (rows, cols)), shape=(n, n)).tocsr()
+    # sorted indices and one entry per edge, whatever order the edges came in
+    adjacency.sum_duplicates()
+    adjacency.data[:] = 1.0
+    for arr in (adjacency.data, adjacency.indices, adjacency.indptr):
+        arr.setflags(write=False)
+    g = Graph(n=n, adjacency=adjacency)
 
     dist = bfs_distances(g, 0)
     if (dist < 0).any():
@@ -188,17 +199,6 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return g
 
 
-def _csr_adjacency(g: Graph):
-    """The adjacency as a float64 ``scipy.sparse.csr_array``, from the neighbor lists."""
-    # imported here: scipy.sparse would slow every CLI start
-    from scipy.sparse import csr_array
-
-    indptr = np.zeros(g.n + 1, dtype=np.int64)
-    np.cumsum([nb.size for nb in g.neighbors], out=indptr[1:])
-    indices = np.concatenate(g.neighbors)
-    return csr_array((np.ones(indices.size), indices, indptr), shape=(g.n, g.n))
-
-
 def _distances(g: Graph, indices) -> np.ndarray:
     """Unweighted shortest-path lengths from ``indices`` (None: all vertices);
     -1 marks unreachable vertices."""
@@ -206,7 +206,7 @@ def _distances(g: Graph, indices) -> np.ndarray:
 
     # unit-weight Dijkstra is a BFS per source; "auto" picks O(n^3)
     # Floyd-Warshall for all pairs on dense graphs
-    d = shortest_path(_csr_adjacency(g), method="D", unweighted=True, indices=indices)
+    d = shortest_path(g.adjacency, method="D", unweighted=True, indices=indices)
     d[np.isinf(d)] = -1
     return d.astype(np.int64)
 
@@ -235,13 +235,6 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
     return _distances(g, None)
 
 
-def distance_matrices(g: Graph) -> list[np.ndarray]:
-    """0/1 matrices picking out every graph distance; index 0 is the identity."""
-    d = all_pairs_distances(g)
-    diameter = int(d.max())
-    return [(d == i).astype(np.int8) for i in range(diameter + 1)]
-
-
 def intersection_numbers(g: Graph) -> IntersectionArray:
     """Intersection array of a distance-regular graph.
 
@@ -251,11 +244,13 @@ def intersection_numbers(g: Graph) -> IntersectionArray:
     """
     d = all_pairs_distances(g)
     diameter = int(d.max())
-    adjacency = g.adjacency_float()
 
     def neighbor_counts(k: int) -> np.ndarray:
-        # counts[u, v] = number of neighbors of v at distance k from u
-        return np.rint((d == k).astype(np.float64) @ adjacency).astype(np.int64)
+        # counts[u, v] = number of neighbors of v at distance k from u, the
+        # (u, v) entry of (d == k) @ A; both factors are symmetric, so it is
+        # the transpose of the sparse product A @ (d == k)
+        at_k = (d == k).astype(np.float64)
+        return np.rint(g.adjacency @ at_k).T.astype(np.int64)
 
     def constant_or_witness(counts: np.ndarray, mask: np.ndarray, dist_i: int, kind: str) -> int:
         vals = counts[mask]
@@ -300,10 +295,10 @@ def classify_qd(g: Graph, strat: Stratification) -> QDClassification:
     of neighbors one shell down, in its own shell, and one shell up.
     """
     levels = len(strat.shells)
-    onehot = np.zeros((levels, g.n), dtype=np.float64)
-    onehot[strat.shell_of, np.arange(g.n)] = 1.0
+    onehot = np.zeros((g.n, levels), dtype=np.float64)
+    onehot[np.arange(g.n), strat.shell_of] = 1.0
     # counts[l, v] = neighbors of v inside shell l
-    counts = np.rint(onehot @ g.adjacency_float()).astype(np.int64)
+    counts = np.rint(g.adjacency @ onehot).T.astype(np.int64)
 
     down, within, up = [], [], []
     for k in range(levels):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams, NotQDType, ZeroReference
-from .graphs import Graph, IntersectionArray, Stratification, _csr_adjacency, classify_qd
+from .graphs import Graph, IntersectionArray, Stratification, classify_qd
 
 logger = logging.getLogger(__name__)
 
@@ -149,7 +149,7 @@ def lanczos(
         raise ZeroReference("reference vector has zero norm")
     q = ref / norm
 
-    a = _csr_adjacency(g)
+    a = g.adjacency
     anorm = max(1.0, float(a.sum(axis=1).max()))
     cutoff = deflation_tol * anorm
 

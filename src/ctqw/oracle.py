@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidParams
-from .graphs import Graph, Stratification, _csr_adjacency, vertex_state
+from .graphs import Graph, Stratification, vertex_state
 
 
 def oracle_amplitudes(g: Graph, origin: int, t):
@@ -36,7 +36,7 @@ def oracle_amplitudes(g: Graph, origin: int, t):
     # imported here: only verification needs it, and it slows every CLI start
     from scipy.sparse.linalg import expm_multiply
 
-    generator = -1j * _csr_adjacency(g)
+    generator = -1j * g.adjacency
     state = vertex_state(g.n, origin)
     # expm_multiply's norm estimate (onenormest) draws from NumPy's global
     # stream; the caller's stream must come out as it went in

@@ -1,5 +1,5 @@
 """Cross-validation of the spectral pipeline against tabulated closed forms
-and the dense-propagator oracle.
+and the oracle, the action of exp(-iAt) on the origin's vertex state.
 
 Three comparisons exist and any subset may apply to a given input:
 
@@ -89,9 +89,12 @@ def pipeline_for_entry(entry: CatalogEntry, origin: int | None = None) -> Pipeli
     if origin is not None and origin != entry.natural_origin:
         return pipeline_for_graph(entry.build(), origin)
     jc = entry.jacobi_coefficients()
-    kappa = entry.shell_sizes()
     graph = entry.build() if entry.is_constructible else None
     strat = stratify(graph, entry.natural_origin) if graph is not None else None
+    if entry.intersection_array is not None:
+        kappa = entry.intersection_array.shell_sizes()
+    else:
+        kappa = strat.kappa if strat is not None else None
     return Pipeline(
         jc=jc,
         measure=spectral_measure(jc),
@@ -145,7 +148,7 @@ def check_oracle(
     *,
     tol: float = DEFAULT_ORACLE_TOL,
 ) -> CheckResult:
-    """Pipeline amplitudes against the dense propagator.
+    """Pipeline amplitudes against the oracle's propagator column.
 
     QD pipelines compare every stratum; non-QD ones compare the return
     amplitude only. Requires the pipeline to carry a graph.

@@ -156,7 +156,7 @@ class TestLanczos:
         assert np.abs(basis.T @ basis - np.eye(jc.dim)).max() < 1e-10
         diag, off = jc.tridiagonal()
         tri = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-        assert np.abs(basis.T @ g.adjacency_float() @ basis - tri).max() < 1e-10
+        assert np.abs(basis.T @ g.adjacency.toarray() @ basis - tri).max() < 1e-10
         t = np.linspace(0.0, 20.0, 201)
         q0 = return_amplitude(spectral_measure(jc), t)
         assert np.abs(q0 - oracle_amplitudes(g, origin, t)[origin]).max() < 1e-8
@@ -193,6 +193,6 @@ class TestLanczos:
             if len(off):
                 tri += np.diag(off, 1) + np.diag(off, -1)
             tri_vals = np.linalg.eigvalsh(tri)
-            full_vals = np.linalg.eigvalsh(g.adjacency_float())
+            full_vals = np.linalg.eigvalsh(g.adjacency.toarray())
             for x in tri_vals:
                 assert np.abs(full_vals - x).min() < 1e-8
