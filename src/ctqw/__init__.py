@@ -12,11 +12,9 @@ from .amplitudes import (
     AmplitudeSeries,
     ExponentialSum,
     amplitude_series,
-    closed_form_q0,
     laplace_return_amplitude,
     return_amplitude,
     stratum_amplitude,
-    vertex_amplitude,
 )
 from .catalog import CatalogEntry, entry_from_spec, list_entries, make_entry
 from .errors import CtqwError
@@ -42,7 +40,6 @@ from .oracle import aggregate_to_strata, oracle_amplitudes
 from .stieltjes import (
     SpectralMeasure,
     associated_poly,
-    monic_poly,
     spectral_measure,
     stieltjes_continued_fraction,
     stieltjes_pole_sum,
@@ -67,7 +64,6 @@ __all__ = [
     "associated_poly",
     "build_graph",
     "classify_qd",
-    "closed_form_q0",
     "entry_from_spec",
     "intersection_numbers",
     "jacobi_from_strata",
@@ -75,7 +71,6 @@ __all__ = [
     "laplace_return_amplitude",
     "list_entries",
     "make_entry",
-    "monic_poly",
     "oracle_amplitudes",
     "pipeline_for_entry",
     "pipeline_for_graph",
@@ -87,6 +82,5 @@ __all__ = [
     "stieltjes_pole_sum",
     "stratify",
     "stratum_amplitude",
-    "vertex_amplitude",
     "vertex_state",
 ]

@@ -11,13 +11,12 @@ numerically.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidParams, NoClosedForm
+from .errors import IndexOutOfRange, InvalidParams
 from .jacobi import JacobiCoefficients
 from .stieltjes import SpectralMeasure, orthonormal_values, stieltjes_pole_sum
 
@@ -47,9 +46,6 @@ class ExponentialSum:
             terms.append((float(constant), 0.0))
         return cls(terms=tuple(terms))
 
-    def total_mass(self) -> float:
-        return float(sum(c for c, _ in self.terms))
-
 
 @dataclass(frozen=True)
 class AmplitudeSeries:
@@ -63,9 +59,6 @@ class AmplitudeSeries:
     @property
     def levels(self) -> int:
         return self.values.shape[0]
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.values) ** 2
 
     def to_csv(self) -> str:
         lines = ["t,stratum,re,im,prob"]
@@ -120,13 +113,6 @@ def stratum_amplitude(measure: SpectralMeasure, jc: JacobiCoefficients, level: i
     return complex(value[()]) if value.ndim == 0 else value
 
 
-def vertex_amplitude(stratum_value, shell_size: int):
-    """Per-site amplitude p_alpha = q_l / sqrt(kappa_l), equal across the shell."""
-    if shell_size < 1:
-        raise InvalidParams(f"shell size must be >= 1, got {shell_size}")
-    return stratum_value / math.sqrt(shell_size)
-
-
 def amplitude_series(
     measure: SpectralMeasure,
     jc: JacobiCoefficients,
@@ -164,11 +150,3 @@ def amplitude_series(
     return AmplitudeSeries(
         times=times, values=values, kappa=kappa, conservation_defect=defect
     )
-
-
-def closed_form_q0(entry, t):
-    """Evaluate the tabulated closed-form return amplitude of a catalog entry."""
-    form = getattr(entry, "closed_form", None)
-    if form is None:
-        raise NoClosedForm(f"no tabulated closed form for {getattr(entry, 'id', entry)!r}")
-    return form(t)

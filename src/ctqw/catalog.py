@@ -17,8 +17,8 @@ from typing import Callable
 
 from .amplitudes import ExponentialSum
 from .errors import InvalidParams, UnknownFamily
-from .graphs import MAX_VERTICES, Graph, IntersectionArray, build_graph, stratify
-from .jacobi import JacobiCoefficients, jacobi_from_strata, qd_from_intersection_array
+from .graphs import MAX_VERTICES, Graph, IntersectionArray, build_graph
+from .jacobi import JacobiCoefficients, qd_from_intersection_array
 
 SQ = math.sqrt
 
@@ -33,7 +33,6 @@ class CatalogEntry:
     jacobi: JacobiCoefficients | None = None
     closed_form: ExponentialSum | None = None
     natural_origin: int = 0
-    notes: str = ""
 
     @property
     def is_constructible(self) -> bool:
@@ -45,13 +44,11 @@ class CatalogEntry:
         return self.builder()
 
     def jacobi_coefficients(self) -> JacobiCoefficients:
-        """Reduction coefficients, preferring stored ones over derived ones."""
+        """Reduction coefficients: the stored ones, else those of the
+        intersection array (every maker sets one of the two)."""
         if self.jacobi is not None:
             return self.jacobi
-        if self.intersection_array is not None:
-            return qd_from_intersection_array(self.intersection_array)
-        g = self.build()
-        return jacobi_from_strata(g, stratify(g, self.natural_origin))
+        return qd_from_intersection_array(self.intersection_array)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +372,6 @@ def _make_johnson(params) -> CatalogEntry:
     c = tuple((i + 1) ** 2 for i in range(d))
     ia = IntersectionArray.from_bc(b, c)
     form = None
-    notes = ""
     if d == 2:
         # tabulated two-frequency form; inconsistent with the three-node
         # spectrum of J(n,2), kept verbatim for the flagging machinery
@@ -387,7 +383,6 @@ def _make_johnson(params) -> CatalogEntry:
                 ((1 + amp) / 2, (n - 2 - rho) / 2),
             ]
         )
-        notes = "tabulated closed form truncates the spectrum; expect a typo flag"
     return CatalogEntry(
         id=_format_id("johnson", (n, d)),
         family="johnson",
@@ -395,7 +390,6 @@ def _make_johnson(params) -> CatalogEntry:
         builder=lambda: _johnson(n, d),
         intersection_array=ia,
         closed_form=form,
-        notes=notes,
     )
 
 
@@ -466,7 +460,6 @@ def _make_path(params) -> CatalogEntry:
         builder=lambda: _path(n),
         jacobi=jc,
         natural_origin=0,
-        notes="from the second vertex the walk is non-QD and needs the Lanczos route",
     )
 
 
@@ -559,7 +552,7 @@ def _make_appendix(params) -> CatalogEntry:
         raise InvalidParams(
             f"unknown appendix row {row_id!r}; known: {', '.join(appendix_row_ids())}"
         )
-    rid, name, b, c, (exponentials, cosines, constant), builder = row
+    rid, _, b, c, (exponentials, cosines, constant), builder = row
     ia = IntersectionArray.from_bc(b, c)
     form = ExponentialSum.build(exponentials, cosines, constant)
     return CatalogEntry(
@@ -569,7 +562,6 @@ def _make_appendix(params) -> CatalogEntry:
         builder=builder,
         intersection_array=ia,
         closed_form=form,
-        notes=name,
     )
 
 

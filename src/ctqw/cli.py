@@ -27,8 +27,7 @@ from .verify import (
     DEFAULT_CLOSED_FORM_TOL,
     DEFAULT_ORACLE_TOL,
     Pipeline,
-    check_closed_form,
-    check_oracle,
+    entry_status,
     pipeline_for_entry,
     pipeline_for_graph,
 )
@@ -101,42 +100,15 @@ def cmd_compute(cfg: RunConfig) -> int:
 
 def cmd_verify(cfg: RunConfig) -> int:
     pipeline, entry = _resolve_pipeline(cfg)
-    times = cfg.times()
-    closed_tol = cfg.tol if cfg.tol is not None else DEFAULT_CLOSED_FORM_TOL
-    oracle_tol = cfg.tol if cfg.tol is not None else DEFAULT_ORACLE_TOL
-
-    failures = 0
-    ran = 0
-    oracle_result = None
-    if pipeline.graph is not None:
-        oracle_result = check_oracle(pipeline, times, tol=oracle_tol)
-        ran += 1
-        print(oracle_result.line())
-        if not oracle_result.passed:
-            failures += 1
-    closed = None
-    if entry is not None and cfg.origin in (None, entry.natural_origin):
-        closed = check_closed_form(entry, times, tol=closed_tol, pipeline=pipeline)
-    if closed is not None:
-        ran += 1
-        if closed.passed:
-            print(closed.line())
-        elif oracle_result is not None and oracle_result.passed:
-            print(
-                f"{closed.name}: max err {closed.max_error:.3e} tol "
-                f"{closed.tolerance:.1e} MISMATCH -> paper-typo-suspect "
-                f"(engine confirmed by oracle) PASS"
-            )
-        else:
-            print(
-                f"{closed.name}: max err {closed.max_error:.3e} tol "
-                f"{closed.tolerance:.1e} MISMATCH (no oracle available; "
-                f"engine output authoritative) paper-typo-suspect"
-            )
-    if ran == 0:
-        print("nothing to verify: no oracle construction and no closed form")
-    print("VERIFY", "FAIL" if failures else "PASS")
-    return EXIT_VERIFY_FAIL if failures else EXIT_OK
+    status = entry_status(
+        pipeline,
+        entry,
+        cfg.times(),
+        closed_tol=cfg.tol if cfg.tol is not None else DEFAULT_CLOSED_FORM_TOL,
+        oracle_tol=cfg.tol if cfg.tol is not None else DEFAULT_ORACLE_TOL,
+    )
+    print("\n".join(status.lines))
+    return EXIT_OK if status.ok else EXIT_VERIFY_FAIL
 
 
 def cmd_stieltjes(cfg: RunConfig, eval_points: list[str]) -> int:

@@ -58,9 +58,5 @@ class EigensolverFailure(CtqwError):
     """Tridiagonal eigensolver did not converge."""
 
 
-class NoClosedForm(CtqwError):
-    """Catalog entry has no tabulated closed-form amplitude."""
-
-
 class UnknownFamily(CtqwError):
     """Graph family name not in the catalog."""

@@ -123,10 +123,6 @@ class IntersectionArray:
             sizes.append(num // self.c[i - 1])
         return tuple(sizes)
 
-    @property
-    def vertex_count(self) -> int:
-        return sum(self.shell_sizes())
-
 
 @dataclass(frozen=True)
 class QDClassification:

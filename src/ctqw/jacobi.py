@@ -9,7 +9,6 @@ themselves because every downstream formula consumes the squares.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 
@@ -60,31 +59,6 @@ class JacobiCoefficients:
     def tridiagonal(self) -> tuple[np.ndarray, np.ndarray]:
         """(diagonal, off-diagonal) arrays of the reduced operator."""
         return np.asarray(self.alpha, dtype=np.float64), self.betas()
-
-    def truncated(self, dim: int) -> "JacobiCoefficients":
-        """Leading principal block of the given dimension."""
-        if not (1 <= dim <= self.dim):
-            raise InvalidParams(f"truncation dim {dim} outside [1, {self.dim}]")
-        return JacobiCoefficients(self.alpha[:dim], self.omega[: dim - 1])
-
-    def as_dict(self) -> dict:
-        return {"alpha": list(self.alpha), "omega": list(self.omega)}
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict())
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "JacobiCoefficients":
-        try:
-            alpha = tuple(float(x) for x in data["alpha"])
-            omega = tuple(float(x) for x in data["omega"])
-        except (KeyError, TypeError, ValueError):
-            raise InvalidParams("expected {'alpha': [...], 'omega': [...]}") from None
-        return cls(alpha=alpha, omega=omega)
-
-    @classmethod
-    def from_json(cls, text: str) -> "JacobiCoefficients":
-        return cls.from_dict(json.loads(text))
 
 
 def qd_from_intersection_array(ia: IntersectionArray) -> JacobiCoefficients:

