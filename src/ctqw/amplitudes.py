@@ -6,6 +6,11 @@ sum_i A_i exp(-i x_i t) and the stratum amplitudes add the orthonormal
 polynomial values at the nodes. The Laplace-domain form exists only for
 validation against tabulated s-domain expressions; it is never inverted
 numerically.
+
+``AmplitudeSeries.to_csv`` formats its rows at ``%.17g`` in blocks of whole
+samples, one ``%`` operation per block; the bytes are those of formatting
+each cell on its own. ``MAX_SERIES_CELLS`` bounds the strata x samples of
+one series.
 """
 
 from __future__ import annotations
@@ -19,6 +24,14 @@ import numpy as np
 from .errors import IndexOutOfRange, InvalidParams
 from .jacobi import JacobiCoefficients
 from .stieltjes import SpectralMeasure, orthonormal_values, stieltjes_pole_sum
+
+# bounds strata x samples of one series, so that a huge grid is refused
+# before the (levels, T) arrays and their text are allocated
+MAX_SERIES_CELLS = 2**24
+
+# CSV rows formatted by one % operation (whole samples, at least one); bounds
+# the argument tuple and the row text held per block
+_CSV_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -61,24 +74,33 @@ class AmplitudeSeries:
         return self.values.shape[0]
 
     def to_csv(self) -> str:
-        lines = ["t,stratum,re,im,prob"]
-        for j, t in enumerate(self.times):
-            for l in range(self.levels):
-                v = self.values[l, j]
-                prob = v.real * v.real + v.imag * v.imag
-                lines.append(
-                    f"{t:.17g},{l},{v.real:.17g},{v.imag:.17g},{prob:.17g}"
-                )
-        return "\n".join(lines) + "\n"
+        """Header and one row ``t,stratum,re,im,prob`` per (sample, stratum),
+        sample-major, floats at ``%.17g``."""
+        levels = self.levels
+        rows = self.values.T.ravel()  # (t_0, 0), (t_0, 1), ..., (t_1, 0), ...
+        re, im = rows.real, rows.imag
+        prob = re * re + im * im
+        l_cells = ["%d," % l for l in range(levels)]
+        times = self.times.tolist()
+        step = max(1, _CSV_BLOCK // levels)  # whole samples per block
+        blocks = ["t,stratum,re,im,prob\n"]
+        for s0 in range(0, len(times), step):
+            t_cells = ["%.17g," % t for t in times[s0 : s0 + step]]
+            a, b = s0 * levels, (s0 + len(t_cells)) * levels
+            cells = [None] * (4 * (b - a))
+            cells[0::4] = [t + l for t in t_cells for l in l_cells]
+            cells[1::4] = re[a:b].tolist()
+            cells[2::4] = im[a:b].tolist()
+            cells[3::4] = prob[a:b].tolist()
+            blocks.append("%s%.17g,%.17g,%.17g\n" * (b - a) % tuple(cells))
+        return "".join(blocks)
 
     def as_dict(self) -> dict:
         return {
-            "times": [float(t) for t in self.times],
+            "times": self.times.tolist(),
             "kappa": list(self.kappa) if self.kappa is not None else None,
-            "values": [
-                [[float(v.real), float(v.imag)] for v in row] for row in self.values
-            ],
-            "conservation_defect": [float(x) for x in self.conservation_defect],
+            "values": np.stack([self.values.real, self.values.imag], -1).tolist(),
+            "conservation_defect": self.conservation_defect.tolist(),
         }
 
     def to_json(self) -> str:
@@ -129,6 +151,11 @@ def amplitude_series(
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or times.size < 1:
         raise InvalidParams("time grid must be a non-empty 1-d array")
+    if jc.dim * times.size > MAX_SERIES_CELLS:
+        raise InvalidParams(
+            f"series too large ({jc.dim} strata x {times.size} samples"
+            f" > {MAX_SERIES_CELLS} cells)"
+        )
     if times.size > 1 and not (np.diff(times) > 0).all():
         raise InvalidParams("time grid must be strictly ascending")
     if kappa is not None:

@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import catalog
-from .errors import CtqwError, InvalidEdgeList
+from .amplitudes import MAX_SERIES_CELLS
+from .errors import CtqwError, InvalidEdgeList, InvalidParams, UnwritableOutput
 from .graphs import read_edge_list
 from .stieltjes import stieltjes_continued_fraction, stieltjes_pole_sum
 from .verify import (
@@ -50,12 +51,16 @@ class RunConfig:
     tol: float | None = None
 
     def __post_init__(self):
-        if not (self.t_max > 0):
-            raise CtqwError(f"t-max must be positive, got {self.t_max}")
+        if not (0 < self.t_max < np.inf):
+            raise InvalidParams(f"t-max must be positive and finite, got {self.t_max}")
         if self.samples < 2:
-            raise CtqwError(f"samples must be >= 2, got {self.samples}")
+            raise InvalidParams(f"samples must be >= 2, got {self.samples}")
+        if self.samples > MAX_SERIES_CELLS:
+            raise InvalidParams(
+                f"samples must be <= {MAX_SERIES_CELLS}, got {self.samples}"
+            )
         if self.tol is not None and not (self.tol > 0):
-            raise CtqwError(f"tol must be positive, got {self.tol}")
+            raise InvalidParams(f"tol must be positive, got {self.tol}")
 
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.t_max, self.samples)
@@ -79,18 +84,23 @@ def _resolve_pipeline(cfg: RunConfig) -> tuple[Pipeline, "catalog.CatalogEntry |
     return pipeline_for_graph(g, cfg.origin if cfg.origin is not None else 0), None
 
 
-def _emit(text: str, output: str) -> None:
+def _emit(parts: list[str], output: str) -> None:
+    """Write ``parts`` in order to stdout ('-') or to the file ``output``."""
     if output == "-":
-        sys.stdout.write(text)
-    else:
-        Path(output).write_text(text)
+        sys.stdout.writelines(parts)
+        return
+    try:
+        with open(output, "w") as fh:
+            fh.writelines(parts)
+    except OSError as exc:
+        raise UnwritableOutput(f"cannot write {output!r}: {exc.strerror}") from exc
 
 
 def cmd_compute(cfg: RunConfig) -> int:
     pipeline, _ = _resolve_pipeline(cfg)
     series = pipeline.series(cfg.times())
-    payload = series.to_csv() if cfg.fmt == "csv" else series.to_json() + "\n"
-    _emit(payload, cfg.output)
+    parts = [series.to_csv()] if cfg.fmt == "csv" else [series.to_json(), "\n"]
+    _emit(parts, cfg.output)
     print(
         f"max conservation defect: {series.conservation_defect.max():.3e}",
         file=sys.stderr,

@@ -60,3 +60,7 @@ class EigensolverFailure(CtqwError):
 
 class UnknownFamily(CtqwError):
     """Graph family name not in the catalog."""
+
+
+class UnwritableOutput(CtqwError):
+    """The output path cannot be opened or written."""

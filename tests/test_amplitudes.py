@@ -1,9 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.special import jv
 
 from ctqw import make_entry
 from ctqw.amplitudes import (
+    _CSV_BLOCK,
+    MAX_SERIES_CELLS,
+    AmplitudeSeries,
     ExponentialSum,
     amplitude_series,
     laplace_return_amplitude,
@@ -216,6 +221,94 @@ class TestAmplitudeSeries:
             times = np.sort(rng.uniform(0, 25, size=40))
             series = amplitude_series(m, jc, times)
             assert series.conservation_defect.max() < 1e-10
+
+
+def reference_csv(series):
+    """One f-string per (sample, stratum) row: the formatter to_csv replaced."""
+    lines = ["t,stratum,re,im,prob"]
+    for j, t in enumerate(series.times):
+        for l in range(series.levels):
+            v = series.values[l, j]
+            prob = v.real * v.real + v.imag * v.imag
+            lines.append(f"{t:.17g},{l},{v.real:.17g},{v.imag:.17g},{prob:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_as_dict(series):
+    """Per-element float() lists: the builder as_dict replaced."""
+    return {
+        "times": [float(t) for t in series.times],
+        "kappa": list(series.kappa) if series.kappa is not None else None,
+        "values": [
+            [[float(v.real), float(v.imag)] for v in row] for row in series.values
+        ],
+        "conservation_defect": [float(x) for x in series.conservation_defect],
+    }
+
+
+def assert_same_text(got, want):
+    # a plain bool keeps pytest from diffing megabytes of text on failure
+    if got != want:
+        k = next((i for i, (x, y) in enumerate(zip(got, want)) if x != y), None)
+        k = min(len(got), len(want)) if k is None else k
+        raise AssertionError(
+            f"first difference at char {k}: "
+            f"{got[max(0, k - 40) : k + 40]!r} != {want[max(0, k - 40) : k + 40]!r}"
+        )
+
+
+SPECIAL_FLOATS = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, -1e300, 0.1, 1.0]
+
+
+def hand_built_series(rng, levels, samples, special=False):
+    times = np.sort(rng.uniform(0.0, 50.0, size=samples))
+    scale = 10.0 ** rng.integers(-150, 150, size=(2, levels, samples))
+    parts = rng.standard_normal((2, levels, samples)) * scale
+    defect = rng.uniform(0.0, 1e-12, size=samples)
+    if special:
+        times[: len(SPECIAL_FLOATS)] = SPECIAL_FLOATS[:samples]
+        flat = parts.reshape(2, -1)
+        for k, x in enumerate(SPECIAL_FLOATS):
+            flat[0, k] = x
+            flat[1, -1 - k] = x
+        defect[: len(SPECIAL_FLOATS)] = SPECIAL_FLOATS[:samples]
+    values = np.empty((levels, samples), dtype=np.complex128)
+    values.real, values.imag = parts  # re + 1j * im would turn an infinite im into a nan re
+    kappa = tuple(range(1, levels + 1)) if levels > 1 else None
+    return AmplitudeSeries(
+        times=times,
+        values=values,
+        kappa=kappa,
+        conservation_defect=defect,
+    )
+
+
+class TestSerializers:
+    @pytest.mark.parametrize(
+        "levels, samples, special",
+        [
+            (4, _CSV_BLOCK // 4, False),          # exactly one block of rows
+            (1, _CSV_BLOCK + 1, False),           # one row into a second block
+            (3, _CSV_BLOCK - 1, False),           # 3 * _CSV_BLOCK - 1 rows
+            (_CSV_BLOCK + 1, 2, False),           # more strata than rows per block
+            (1, 1, False),                        # one level, one sample
+            (5, 1, False),
+            (1, 40, False),
+            (3, 20, True),                        # -0, nan, +-inf, subnormal, huge
+        ],
+    )
+    def test_matches_per_cell_reference(self, rng, levels, samples, special):
+        series = hand_built_series(rng, levels, samples, special)
+        with np.errstate(over="ignore"):  # prob of 1e300 overflows in both
+            assert_same_text(series.to_csv(), reference_csv(series))
+        assert_same_text(series.to_json(), json.dumps(reference_as_dict(series)))
+
+    def test_series_cell_bound(self):
+        # the bound is checked before the grid is differenced or any
+        # (levels, T) array is made, so a zero-copy grid is enough
+        times = np.broadcast_to(0.0, (MAX_SERIES_CELLS // PETERSEN_JC.dim + 1,))
+        with pytest.raises(InvalidParams, match="series too large"):
+            amplitude_series(petersen_measure(), PETERSEN_JC, times)
 
 
 class TestClosedForm:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -68,6 +69,23 @@ class TestCompute:
             )
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("csv", "9c62f841b42b8cc1fbae2057da972fc8758cfca2c7f0b4e40541edff4031f61f"),
+            ("json", "0feb8d6f2318ef8115b9f36c5b80c00fdde3e3fb2d201c08bf8b66b5da3c5b24"),
+        ],
+    )
+    def test_stdout_digest_pinned(self, capsys, fmt, digest):
+        # recorded from the per-cell formatter; the block formatter and the
+        # tolist() JSON path must reproduce the bytes exactly
+        code, out, _ = run(
+            capsys,
+            "compute", "--graph", "glued_trees:5", "--samples", "301", "--format", fmt,
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_edge_list_input(self, capsys, tmp_path):
         path = tmp_path / "square.edges"
@@ -218,6 +236,26 @@ class TestExitCodes:
     def test_bad_eval_literal(self, capsys):
         code, _, err = run(capsys, "stieltjes", "--graph", "petersen", "--eval", "zap")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (("--t-max", "inf"), "t-max must be positive and finite"),
+            (("--t-max", "nan"), "t-max must be positive and finite"),
+            (("--samples", "1000000000000"), "samples must be <= 16777216"),
+        ],
+    )
+    def test_run_option_out_of_range(self, capsys, option, message):
+        code, out, err = run(capsys, "compute", "--graph", "petersen", *option)
+        assert code == 2
+        assert out == ""
+        assert f"error: InvalidParams: {message}" in err
+
+    def test_unwritable_output(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        code, _, err = run(capsys, "compute", "--graph", "petersen", "--output", str(target))
+        assert code == 2
+        assert "error: UnwritableOutput:" in err and str(target) in err
 
 
 def test_walk_log_env_sets_level(capsys, monkeypatch):
