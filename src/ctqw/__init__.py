@@ -32,11 +32,10 @@ from .graphs import (
 )
 from .jacobi import (
     JacobiCoefficients,
-    jacobi_from_strata,
     lanczos,
     qd_from_intersection_array,
 )
-from .oracle import aggregate_to_strata, oracle_amplitudes
+from .oracle import oracle_amplitudes
 from .stieltjes import (
     SpectralMeasure,
     associated_poly,
@@ -59,14 +58,12 @@ __all__ = [
     "QDClassification",
     "SpectralMeasure",
     "Stratification",
-    "aggregate_to_strata",
     "amplitude_series",
     "associated_poly",
     "build_graph",
     "classify_qd",
     "entry_from_spec",
     "intersection_numbers",
-    "jacobi_from_strata",
     "lanczos",
     "laplace_return_amplitude",
     "list_entries",

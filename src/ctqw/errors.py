@@ -38,10 +38,6 @@ class NotDistanceRegular(CtqwError):
         self.witness = witness
 
 
-class NotQDType(CtqwError):
-    """The stratification is not invariant under the raising/lowering split."""
-
-
 class ZeroReference(CtqwError):
     """Reference vector has (numerically) zero norm."""
 

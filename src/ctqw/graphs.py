@@ -128,20 +128,15 @@ class IntersectionArray:
 class QDClassification:
     """Outcome of the stratification-invariance test.
 
-    When ``is_qd`` holds, every vertex of shell k has ``down_counts[k]``
-    neighbors in shell k-1, ``within_counts[k]`` in shell k and
-    ``up_counts[k]`` in shell k+1. Otherwise ``witness`` records
+    When ``qd`` is false, ``witness`` records
     ``(shell, direction, vertex_a, count_a, vertex_b, count_b)``.
     """
 
-    is_qd: bool
-    down_counts: tuple[int, ...] | None = None
-    within_counts: tuple[int, ...] | None = None
-    up_counts: tuple[int, ...] | None = None
+    qd: bool
     witness: tuple | None = None
 
     def __bool__(self) -> bool:
-        return self.is_qd
+        return self.qd
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -296,38 +291,24 @@ def classify_qd(g: Graph, strat: Stratification) -> QDClassification:
     # counts[l, v] = neighbors of v inside shell l
     counts = np.rint(g.adjacency @ onehot).T.astype(np.int64)
 
-    down, within, up = [], [], []
     for k in range(levels):
         verts = np.array(strat.shells[k], dtype=np.int64)
         for direction, l in (("down", k - 1), ("within", k), ("up", k + 1)):
-            if 0 <= l < levels:
-                vals = counts[l, verts]
-                if int(vals.min()) != int(vals.max()):
-                    ia, ib = int(np.argmin(vals)), int(np.argmax(vals))
-                    witness = (
-                        k,
-                        direction,
-                        int(verts[ia]),
-                        int(vals[ia]),
-                        int(verts[ib]),
-                        int(vals[ib]),
-                    )
-                    return QDClassification(is_qd=False, witness=witness)
-                val = int(vals[0])
-            else:
-                val = 0
-            if direction == "down":
-                down.append(val)
-            elif direction == "within":
-                within.append(val)
-            else:
-                up.append(val)
-    return QDClassification(
-        is_qd=True,
-        down_counts=tuple(down),
-        within_counts=tuple(within),
-        up_counts=tuple(up),
-    )
+            if not 0 <= l < levels:
+                continue
+            vals = counts[l, verts]
+            if int(vals.min()) != int(vals.max()):
+                ia, ib = int(np.argmin(vals)), int(np.argmax(vals))
+                witness = (
+                    k,
+                    direction,
+                    int(verts[ia]),
+                    int(vals[ia]),
+                    int(verts[ib]),
+                    int(vals[ib]),
+                )
+                return QDClassification(qd=False, witness=witness)
+    return QDClassification(qd=True)
 
 
 def parse_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:

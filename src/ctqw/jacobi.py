@@ -1,9 +1,11 @@
 """Tridiagonal reduction coefficients for the walk Hamiltonian.
 
-Three routes produce the same object: closed-form coefficients from an
-intersection array, shell-count coefficients for stratification-invariant
-(QD) graphs, and a Lanczos recursion for arbitrary reference states. The
-squared off-diagonals ``omega`` are stored instead of the off-diagonals
+Two routes produce the same object: closed-form coefficients from an
+intersection array, for catalog entries walked from their natural origin,
+and a Lanczos recursion from any reference state, for every explicit graph
+and origin. On a QD-type origin the Krylov levels are the normalized BFS
+shells, so Lanczos reproduces the shell-count coefficients of the paper.
+The squared off-diagonals ``omega`` are stored instead of the off-diagonals
 themselves because every downstream formula consumes the squares.
 """
 
@@ -14,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, NotQDType, ZeroReference
-from .graphs import Graph, IntersectionArray, Stratification, classify_qd
+from .errors import InvalidParams, ZeroReference
+from .graphs import Graph, IntersectionArray
 
 logger = logging.getLogger(__name__)
 
@@ -73,27 +75,6 @@ def qd_from_intersection_array(ia: IntersectionArray) -> JacobiCoefficients:
         alpha.append(float(kappa - b_k - c_k))
         omega.append(float(ia.b[k - 1] * c_k))
     return JacobiCoefficients(tuple(alpha), tuple(omega))
-
-
-def jacobi_from_strata(g: Graph, strat: Stratification) -> JacobiCoefficients:
-    """Coefficients from per-shell neighbor counts of a QD-type stratification.
-
-    alpha_k is the within-shell neighbor count of shell k; omega_k is the
-    product of the up-count of shell k-1 and the down-count of shell k,
-    which equals the squared cross-shell matrix element.
-    """
-    cls = classify_qd(g, strat)
-    if not cls:
-        raise NotQDType(
-            f"stratification from origin {strat.origin} is not QD type; "
-            f"witness {cls.witness}"
-        )
-    levels = len(strat.shells)
-    alpha = tuple(float(cls.within_counts[k]) for k in range(levels))
-    omega = tuple(
-        float(cls.up_counts[k - 1] * cls.down_counts[k]) for k in range(1, levels)
-    )
-    return JacobiCoefficients(alpha, omega)
 
 
 def lanczos(

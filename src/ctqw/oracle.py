@@ -5,7 +5,8 @@ The action comes from scipy's ``expm_multiply``, the truncated-Taylor method
 of Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 2011). It needs no
 eigendecomposition, so it shares no algorithm with the pipeline's tridiagonal
 reduction and measure extraction: the cross-checks compare two independent
-routes.
+routes. The result is per vertex; ``verify.check_oracle`` compares all of it,
+mapping the pipeline's level amplitudes to vertices through the Krylov basis.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidParams
-from .graphs import Graph, Stratification, vertex_state
+from .graphs import Graph, vertex_state
 
 
 def oracle_amplitudes(g: Graph, origin: int, t):
@@ -51,26 +52,3 @@ def oracle_amplitudes(g: Graph, origin: int, t):
     finally:
         np.random.set_state(rng_state)
 
-
-def aggregate_to_strata(pvec: np.ndarray, strat: Stratification):
-    """Fold per-vertex amplitudes into per-stratum ones.
-
-    Returns ``(values, spread)`` with values[l] = sum over shell l divided by
-    sqrt(shell size); ``spread`` is the largest deviation of any per-vertex
-    amplitude from its shell mean, reporting on the equal-amplitude property
-    rather than assuming it.
-    """
-    pvec = np.asarray(pvec)
-    single = pvec.ndim == 1
-    cols = pvec.reshape(pvec.shape[0], -1)
-    levels = len(strat.shells)
-    values = np.empty((levels, cols.shape[1]), dtype=np.complex128)
-    spread = 0.0
-    for l, shell in enumerate(strat.shells):
-        idx = np.array(shell, dtype=np.int64)
-        block = cols[idx, :]
-        values[l] = block.sum(axis=0) / np.sqrt(len(shell))
-        if len(shell) > 1:
-            dev = np.abs(block - block.mean(axis=0, keepdims=True)).max()
-            spread = max(spread, float(dev))
-    return (values[:, 0], spread) if single else (values, spread)

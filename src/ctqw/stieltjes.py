@@ -20,7 +20,9 @@ from .jacobi import JacobiCoefficients
 
 logger = logging.getLogger(__name__)
 
-POLE_DISTANCE = 1e-12       # contract: evaluation points keep this far from nodes
+# both resolvent routes reject z when |1/G(z)| < POLE_TOL * (1 + |z|): for a
+# probability measure that puts z within about POLE_TOL of a node
+POLE_TOL = 1e-9
 MERGE_TOL = 1e-9            # near-degenerate nodes closer than this x width merge
 
 
@@ -82,26 +84,32 @@ def stieltjes_continued_fraction(jc: JacobiCoefficients, z: complex) -> complex:
     """Finite continued fraction 1/(z - alpha_0 - omega_1/(z - alpha_1 - ...)),
     evaluated bottom-up for stability.
 
-    Raises PoleProximity when the plain magnitude of the result exceeds ~1e9,
-    which for a probability measure means z sits within ~1e-9 of the support.
+    Raises PoleProximity when |1/G| < POLE_TOL (1 + |z|).
     """
     v = z - jc.alpha[jc.dim - 1]
     for j in range(jc.dim - 2, -1, -1):
         if abs(v) < 1e-150:
             v = 1e-150  # intermediate root of a trailing block; value stays finite
         v = z - jc.alpha[j] - jc.omega[j] / v
-    if abs(v) < 1e-9 * (1.0 + abs(z)):
+    if abs(v) < POLE_TOL * (1.0 + abs(z)):
         raise PoleProximity(f"z={z} is too close to a spectral node")
     return 1.0 / v
 
 
 def stieltjes_pole_sum(measure: SpectralMeasure, z: complex) -> complex:
-    """Partial-fraction form: sum of weight/(z - node)."""
+    """Partial-fraction form: sum of weight/(z - node).
+
+    Raises PoleProximity when z is a node, and under the continued
+    fraction's rule |1/G| < POLE_TOL (1 + |z|).
+    """
     nodes = measure.nodes_array()
-    gap = np.abs(z - nodes).min()
-    if gap <= POLE_DISTANCE:
-        raise PoleProximity(f"z={z} within {gap:.2e} of a node")
-    return complex(np.sum(measure.weights_array() / (z - nodes)))
+    if (nodes == z).any():
+        raise PoleProximity(f"z={z} is a spectral node")
+    g = complex(np.sum(measure.weights_array() / (z - nodes)))
+    # the rule multiplied through by |G|, so that a vanishing G needs no division
+    if abs(g) * POLE_TOL * (1.0 + abs(z)) > 1.0:
+        raise PoleProximity(f"z={z} is too close to a spectral node")
+    return g
 
 
 def spectral_measure(jc: JacobiCoefficients, *, merge_tol: float = MERGE_TOL) -> SpectralMeasure:

@@ -3,9 +3,12 @@ and the oracle, the action of exp(-iAt) on the origin's vertex state.
 
 Two checks exist and either, both or neither may apply to a given walk:
 
-* ``check_oracle``, whenever the pipeline carries a graph: every stratum for
-  QD stratifications, the return amplitude only for non-QD (Lanczos) ones,
-  since higher Krylov levels are not shell overlaps;
+* ``check_oracle``, whenever the pipeline carries a graph: every vertex at
+  every sample, for every origin. The walk stays in the Krylov space of the
+  origin's vertex state (Krovi & Brun, PRA 75, 062332, 2007), so the level
+  amplitudes mapped through that space's orthonormal basis give the whole
+  per-vertex state; on QD-type origins the basis columns are the normalized
+  shell indicators;
 * ``check_closed_form``, for a catalog entry with a tabulated closed form,
   walked from its natural origin.
 
@@ -27,9 +30,9 @@ import numpy as np
 from .amplitudes import AmplitudeSeries, amplitude_series, return_amplitude
 from .catalog import CatalogEntry
 from .errors import InvalidParams
-from .graphs import Graph, Stratification, classify_qd, stratify, vertex_state
-from .jacobi import JacobiCoefficients, jacobi_from_strata, lanczos
-from .oracle import aggregate_to_strata, oracle_amplitudes
+from .graphs import Graph, classify_qd, stratify, vertex_state
+from .jacobi import JacobiCoefficients, lanczos
+from .oracle import oracle_amplitudes
 from .stieltjes import SpectralMeasure, spectral_measure
 
 logger = logging.getLogger(__name__)
@@ -49,37 +52,34 @@ class Pipeline:
     jc: JacobiCoefficients
     measure: SpectralMeasure
     kappa: tuple[int, ...] | None
+    origin: int
     graph: Graph | None = None
-    strat: Stratification | None = None
-    is_qd: bool = True
 
     def series(self, times) -> AmplitudeSeries:
         return amplitude_series(self.measure, self.jc, times, kappa=self.kappa)
 
 
 def pipeline_for_graph(g: Graph, origin: int) -> Pipeline:
-    """Spectral route for an explicit graph: shell counts when the
-    stratification is QD type, Lanczos from the vertex state otherwise."""
+    """Spectral route for an explicit graph: Lanczos from the origin's vertex
+    state, whatever the origin.
+
+    ``classify_qd`` is the paper's diagnostic only: when the BFS
+    stratification is QD type the Krylov levels are its shells, and their
+    sizes are reported as ``kappa``; otherwise ``kappa`` is None.
+    """
     strat = stratify(g, origin)
-    if classify_qd(g, strat):
-        jc = jacobi_from_strata(g, strat)
-        return Pipeline(
-            jc=jc,
-            measure=spectral_measure(jc),
-            kappa=strat.kappa,
-            graph=g,
-            strat=strat,
-            is_qd=True,
-        )
+    qd = bool(classify_qd(g, strat))
     jc = lanczos(g, vertex_state(g.n, origin))
-    logger.info("origin %d gives a non-QD stratification; using Lanczos", origin)
+    logger.info(
+        "origin %d: Lanczos dimension %d, %s stratification",
+        origin, jc.dim, "QD" if qd else "non-QD",
+    )
     return Pipeline(
         jc=jc,
         measure=spectral_measure(jc),
-        kappa=None,
+        kappa=strat.kappa if qd else None,
+        origin=origin,
         graph=g,
-        strat=strat,
-        is_qd=False,
     )
 
 
@@ -94,18 +94,18 @@ def pipeline_for_entry(entry: CatalogEntry, origin: int | None = None) -> Pipeli
         return pipeline_for_graph(entry.build(), origin)
     jc = entry.jacobi_coefficients()
     graph = entry.build() if entry.is_constructible else None
-    strat = stratify(graph, entry.natural_origin) if graph is not None else None
     if entry.intersection_array is not None:
         kappa = entry.intersection_array.shell_sizes()
+    elif graph is not None:
+        kappa = stratify(graph, entry.natural_origin).kappa
     else:
-        kappa = strat.kappa if strat is not None else None
+        kappa = None
     return Pipeline(
         jc=jc,
         measure=spectral_measure(jc),
         kappa=kappa,
+        origin=entry.natural_origin,
         graph=graph,
-        strat=strat,
-        is_qd=True,
     )
 
 
@@ -151,32 +151,34 @@ def check_oracle(
     *,
     tol: float = DEFAULT_ORACLE_TOL,
 ) -> CheckResult:
-    """Pipeline amplitudes against the oracle's propagator column.
+    """Every vertex's amplitude against the oracle's propagator column.
 
-    QD pipelines compare every stratum; non-QD ones compare the return
-    amplitude only. Requires the pipeline to carry a graph.
+    The level amplitudes are mapped to vertices through the orthonormal
+    Krylov basis of the origin's vertex state, recomputed here rather than
+    kept on the pipeline; the error is the largest deviation over all
+    vertices and samples. A walk whose level count differs from the Krylov
+    dimension fails without a comparison. Requires the pipeline to carry a
+    graph.
     """
     if pipeline.graph is None:
         raise InvalidParams("oracle comparison needs an explicit graph")
     g = pipeline.graph
-    strat = pipeline.strat
-    origin = strat.origin if strat is not None else 0
+    _, basis = lanczos(g, vertex_state(g.n, pipeline.origin), return_basis=True)
+    name = "oracle vertices"
+    if basis.shape[1] != pipeline.jc.dim:
+        detail = f"Krylov dimension {basis.shape[1]}, walk has {pipeline.jc.dim} levels"
+        return CheckResult(
+            name=name, max_error=np.inf, tolerance=tol, passed=False, detail=detail
+        )
     times = np.asarray(times, dtype=np.float64)
-    pvec = oracle_amplitudes(g, origin, times)
-    if pipeline.is_qd:
-        want, spread = aggregate_to_strata(pvec, strat)
-        series = pipeline.series(times)
-        err = float(np.abs(series.values - want).max())
-        detail = f"within-stratum spread {spread:.2e}"
-        name = "oracle strata"
-    else:
-        want = pvec[origin]
-        got = return_amplitude(pipeline.measure, times)
-        err = float(np.abs(got - want).max())
-        detail = "non-QD origin: return amplitude only"
-        name = "oracle q0"
+    want = oracle_amplitudes(g, pipeline.origin, times)
+    err = float(np.abs(basis @ pipeline.series(times).values - want).max())
     return CheckResult(
-        name=name, max_error=err, tolerance=tol, passed=err < tol, detail=detail
+        name=name,
+        max_error=err,
+        tolerance=tol,
+        passed=err < tol,
+        detail=f"all {g.n} vertices, {basis.shape[1]} levels",
     )
 
 
@@ -213,8 +215,7 @@ def entry_status(
         checks.append(oracle_result)
         lines.append(oracle_result.line())
     closed = None
-    origin = pipeline.strat.origin if pipeline.strat is not None else None
-    if entry is not None and origin in (None, entry.natural_origin):
+    if entry is not None and pipeline.origin == entry.natural_origin:
         closed = check_closed_form(pipeline, entry, times, tol=closed_tol)
     if closed is not None:
         checks.append(closed)

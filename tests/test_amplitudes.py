@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
-from ctqw import make_entry
+from ctqw import make_entry, stratify
 from ctqw.amplitudes import (
     _CSV_BLOCK,
     MAX_SERIES_CELLS,
@@ -17,7 +17,7 @@ from ctqw.amplitudes import (
 )
 from ctqw.errors import IndexOutOfRange, InvalidParams, PoleProximity
 from ctqw.jacobi import JacobiCoefficients
-from ctqw.oracle import aggregate_to_strata, oracle_amplitudes
+from ctqw.oracle import oracle_amplitudes
 from ctqw.stieltjes import SpectralMeasure, spectral_measure
 from ctqw.verify import pipeline_for_entry
 
@@ -190,9 +190,10 @@ class TestAmplitudeSeries:
         times = np.linspace(0.0, 10.0, 100)
         series = pipe.series(times)
         pvec = oracle_amplitudes(pipe.graph, 0, times)
-        want, spread = aggregate_to_strata(pvec, pipe.strat)
-        assert np.abs(series.values - want).max() < 1e-8
-        assert spread < 1e-10
+        # every vertex of shell l carries q_l / sqrt(shell size)
+        shell_of = stratify(pipe.graph, 0).shell_of
+        want = series.values[shell_of] / np.sqrt(np.asarray(pipe.kappa))[shell_of, None]
+        assert np.abs(pvec - want).max() < 1e-8
 
     def test_grid_must_ascend(self):
         m = petersen_measure()

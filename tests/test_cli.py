@@ -116,7 +116,7 @@ class TestVerify:
     def test_johnson_passes_with_flag(self, capsys):
         code, out, _ = run(capsys, "verify", "--graph", "johnson:7,2", "--tol", "1e-8")
         assert code == 0
-        assert "oracle strata" in out and "PASS" in out
+        assert "oracle vertices" in out and "PASS" in out
         assert "paper-typo-suspect" in out
 
     def test_icosahedron_closed_form(self, capsys):
@@ -128,7 +128,7 @@ class TestVerify:
     def test_path_from_second_vertex(self, capsys):
         code, out, _ = run(capsys, "verify", "--graph", "path:5", "--origin", "1")
         assert code == 0
-        assert "oracle q0" in out
+        assert "oracle vertices" in out and "(all 5 vertices, 4 levels)" in out
 
     def test_srg_without_construction(self, capsys):
         code, out, _ = run(capsys, "verify", "--graph", "srg:16,5,0,2")
@@ -147,15 +147,15 @@ class TestVerify:
         assert "VERIFY FAIL" in out
 
     # argv tail -> (exit code, stdout with every number masked); one row per
-    # way the closed-form line can read, plus the non-QD oracle line
+    # way the closed-form line can read, plus a non-QD origin
     REPORTS = {
         ("appendix:icosahedron",): (0, [
-            "oracle strata: max err # tol # PASS (within-stratum spread #)",
+            "oracle vertices: max err # tol # PASS (all 12 vertices, 4 levels)",
             "closed-form q0: max err # tol # PASS",
             "VERIFY PASS",
         ]),
         ("johnson:7,2",): (0, [
-            "oracle strata: max err # tol # PASS (within-stratum spread #)",
+            "oracle vertices: max err # tol # PASS (all 21 vertices, 3 levels)",
             "closed-form q0: max err # tol # MISMATCH -> paper-typo-suspect "
             "(engine confirmed by oracle) PASS",
             "VERIFY PASS",
@@ -168,12 +168,12 @@ class TestVerify:
         # the oracle ran and refuted the engine: the mismatch is not blamed
         # on the tabulated form
         ("johnson:7,2", "--tol", "1e-16"): (1, [
-            "oracle strata: max err # tol # FAIL (within-stratum spread #)",
+            "oracle vertices: max err # tol # FAIL (all 21 vertices, 3 levels)",
             "closed-form q0: max err # tol # MISMATCH (oracle failed too)",
             "VERIFY FAIL",
         ]),
         ("path:7", "--origin", "1"): (0, [
-            "oracle q0: max err # tol # PASS (non-QD origin: return amplitude only)",
+            "oracle vertices: max err # tol # PASS (all 7 vertices, 6 levels)",
             "VERIFY PASS",
         ]),
     }
@@ -183,6 +183,52 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--graph", *argv)
         masked = re.sub(r"\d\.\d+e[+-]\d\d", "#", out)
         assert (code, masked.splitlines()) == self.REPORTS[argv]
+
+    @pytest.mark.parametrize("n", [None, 20, 40], ids=["path:7 --origin 1", "random-20", "random-40"])
+    def test_verify_passes_exactly_when_compute_conserves(self, capsys, tmp_path, n):
+        if n is None:
+            argv = ["--graph", "path:7", "--origin", "1"]
+        else:
+            path = tmp_path / f"random-{n}.edges"
+            write_random_edge_list(path, n, seed=n)
+            argv = ["--graph", str(path)]
+        code, _, err = run(capsys, "compute", *argv)
+        assert code == 0
+        defect = float(err.split("max conservation defect:")[1])
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == (0 if defect < 1e-10 else 1), (defect, out)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("petersen", "--origin", "3"), "origin 3: Lanczos dimension 3, QD stratification"),
+            (("path:5", "--origin", "1"), "origin 1: Lanczos dimension 4, non-QD stratification"),
+        ],
+    )
+    def test_walk_log_reports_route(self, capsys, caplog, monkeypatch, argv, message):
+        import logging
+
+        monkeypatch.setenv("WALK_LOG", "INFO")
+        root = logging.getLogger()
+        old = root.level
+        try:
+            code, _, _ = run(capsys, "verify", "--graph", *argv)
+        finally:
+            root.setLevel(old)
+        assert code == 0
+        assert message in [r.getMessage() for r in caplog.records if r.name == "ctqw.verify"]
+
+
+def write_random_edge_list(path, n, seed):
+    """A seeded random connected graph with 2n edges: a random spanning tree
+    topped up with uniformly drawn extra edges."""
+    rng = np.random.default_rng(seed)
+    edges = {(int(rng.integers(0, v)), v) for v in range(1, n)}
+    while len(edges) < 2 * n:
+        u, v = sorted(int(x) for x in rng.integers(0, n, 2))
+        if u != v:
+            edges.add((u, v))
+    path.write_text(f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in sorted(edges)))
 
 
 class TestStieltjes:

@@ -302,9 +302,7 @@ class TestClassifyQD:
         for origin in range(10):
             cls = classify_qd(petersen, stratify(petersen, origin))
             assert cls
-            assert cls.within_counts == (0, 0, 2)
-            assert cls.up_counts == (3, 2, 0)
-            assert cls.down_counts == (0, 1, 1)
+            assert cls.witness is None
 
     def test_path_from_second_vertex_non_qd(self):
         g = build_graph(5, [(i, i + 1) for i in range(4)])
@@ -316,22 +314,30 @@ class TestClassifyQD:
 
     def test_star_from_center(self):
         g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-        cls = classify_qd(g, stratify(g, 0))
-        assert cls
-        assert cls.up_counts == (3, 0)
-        assert cls.down_counts == (0, 1)
+        assert classify_qd(g, stratify(g, 0))
 
     @pytest.mark.parametrize("depth, width", [(2, 3), (5, 8), (11, 18)])
     def test_qd_counts_match_networkx(self, rng, depth, width):
+        # on a QD origin the Lanczos levels are the shells: alpha_k is the
+        # within-shell count of shell k, omega_k the up-count of shell k-1
+        # times the down-count of shell k
+        from ctqw.verify import pipeline_for_graph
+
         n, edges = random_qd_edges(rng, depth, width)
         g = build_graph(n, edges)
-        want = neighbor_counts_by_distance(nx.Graph(edges), 0)
-        cls = classify_qd(g, stratify(g, 0))
-        assert cls
-        for v, (k, counts) in want.items():
-            assert cls.down_counts[k] == counts.get(k - 1, 0)
-            assert cls.within_counts[k] == counts.get(k, 0)
-            assert cls.up_counts[k] == counts.get(k + 1, 0)
+        assert classify_qd(g, stratify(g, 0))
+        pipe = pipeline_for_graph(g, 0)
+        kappa = [0] * (depth + 1)
+        per_shell = [set() for _ in range(depth + 1)]
+        for k, counts in neighbor_counts_by_distance(nx.Graph(edges), 0).values():
+            kappa[k] += 1
+            per_shell[k].add((counts.get(k - 1, 0), counts.get(k, 0), counts.get(k + 1, 0)))
+        assert all(len(c) == 1 for c in per_shell)
+        down, within, up = zip(*(c.pop() for c in per_shell))
+        assert np.allclose(pipe.jc.alpha, within, rtol=0, atol=1e-10)
+        omega = [up[k - 1] * down[k] for k in range(1, depth + 1)]
+        assert np.allclose(pipe.jc.omega, omega, rtol=0, atol=1e-10)
+        assert pipe.kappa == tuple(kappa)
 
     @pytest.mark.parametrize("n", [20, 90, 200])
     def test_non_qd_witness_matches_networkx(self, rng, n):

@@ -4,16 +4,16 @@ import pytest
 from ctqw import (
     build_graph,
     classify_qd,
-    jacobi_from_strata,
     lanczos,
     make_entry,
+    pipeline_for_graph,
     qd_from_intersection_array,
     return_amplitude,
     spectral_measure,
     stratify,
     vertex_state,
 )
-from ctqw.errors import InvalidParams, NotQDType, ZeroReference
+from ctqw.errors import InvalidParams, ZeroReference
 from ctqw.graphs import IntersectionArray
 from ctqw.jacobi import JacobiCoefficients
 from ctqw.oracle import oracle_amplitudes
@@ -72,27 +72,34 @@ class TestFromIntersectionArray:
 
 
 class TestFromStrata:
-    def test_petersen_matches_array(self, petersen, petersen_strat):
-        jc = jacobi_from_strata(petersen, petersen_strat)
-        assert jc.alpha == (0.0, 0.0, 2.0)
-        assert jc.omega == (3.0, 2.0)
+    """Explicit graphs: from a QD-type origin Lanczos reproduces the
+    shell-count coefficients, and only there are the shell sizes reported."""
+
+    def test_petersen_matches_array(self, petersen):
+        pipe = pipeline_for_graph(petersen, 0)
+        assert np.allclose(pipe.jc.alpha, (0.0, 0.0, 2.0), rtol=0, atol=1e-12)
+        assert np.allclose(pipe.jc.omega, (3.0, 2.0), rtol=0, atol=1e-12)
+        assert pipe.kappa == (1, 3, 6)
 
     def test_star_from_center(self):
         g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-        jc = jacobi_from_strata(g, stratify(g, 0))
-        assert jc.alpha == (0.0, 0.0)
-        assert jc.omega == (3.0,)
+        pipe = pipeline_for_graph(g, 0)
+        assert np.allclose(pipe.jc.alpha, (0.0, 0.0), rtol=0, atol=1e-12)
+        assert np.allclose(pipe.jc.omega, (3.0,), rtol=0, atol=1e-12)
+        assert pipe.kappa == (1, 3)
 
     def test_c4(self):
         g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        jc = jacobi_from_strata(g, stratify(g, 0))
-        assert jc.alpha == (0.0, 0.0, 0.0)
-        assert jc.omega == (2.0, 2.0)
+        pipe = pipeline_for_graph(g, 0)
+        assert np.allclose(pipe.jc.alpha, (0.0, 0.0, 0.0), rtol=0, atol=1e-12)
+        assert np.allclose(pipe.jc.omega, (2.0, 2.0), rtol=0, atol=1e-12)
+        assert pipe.kappa == (1, 2, 1)
 
-    def test_non_qd_raises(self):
+    def test_non_qd_reports_no_kappa(self):
         g = path_graph(5)
-        with pytest.raises(NotQDType):
-            jacobi_from_strata(g, stratify(g, 1))
+        pipe = pipeline_for_graph(g, 1)
+        assert pipe.kappa is None
+        assert pipe.jc.dim == 4
 
 
 class TestLanczos:
@@ -163,13 +170,12 @@ class TestLanczos:
         ]:
             entry = make_entry(spec, params)
             g = entry.build()
-            strat = stratify(g, 0)
             from_array = qd_from_intersection_array(entry.intersection_array)
-            from_strata = jacobi_from_strata(g, strat)
             from_lanczos = lanczos(g, vertex_state(g.n, 0))
-            for a, b in [(from_array, from_strata), (from_array, from_lanczos)]:
-                assert np.allclose(a.alpha, b.alpha, atol=1e-12)
-                assert np.allclose(a.omega, b.omega, atol=1e-12)
+            from_graph = pipeline_for_graph(g, 0).jc
+            for b in (from_lanczos, from_graph):
+                assert np.allclose(from_array.alpha, b.alpha, rtol=0, atol=1e-12)
+                assert np.allclose(from_array.omega, b.omega, rtol=0, atol=1e-12)
 
     def test_spectrum_containment(self, rng):
         # tridiagonal eigenvalues must be a subset of the adjacency spectrum

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from ctqw import build_graph, entry_from_spec, stratify
+from ctqw import build_graph, entry_from_spec, spectral_measure
 from ctqw.errors import InvalidParams
-from ctqw.oracle import aggregate_to_strata, oracle_amplitudes
+from ctqw.jacobi import JacobiCoefficients
+from ctqw.oracle import oracle_amplitudes
+from ctqw.verify import Pipeline, check_oracle
 
 
 class TestOracleAmplitudes:
@@ -28,14 +30,14 @@ class TestOracleAmplitudes:
     def test_petersen_matches_closed_forms(self, petersen, petersen_strat):
         t = np.linspace(0.0, 10.0, 41)
         pvec = oracle_amplitudes(petersen, 0, t)
-        values, spread = aggregate_to_strata(pvec, petersen_strat)
         q0 = 0.1 * (5 * np.exp(-1j * t) + 4 * np.exp(2j * t) + np.exp(-3j * t))
         q1 = (0.5 * np.exp(-1j * t) - 0.8 * np.exp(2j * t) + 0.3 * np.exp(-3j * t)) / np.sqrt(3)
         q2 = (-np.exp(-1j * t) + 0.4 * np.exp(2j * t) + 0.6 * np.exp(-3j * t)) / np.sqrt(6)
-        assert np.abs(values[0] - q0).max() < 1e-12
-        assert np.abs(values[1] - q1).max() < 1e-12
-        assert np.abs(values[2] - q2).max() < 1e-12
-        assert spread < 1e-12
+        # every vertex of shell l carries q_l / sqrt(shell size)
+        for level, q in enumerate((q0, q1, q2)):
+            shell = petersen_strat.shells[level]
+            want = q / np.sqrt(len(shell))
+            assert np.abs(pvec[list(shell)] - want).max() < 1e-12
 
     def test_origin_out_of_range(self, petersen):
         with pytest.raises(InvalidParams):
@@ -67,32 +69,23 @@ class TestOracleAmplitudes:
         assert np.random.rand() == want
 
 
-class TestAggregate:
-    def test_k2(self):
-        g = build_graph(2, [(0, 1)])
-        strat = stratify(g, 0)
-        t = 1.1
-        values, spread = aggregate_to_strata(oracle_amplitudes(g, 0, t), strat)
-        assert values[0] == pytest.approx(np.cos(t), abs=1e-12)
-        assert values[1] == pytest.approx(-1j * np.sin(t), abs=1e-12)
-        assert spread == 0.0
+class TestCheckOracle:
+    GRID = np.linspace(0.0, 10.0, 21)
 
-    def test_time_zero(self, petersen, petersen_strat):
-        values, _ = aggregate_to_strata(oracle_amplitudes(petersen, 0, 0.0), petersen_strat)
-        assert values[0] == pytest.approx(1.0, abs=1e-12)
-        assert np.abs(values[1:]).max() < 1e-12
+    def doctored(self, graph, alpha, omega):
+        jc = JacobiCoefficients(alpha=alpha, omega=omega)
+        return Pipeline(jc=jc, measure=spectral_measure(jc), kappa=None, origin=0, graph=graph)
 
-    def test_non_qd_spread_reported_not_asserted(self):
-        # path entered away from the endpoint: amplitudes differ inside shells
-        g = build_graph(5, [(i, i + 1) for i in range(4)])
-        strat = stratify(g, 1)
-        values, spread = aggregate_to_strata(oracle_amplitudes(g, 1, 2.0), strat)
-        assert spread > 1e-3  # genuinely unequal, and reported as such
+    def test_level_count_mismatch_fails(self, petersen):
+        # petersen from vertex 0 has Krylov dimension 3
+        result = check_oracle(self.doctored(petersen, (0.0, 0.0), (3.0,)), self.GRID)
+        assert not result.passed
+        assert result.line() == (
+            "oracle vertices: max err inf tol 1.0e-08 FAIL "
+            "(Krylov dimension 3, walk has 2 levels)"
+        )
 
-    def test_array_and_scalar_shapes(self, petersen, petersen_strat):
-        t = np.linspace(0, 2, 5)
-        mat, _ = aggregate_to_strata(oracle_amplitudes(petersen, 0, t), petersen_strat)
-        assert mat.shape == (3, 5)
-        vec, _ = aggregate_to_strata(oracle_amplitudes(petersen, 0, 2.0), petersen_strat)
-        assert vec.shape == (3,)
-        assert np.abs(vec - mat[:, -1]).max() < 1e-12
+    def test_wrong_coefficients_fail(self, petersen):
+        result = check_oracle(self.doctored(petersen, (0.0, 0.0, 2.0), (3.0, 2.5)), self.GRID)
+        assert not result.passed and result.max_error > 1e-3
+

@@ -1,9 +1,10 @@
 import json
 
+import networkx as nx
 import numpy as np
 import pytest
 
-from ctqw import make_entry
+from ctqw import build_graph, classify_qd, make_entry, stratify
 from ctqw.errors import IndexOutOfRange, InvalidParams, PoleProximity
 from ctqw.jacobi import JacobiCoefficients
 from ctqw.stieltjes import (
@@ -14,6 +15,7 @@ from ctqw.stieltjes import (
     stieltjes_continued_fraction,
     stieltjes_pole_sum,
 )
+from ctqw.verify import pipeline_for_graph
 
 PETERSEN_JC = JacobiCoefficients(alpha=(0.0, 0.0, 2.0), omega=(3.0, 2.0))
 
@@ -262,3 +264,59 @@ class TestPoleSum:
         m = spectral_measure(PETERSEN_JC)
         with pytest.raises(PoleProximity):
             stieltjes_pole_sum(m, m.nodes[1] + 1e-14)
+
+
+def test_both_routes_share_the_pole_rule():
+    # one rule for both routes, |1/G| < 1e-9 (1 + |z|): near the node at 1
+    # (weight 1/2) that is a distance of about 4e-9
+    m = spectral_measure(PETERSEN_JC)
+    for z in (1 + 1e-10, 1 + 1e-10j):
+        with pytest.raises(PoleProximity):
+            stieltjes_continued_fraction(PETERSEN_JC, z)
+        with pytest.raises(PoleProximity):
+            stieltjes_pole_sum(m, z)
+    for z in (1 + 1e-6, 1 + 1e-6j):
+        cf = stieltjes_continued_fraction(PETERSEN_JC, z)
+        assert abs(cf - stieltjes_pole_sum(m, z)) < 1e-6 * abs(cf)
+
+
+def seeded_random_edges(n, seed):
+    rng = np.random.default_rng(seed)
+    edges = {(int(rng.integers(0, v)), v) for v in range(1, n)}
+    while len(edges) < 2 * n:
+        u, v = sorted(int(x) for x in rng.integers(0, n, 2))
+        if u != v:
+            edges.add((u, v))
+    return nx.Graph(sorted(edges))
+
+
+MOMENT_CASES = [
+    # (id, graph, origin, QD verdict at that origin)
+    ("petersen", nx.petersen_graph(), 7, True),
+    ("dodecahedron", nx.dodecahedral_graph(), 11, True),
+    ("hypercube-4", nx.convert_node_labels_to_integers(nx.hypercube_graph(4)), 0, True),
+    ("path-9-end", nx.path_graph(9), 0, True),
+    ("path-9-second", nx.path_graph(9), 1, False),
+    ("lollipop-5-4", nx.lollipop_graph(5, 4), 6, False),
+    ("random-20", seeded_random_edges(20, 20), 0, False),
+    ("random-40", seeded_random_edges(40, 40), 29, False),
+]
+
+
+@pytest.mark.parametrize("name, h, origin, qd", MOMENT_CASES, ids=[c[0] for c in MOMENT_CASES])
+def test_moments_count_closed_walks(name, h, origin, qd):
+    # sum_i w_i x_i^k = (A^k)_{oo}, the number of closed k-walks at the
+    # origin, from integer powers of an adjacency the test builds itself
+    n = h.number_of_nodes()
+    adjacency = nx.to_numpy_array(h, nodelist=range(n), dtype=np.int64)
+    g = build_graph(n, list(h.edges()))
+    assert bool(classify_qd(g, stratify(g, origin))) == qd
+    measure = pipeline_for_graph(g, origin).measure
+    x, w = measure.nodes_array(), measure.weights_array()
+    power = np.eye(n, dtype=np.int64)
+    for k in range(12):
+        want = int(power[origin, origin])
+        # relative to sum w |x|^k, since odd moments of bipartite graphs vanish
+        scale = max(float(np.sum(w * np.abs(x) ** k)), 1.0)
+        assert abs(float(np.sum(w * x**k)) - want) <= 1e-10 * scale, k
+        power = power @ adjacency
