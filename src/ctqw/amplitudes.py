@@ -8,16 +8,16 @@ validation against tabulated s-domain expressions; it is never inverted
 numerically.
 
 ``AmplitudeSeries.to_csv`` formats its rows at ``%.17g`` in blocks of whole
-samples, one ``%`` operation per block; the bytes are those of formatting
-each cell on its own. ``MAX_SERIES_CELLS`` bounds the strata x samples of
-one series.
+samples, one ``%`` operation per block, and writes each block to its stream;
+the bytes are those of formatting each cell on its own. ``MAX_SERIES_CELLS``
+bounds the strata x samples of one series.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -34,6 +34,13 @@ MAX_SERIES_CELLS = 2**24
 _CSV_BLOCK = 1 << 14
 
 
+def _exponential_sum(coeffs: np.ndarray, rates: np.ndarray, t) -> np.ndarray:
+    """sum_k coeffs[k] exp(-i rates[k] t), one value per entry of ``t``
+    (``np.outer`` flattens ``t``, so a scalar gives a length-1 array)."""
+    t = np.asarray(t, dtype=np.float64)
+    return (coeffs[:, None] * np.exp(-1j * np.outer(rates, t))).sum(axis=0)
+
+
 @dataclass(frozen=True)
 class ExponentialSum:
     """Closed-form amplitude sum(coeff * exp(-i * rate * t)) with real terms."""
@@ -41,11 +48,9 @@ class ExponentialSum:
     terms: tuple[tuple[float, float], ...]  # (coefficient, rate)
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=np.float64)
         coeffs = np.array([c for c, _ in self.terms])
         rates = np.array([r for _, r in self.terms])
-        value = (coeffs[:, None] * np.exp(-1j * np.outer(rates, t))).sum(axis=0)
-        return complex(value[()]) if value.ndim == 0 else value
+        return _exponential_sum(coeffs, rates, t)
 
     @classmethod
     def build(cls, exponentials=(), cosines=(), constant=0.0) -> "ExponentialSum":
@@ -73,9 +78,10 @@ class AmplitudeSeries:
     def levels(self) -> int:
         return self.values.shape[0]
 
-    def to_csv(self) -> str:
-        """Header and one row ``t,stratum,re,im,prob`` per (sample, stratum),
-        sample-major, floats at ``%.17g``."""
+    def to_csv(self, out: TextIO) -> None:
+        """Write the header and one row ``t,stratum,re,im,prob`` per
+        (sample, stratum) to ``out``, sample-major, floats at ``%.17g``;
+        each block goes out as soon as it is formatted."""
         levels = self.levels
         rows = self.values.T.ravel()  # (t_0, 0), (t_0, 1), ..., (t_1, 0), ...
         re, im = rows.real, rows.imag
@@ -83,7 +89,7 @@ class AmplitudeSeries:
         l_cells = ["%d," % l for l in range(levels)]
         times = self.times.tolist()
         step = max(1, _CSV_BLOCK // levels)  # whole samples per block
-        blocks = ["t,stratum,re,im,prob\n"]
+        out.write("t,stratum,re,im,prob\n")
         for s0 in range(0, len(times), step):
             t_cells = ["%.17g," % t for t in times[s0 : s0 + step]]
             a, b = s0 * levels, (s0 + len(t_cells)) * levels
@@ -92,8 +98,7 @@ class AmplitudeSeries:
             cells[1::4] = re[a:b].tolist()
             cells[2::4] = im[a:b].tolist()
             cells[3::4] = prob[a:b].tolist()
-            blocks.append("%s%.17g,%.17g,%.17g\n" * (b - a) % tuple(cells))
-        return "".join(blocks)
+            out.write("%s%.17g,%.17g,%.17g\n" * (b - a) % tuple(cells))
 
     def as_dict(self) -> dict:
         return {
@@ -108,13 +113,8 @@ class AmplitudeSeries:
 
 
 def return_amplitude(measure: SpectralMeasure, t):
-    """q_0(t) = sum_i A_i exp(-i x_i t); scalar or array t."""
-    t = np.asarray(t, dtype=np.float64)
-    value = (
-        measure.weights_array()[:, None]
-        * np.exp(-1j * np.outer(measure.nodes_array(), t))
-    ).sum(axis=0)
-    return complex(value[()]) if value.ndim == 0 else value
+    """q_0(t) = sum_i A_i exp(-i x_i t)."""
+    return _exponential_sum(measure.weights_array(), measure.nodes_array(), t)
 
 
 def laplace_return_amplitude(measure: SpectralMeasure, s: complex) -> complex:
@@ -126,13 +126,9 @@ def stratum_amplitude(measure: SpectralMeasure, jc: JacobiCoefficients, level: i
     """q_l(t) = sum_i A_i p_l(x_i) exp(-i x_i t) with orthonormal p_l."""
     if not (0 <= level <= jc.depth):
         raise IndexOutOfRange(f"stratum {level} outside [0, {jc.depth}]")
-    t = np.asarray(t, dtype=np.float64)
     nodes = measure.nodes_array()
     poly = orthonormal_values(jc, nodes)[level]
-    value = (
-        (measure.weights_array() * poly)[:, None] * np.exp(-1j * np.outer(nodes, t))
-    ).sum(axis=0)
-    return complex(value[()]) if value.ndim == 0 else value
+    return _exponential_sum(measure.weights_array() * poly, nodes, t)
 
 
 def amplitude_series(

@@ -26,13 +26,10 @@ SQ = math.sqrt
 @dataclass(frozen=True, eq=False)
 class CatalogEntry:
     id: str
-    family: str
-    params: tuple
     builder: Callable[[], Graph] | None = None
     intersection_array: IntersectionArray | None = None
     jacobi: JacobiCoefficients | None = None
     closed_form: ExponentialSum | None = None
-    natural_origin: int = 0
 
     @property
     def is_constructible(self) -> bool:
@@ -320,8 +317,6 @@ def _make_complete(params) -> CatalogEntry:
     form = ExponentialSum.build(exponentials=[(1 / n, n - 1), ((n - 1) / n, -1)])
     return CatalogEntry(
         id=_format_id("complete", (n,)),
-        family="complete",
-        params=(n,),
         builder=lambda: _complete(n),
         intersection_array=ia,
         closed_form=form,
@@ -338,8 +333,6 @@ def _make_cycle(params) -> CatalogEntry:
     ia = IntersectionArray.from_bc(b, c)
     return CatalogEntry(
         id=_format_id("cycle", (n,)),
-        family="cycle",
-        params=(n,),
         builder=lambda: _cycle(n),
         intersection_array=ia,
     )
@@ -354,8 +347,6 @@ def _make_petersen(params) -> CatalogEntry:
     )
     return CatalogEntry(
         id="petersen",
-        family="petersen",
-        params=(),
         builder=lambda: _generalized_petersen(5, 2),
         intersection_array=ia,
         closed_form=form,
@@ -385,8 +376,6 @@ def _make_johnson(params) -> CatalogEntry:
         )
     return CatalogEntry(
         id=_format_id("johnson", (n, d)),
-        family="johnson",
-        params=(n, d),
         builder=lambda: _johnson(n, d),
         intersection_array=ia,
         closed_form=form,
@@ -399,8 +388,6 @@ def _make_srg(params) -> CatalogEntry:
     ia = IntersectionArray.from_bc((kappa, kappa - lam - 1), (1, mu))
     return CatalogEntry(
         id=_format_id("srg", (v, kappa, lam, mu)),
-        family="srg",
-        params=(v, kappa, lam, mu),
         intersection_array=ia,
         closed_form=_srg_closed_form(v, kappa, lam, mu),
     )
@@ -414,8 +401,6 @@ def _make_dihedral(params) -> CatalogEntry:
     form = ExponentialSum.build(cosines=[(1 / m, m)], constant=(m - 1) / m)
     return CatalogEntry(
         id=_format_id("dihedral_srg", (m,)),
-        family="dihedral_srg",
-        params=(m,),
         builder=lambda: _complete_bipartite(m),
         intersection_array=ia,
         closed_form=form,
@@ -440,8 +425,6 @@ def _make_hamming(params) -> CatalogEntry:
     )
     return CatalogEntry(
         id=_format_id("hamming", (d, q)),
-        family="hamming",
-        params=(d, q),
         builder=lambda: _hamming(d, q),
         intersection_array=ia,
         closed_form=form,
@@ -455,11 +438,8 @@ def _make_path(params) -> CatalogEntry:
     jc = JacobiCoefficients(alpha=(0.0,) * n, omega=(1.0,) * (n - 1))
     return CatalogEntry(
         id=_format_id("path", (n,)),
-        family="path",
-        params=(n,),
         builder=lambda: _path(n),
         jacobi=jc,
-        natural_origin=0,
     )
 
 
@@ -475,11 +455,8 @@ def _make_glued_trees(params) -> CatalogEntry:
     )
     return CatalogEntry(
         id=_format_id("glued_trees", (depth,)),
-        family="glued_trees",
-        params=(depth,),
         builder=lambda: _glued_trees(depth),
         jacobi=jc,
-        natural_origin=0,
     )
 
 
@@ -513,8 +490,6 @@ def _make_tchebichef1(params) -> CatalogEntry:
     )
     return CatalogEntry(
         id=_format_id("tchebichef1", (n, m)),
-        family="tchebichef1",
-        params=(n, m),
         jacobi=jc,
         closed_form=form,
     )
@@ -536,8 +511,6 @@ def _make_tchebichef2(params) -> CatalogEntry:
     )
     return CatalogEntry(
         id=_format_id("tchebichef2", (n, m)),
-        family="tchebichef2",
-        params=(n, m),
         jacobi=jc,
         closed_form=form,
     )
@@ -557,8 +530,6 @@ def _make_appendix(params) -> CatalogEntry:
     form = ExponentialSum.build(exponentials, cosines, constant)
     return CatalogEntry(
         id=f"appendix:{rid}",
-        family="appendix",
-        params=(rid,),
         builder=builder,
         intersection_array=ia,
         closed_form=form,

@@ -16,6 +16,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, TextIO
 
 import numpy as np
 
@@ -43,12 +44,12 @@ EXIT_USAGE = 2
 @dataclass(frozen=True)
 class RunConfig:
     graph_spec: str
-    origin: int | None = None
-    t_max: float = 10.0
-    samples: int = 201
-    fmt: str = "csv"
-    output: str = "-"
-    tol: float | None = None
+    origin: int
+    t_max: float
+    samples: int
+    fmt: str
+    output: str
+    tol: float | None
 
     def __post_init__(self):
         if not (0 < self.t_max < np.inf):
@@ -81,17 +82,17 @@ def _resolve_pipeline(cfg: RunConfig) -> tuple[Pipeline, "catalog.CatalogEntry |
             f"{cfg.graph_spec!r} is neither a known family nor an existing file"
         )
     g = read_edge_list(cfg.graph_spec)
-    return pipeline_for_graph(g, cfg.origin if cfg.origin is not None else 0), None
+    return pipeline_for_graph(g, cfg.origin), None
 
 
-def _emit(parts: list[str], output: str) -> None:
-    """Write ``parts`` in order to stdout ('-') or to the file ``output``."""
+def _emit(write: Callable[[TextIO], object], output: str) -> None:
+    """Call ``write`` on stdout ('-') or on the file ``output``."""
     if output == "-":
-        sys.stdout.writelines(parts)
+        write(sys.stdout)
         return
     try:
         with open(output, "w") as fh:
-            fh.writelines(parts)
+            write(fh)
     except OSError as exc:
         raise UnwritableOutput(f"cannot write {output!r}: {exc.strerror}") from exc
 
@@ -99,8 +100,10 @@ def _emit(parts: list[str], output: str) -> None:
 def cmd_compute(cfg: RunConfig) -> int:
     pipeline, _ = _resolve_pipeline(cfg)
     series = pipeline.series(cfg.times())
-    parts = [series.to_csv()] if cfg.fmt == "csv" else [series.to_json(), "\n"]
-    _emit(parts, cfg.output)
+    if cfg.fmt == "csv":
+        _emit(series.to_csv, cfg.output)
+    else:
+        _emit(lambda out: out.writelines((series.to_json(), "\n")), cfg.output)
     print(
         f"max conservation defect: {series.conservation_defect.max():.3e}",
         file=sys.stderr,
@@ -150,7 +153,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_run_options(p, with_format=False):
         p.add_argument("--graph", required=True, help="family:params or edge-list path")
-        p.add_argument("--origin", type=int, default=None, help="origin vertex (default: entry's natural origin or 0)")
+        p.add_argument("--origin", type=int, default=0, help="origin vertex (default: 0)")
         p.add_argument("--t-max", type=float, default=10.0)
         p.add_argument("--samples", type=int, default=201)
         p.add_argument("--tol", type=float, default=None, help="comparison tolerance override")

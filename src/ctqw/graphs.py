@@ -57,61 +57,44 @@ class Stratification:
     kappa: tuple[int, ...]
     shell_of: np.ndarray  # shell index per vertex, read-only
 
-    @property
-    def depth(self) -> int:
-        return len(self.shells) - 1
-
 
 @dataclass(frozen=True)
 class IntersectionArray:
     """Intersection numbers of a distance-regular graph.
 
-    ``b`` holds b_0..b_{d-1}, ``c`` holds c_1..c_d and ``a`` the derived
-    a_0..a_d with a_i = kappa - b_i - c_i (b_d = c_0 = 0 by convention).
+    ``b`` holds b_0..b_{d-1} and ``c`` holds c_1..c_d; ``a`` derives
+    a_0..a_d from them (b_d = c_0 = 0 by convention).
     """
 
     b: tuple[int, ...]
     c: tuple[int, ...]
-    a: tuple[int, ...]
 
     def __post_init__(self):
-        d = len(self.b)
-        if d < 1 or len(self.c) != d or len(self.a) != d + 1:
-            raise InvalidParams("intersection array has inconsistent lengths")
+        if len(self.b) != len(self.c):
+            raise InvalidParams("b and c must have equal length")
+        if not self.b:
+            raise InvalidParams("intersection array needs diameter >= 1")
         if self.c[0] != 1:
             raise InvalidParams(f"c_1 must be 1, got {self.c[0]}")
         if any(x <= 0 for x in self.b) or any(x <= 0 for x in self.c):
             raise InvalidParams("b_i (i<d) and c_i must be positive")
         if any(x < 0 for x in self.a):
             raise InvalidParams("derived a_i negative; array infeasible")
-        kappa = self.b[0]
-        for i in range(d + 1):
-            bi = self.b[i] if i < d else 0
-            ci = self.c[i - 1] if i >= 1 else 0
-            if self.a[i] + bi + ci != kappa:
-                raise InvalidParams("a_i + b_i + c_i must equal the valency")
 
     @classmethod
     def from_bc(cls, b: Sequence[int], c: Sequence[int]) -> "IntersectionArray":
-        b = tuple(int(x) for x in b)
-        c = tuple(int(x) for x in c)
-        if len(b) != len(c):
-            raise InvalidParams("b and c must have equal length")
-        kappa = b[0]
-        d = len(b)
-        a = tuple(
-            kappa - (b[i] if i < d else 0) - (c[i - 1] if i >= 1 else 0)
-            for i in range(d + 1)
+        return cls(b=tuple(int(x) for x in b), c=tuple(int(x) for x in c))
+
+    @property
+    def a(self) -> tuple[int, ...]:
+        """a_i = kappa - b_i - c_i, with kappa = b_0."""
+        return tuple(
+            self.b[0] - b_i - c_i for b_i, c_i in zip(self.b + (0,), (0,) + self.c)
         )
-        return cls(b=b, c=c, a=a)
 
     @property
     def diameter(self) -> int:
         return len(self.b)
-
-    @property
-    def valency(self) -> int:
-        return self.b[0]
 
     def shell_sizes(self) -> tuple[int, ...]:
         # kappa_i c_i = kappa_{i-1} b_{i-1}

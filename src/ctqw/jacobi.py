@@ -1,9 +1,9 @@
 """Tridiagonal reduction coefficients for the walk Hamiltonian.
 
 Two routes produce the same object: closed-form coefficients from an
-intersection array, for catalog entries walked from their natural origin,
-and a Lanczos recursion from any reference state, for every explicit graph
-and origin. On a QD-type origin the Krylov levels are the normalized BFS
+intersection array, for catalog entries walked from vertex 0, and a
+Lanczos recursion from any reference state, for every explicit graph and
+origin. On a QD-type origin the Krylov levels are the normalized BFS
 shells, so Lanczos reproduces the shell-count coefficients of the paper.
 The squared off-diagonals ``omega`` are stored instead of the off-diagonals
 themselves because every downstream formula consumes the squares.
@@ -64,24 +64,17 @@ class JacobiCoefficients:
 
 
 def qd_from_intersection_array(ia: IntersectionArray) -> JacobiCoefficients:
-    """alpha_k = kappa - b_k - c_k (alpha_0 = 0), omega_k = b_{k-1} c_k."""
-    kappa = ia.valency
-    d = ia.diameter
-    alpha = [0.0]
-    omega = []
-    for k in range(1, d + 1):
-        b_k = ia.b[k] if k < d else 0
-        c_k = ia.c[k - 1]
-        alpha.append(float(kappa - b_k - c_k))
-        omega.append(float(ia.b[k - 1] * c_k))
-    return JacobiCoefficients(tuple(alpha), tuple(omega))
+    """alpha_k = a_k = kappa - b_k - c_k, omega_k = b_{k-1} c_k."""
+    return JacobiCoefficients(
+        tuple(float(a) for a in ia.a),
+        tuple(float(b * c) for b, c in zip(ia.b, ia.c)),
+    )
 
 
 def lanczos(
     g: Graph,
     reference: np.ndarray,
     *,
-    deflation_tol: float = DEFLATION_TOL,
     return_basis: bool = False,
 ):
     """Three-term recursion coefficients of the adjacency matrix on the
@@ -91,7 +84,7 @@ def lanczos(
     vector into row k of a preallocated (n, n) array, so the basis is never
     copied. Full reorthogonalization (applied twice per step, against the
     rows written so far) keeps the basis orthonormal at desk scale; iteration
-    stops when the residual norm falls below ``deflation_tol`` relative to
+    stops when the residual norm falls below ``DEFLATION_TOL`` relative to
     the largest row sum of the adjacency, or when the space is exhausted.
     With ``return_basis`` the orthonormal Krylov basis is returned as the
     second element, an (n, dim) array with columns in generation order.
@@ -106,7 +99,7 @@ def lanczos(
 
     a = g.adjacency
     anorm = max(1.0, float(a.sum(axis=1).max()))
-    cutoff = deflation_tol * anorm
+    cutoff = DEFLATION_TOL * anorm
 
     # np.empty rows are not resident until written: memory follows the dimension
     basis = np.empty((g.n, g.n))

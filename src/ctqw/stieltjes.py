@@ -112,12 +112,12 @@ def stieltjes_pole_sum(measure: SpectralMeasure, z: complex) -> complex:
     return g
 
 
-def spectral_measure(jc: JacobiCoefficients, *, merge_tol: float = MERGE_TOL) -> SpectralMeasure:
+def spectral_measure(jc: JacobiCoefficients) -> SpectralMeasure:
     """Nodes and weights of the measure attached to the tridiagonal operator.
 
     Nodes are the eigenvalues; weights are squared first components of the
     normalized eigenvectors. Weights are renormalized to unit mass and the
-    defect is kept on the result. Nodes closer than ``merge_tol`` times the
+    defect is kept on the result. Nodes closer than ``MERGE_TOL`` times the
     spectral width are merged with their weights summed.
     """
     import scipy.linalg  # imported here: it would slow every CLI start
@@ -136,7 +136,7 @@ def spectral_measure(jc: JacobiCoefficients, *, merge_tol: float = MERGE_TOL) ->
     weights = weights / weights.sum()
 
     width = float(vals[-1] - vals[0])
-    gap_tol = merge_tol * width
+    gap_tol = MERGE_TOL * width
     nodes_out: list[float] = []
     weights_out: list[float] = []
     i = 0

@@ -1,7 +1,8 @@
 """Cross-validation of the spectral pipeline against tabulated closed forms
 and the oracle, the action of exp(-iAt) on the origin's vertex state.
 
-Two checks exist and either, both or neither may apply to a given walk:
+Three checks exist; the conservation check applies to every walk, the
+other two when their input exists:
 
 * ``check_oracle``, whenever the pipeline carries a graph: every vertex at
   every sample, for every origin. The walk stays in the Krylov space of the
@@ -9,8 +10,10 @@ Two checks exist and either, both or neither may apply to a given walk:
   amplitudes mapped through that space's orthonormal basis give the whole
   per-vertex state; on QD-type origins the basis columns are the normalized
   shell indicators;
+* ``check_conservation``, always: the total probability of the series
+  ``compute`` would emit stays within ``CONSERVATION_TOL`` of 1;
 * ``check_closed_form``, for a catalog entry with a tabulated closed form,
-  walked from its natural origin.
+  walked from vertex 0.
 
 ``entry_status`` is the one place that runs them and decides the outcome:
 both ``ctqw verify`` (which prints its lines and exits 0 or 1 on ``ok``)
@@ -39,6 +42,9 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_ORACLE_TOL = 1e-8
 DEFAULT_CLOSED_FORM_TOL = 1e-9
+# fixed, not overridden by --tol: the bound the acceptance suite holds the
+# conservation defect of every emitted series to
+CONSERVATION_TOL = 1e-10
 
 VERIFIED = "verified"
 TYPO_SUSPECT = "paper-typo-suspect"
@@ -83,28 +89,27 @@ def pipeline_for_graph(g: Graph, origin: int) -> Pipeline:
     )
 
 
-def pipeline_for_entry(entry: CatalogEntry, origin: int | None = None) -> Pipeline:
+def pipeline_for_entry(entry: CatalogEntry, origin: int = 0) -> Pipeline:
     """Spectral route for a catalog entry.
 
-    With an explicit origin the graph construction is required; otherwise
-    stored coefficients or the intersection array are preferred, falling
-    back to building the graph.
+    From vertex 0 the stored coefficients or the intersection array give the
+    walk; any other origin requires the graph construction and runs Lanczos.
     """
-    if origin is not None and origin != entry.natural_origin:
+    if origin != 0:
         return pipeline_for_graph(entry.build(), origin)
     jc = entry.jacobi_coefficients()
     graph = entry.build() if entry.is_constructible else None
     if entry.intersection_array is not None:
         kappa = entry.intersection_array.shell_sizes()
     elif graph is not None:
-        kappa = stratify(graph, entry.natural_origin).kappa
+        kappa = stratify(graph, 0).kappa
     else:
         kappa = None
     return Pipeline(
         jc=jc,
         measure=spectral_measure(jc),
         kappa=kappa,
-        origin=entry.natural_origin,
+        origin=0,
         graph=graph,
     )
 
@@ -114,8 +119,12 @@ class CheckResult:
     name: str
     max_error: float
     tolerance: float
-    passed: bool
     detail: str = ""
+
+    @property
+    def passed(self) -> bool:
+        # False for a NaN error
+        return self.max_error < self.tolerance
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -137,11 +146,14 @@ def check_closed_form(
     got = return_amplitude(pipeline.measure, times)
     want = entry.closed_form(times)
     err = float(np.abs(got - want).max())
+    return CheckResult(name="closed-form q0", max_error=err, tolerance=tol)
+
+
+def check_conservation(pipeline: Pipeline, times) -> CheckResult:
+    """Largest |sum_l |q_l|^2 - 1| of the pipeline's series over ``times``."""
+    defect = pipeline.series(times).conservation_defect
     return CheckResult(
-        name="closed-form q0",
-        max_error=err,
-        tolerance=tol,
-        passed=err < tol,
+        name="conservation", max_error=float(defect.max()), tolerance=CONSERVATION_TOL
     )
 
 
@@ -167,9 +179,7 @@ def check_oracle(
     name = "oracle vertices"
     if basis.shape[1] != pipeline.jc.dim:
         detail = f"Krylov dimension {basis.shape[1]}, walk has {pipeline.jc.dim} levels"
-        return CheckResult(
-            name=name, max_error=np.inf, tolerance=tol, passed=False, detail=detail
-        )
+        return CheckResult(name=name, max_error=np.inf, tolerance=tol, detail=detail)
     times = np.asarray(times, dtype=np.float64)
     want = oracle_amplitudes(g, pipeline.origin, times)
     err = float(np.abs(basis @ pipeline.series(times).values - want).max())
@@ -177,7 +187,6 @@ def check_oracle(
         name=name,
         max_error=err,
         tolerance=tol,
-        passed=err < tol,
         detail=f"all {g.n} vertices, {basis.shape[1]} levels",
     )
 
@@ -200,12 +209,13 @@ def entry_status(
 ) -> EntryStatus:
     """Run every check that applies to a walk and resolve its flag.
 
-    The oracle runs when the pipeline carries a graph; the closed form when
-    an entry is given and the pipeline walks from its natural origin.
-    ``verified`` needs an oracle confirmation and no closed-form mismatch; a
-    closed-form mismatch becomes ``paper-typo-suspect``; a walk with nothing
-    independent to compare stays ``unverified-array-only``. ``ok`` is false
-    exactly when the oracle ran and failed.
+    The oracle runs when the pipeline carries a graph; the conservation
+    check always; the closed form when an entry is given and the pipeline
+    walks from vertex 0. ``verified`` needs an oracle confirmation, a
+    conserving series and no closed-form mismatch; a closed-form mismatch
+    becomes ``paper-typo-suspect``; any other walk stays
+    ``unverified-array-only``. ``ok`` is false exactly when the oracle ran
+    and failed or the conservation check failed.
     """
     checks: list[CheckResult] = []
     lines: list[str] = []
@@ -214,8 +224,11 @@ def entry_status(
         oracle_result = check_oracle(pipeline, times, tol=oracle_tol)
         checks.append(oracle_result)
         lines.append(oracle_result.line())
+    conservation = check_conservation(pipeline, times)
+    checks.append(conservation)
+    lines.append(conservation.line())
     closed = None
-    if entry is not None and pipeline.origin == entry.natural_origin:
+    if entry is not None and pipeline.origin == 0:
         closed = check_closed_form(pipeline, entry, times, tol=closed_tol)
     if closed is not None:
         checks.append(closed)
@@ -234,10 +247,8 @@ def entry_status(
             lines.append(f"{mismatch} -> {TYPO_SUSPECT} (engine confirmed by oracle) PASS")
         else:
             lines.append(f"{mismatch} (oracle failed too)")
-    if not checks:
-        lines.append("nothing to verify: no oracle construction and no closed form")
 
-    ok = oracle_result is None or oracle_result.passed
+    ok = conservation.passed and (oracle_result is None or oracle_result.passed)
     lines.append(f"VERIFY {'PASS' if ok else 'FAIL'}")
     if closed is not None and not closed.passed:
         status = TYPO_SUSPECT

@@ -1,6 +1,6 @@
 import pytest
 
-from ctqw import list_entries, make_entry
+from ctqw import list_entries, make_entry, pipeline_for_entry
 from ctqw.catalog import appendix_row_ids, entry_from_spec, parse_spec
 from ctqw.errors import InvalidParams, UnknownFamily
 from ctqw.graphs import intersection_numbers
@@ -77,7 +77,7 @@ class TestMakeEntry:
 
     def test_path_natural_origin_is_endpoint(self):
         entry = make_entry("path", (9,))
-        assert entry.natural_origin == 0
+        assert pipeline_for_entry(entry).origin == 0
         assert entry.jacobi.omega == (1.0,) * 8
 
     def test_cycle_odd_array_matches_computed(self):

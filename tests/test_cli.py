@@ -145,22 +145,27 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--graph", "petersen", "--tol", "1e-16")
         assert code == 1
         assert "VERIFY FAIL" in out
+        # --tol leaves the conservation bound alone
+        assert re.search(r"^conservation: max err \S+ tol 1\.0e-10 PASS$", out, re.M)
 
     # argv tail -> (exit code, stdout with every number masked); one row per
     # way the closed-form line can read, plus a non-QD origin
     REPORTS = {
         ("appendix:icosahedron",): (0, [
             "oracle vertices: max err # tol # PASS (all 12 vertices, 4 levels)",
+            "conservation: max err # tol # PASS",
             "closed-form q0: max err # tol # PASS",
             "VERIFY PASS",
         ]),
         ("johnson:7,2",): (0, [
             "oracle vertices: max err # tol # PASS (all 21 vertices, 3 levels)",
+            "conservation: max err # tol # PASS",
             "closed-form q0: max err # tol # MISMATCH -> paper-typo-suspect "
             "(engine confirmed by oracle) PASS",
             "VERIFY PASS",
         ]),
         ("appendix:ig-ag25",): (0, [
+            "conservation: max err # tol # PASS",
             "closed-form q0: max err # tol # MISMATCH (no oracle available; "
             "engine output authoritative) paper-typo-suspect",
             "VERIFY PASS",
@@ -169,11 +174,13 @@ class TestVerify:
         # on the tabulated form
         ("johnson:7,2", "--tol", "1e-16"): (1, [
             "oracle vertices: max err # tol # FAIL (all 21 vertices, 3 levels)",
+            "conservation: max err # tol # PASS",
             "closed-form q0: max err # tol # MISMATCH (oracle failed too)",
             "VERIFY FAIL",
         ]),
         ("path:7", "--origin", "1"): (0, [
             "oracle vertices: max err # tol # PASS (all 7 vertices, 6 levels)",
+            "conservation: max err # tol # PASS",
             "VERIFY PASS",
         ]),
     }
@@ -184,13 +191,20 @@ class TestVerify:
         masked = re.sub(r"\d\.\d+e[+-]\d\d", "#", out)
         assert (code, masked.splitlines()) == self.REPORTS[argv]
 
-    @pytest.mark.parametrize("n", [None, 20, 40], ids=["path:7 --origin 1", "random-20", "random-40"])
-    def test_verify_passes_exactly_when_compute_conserves(self, capsys, tmp_path, n):
+    # (n, seed) of a random edge list; the n = 12 and 16 graphs lose 2e-10 to
+    # 8e-10 of probability while every vertex stays within the oracle tolerance
+    @pytest.mark.parametrize(
+        "n, seed",
+        [(None, None), (20, 20), (40, 40), (12, 0), (12, 1), (12, 5), (16, 4)],
+        ids=["path:7 --origin 1", "random-20", "random-40",
+             "random-12-s0", "random-12-s1", "random-12-s5", "random-16-s4"],
+    )
+    def test_verify_passes_exactly_when_compute_conserves(self, capsys, tmp_path, n, seed):
         if n is None:
             argv = ["--graph", "path:7", "--origin", "1"]
         else:
-            path = tmp_path / f"random-{n}.edges"
-            write_random_edge_list(path, n, seed=n)
+            path = tmp_path / f"random-{n}-{seed}.edges"
+            write_random_edge_list(path, n, seed=seed)
             argv = ["--graph", str(path)]
         code, _, err = run(capsys, "compute", *argv)
         assert code == 0

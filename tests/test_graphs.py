@@ -295,6 +295,8 @@ class TestIntersectionNumbers:
             IntersectionArray.from_bc((3, 2), (2, 1))  # c_1 != 1
         with pytest.raises(InvalidParams):
             IntersectionArray.from_bc((1, 2), (1, 1))  # a_1 negative
+        with pytest.raises(InvalidParams, match="b and c must have equal length"):
+            IntersectionArray.from_bc((3, 2), (1,))
 
 
 class TestClassifyQD:

@@ -5,7 +5,7 @@ from ctqw import build_graph, entry_from_spec, spectral_measure
 from ctqw.errors import InvalidParams
 from ctqw.jacobi import JacobiCoefficients
 from ctqw.oracle import oracle_amplitudes
-from ctqw.verify import Pipeline, check_oracle
+from ctqw.verify import CheckResult, Pipeline, check_oracle
 
 
 class TestOracleAmplitudes:
@@ -89,3 +89,12 @@ class TestCheckOracle:
         result = check_oracle(self.doctored(petersen, (0.0, 0.0, 2.0), (3.0, 2.5)), self.GRID)
         assert not result.passed and result.max_error > 1e-3
 
+
+
+@pytest.mark.parametrize(
+    "err, status", [(0.5e-8, "PASS"), (1e-8, "FAIL"), (np.nan, "FAIL")]
+)
+def test_check_passes_strictly_below_tolerance(err, status):
+    result = CheckResult(name="x", max_error=err, tolerance=1e-8)
+    assert result.passed == (status == "PASS")
+    assert result.line().endswith(f"tol 1.0e-08 {status}")
