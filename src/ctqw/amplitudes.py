@@ -35,10 +35,10 @@ _CSV_BLOCK = 1 << 14
 
 
 def _exponential_sum(coeffs: np.ndarray, rates: np.ndarray, t) -> np.ndarray:
-    """sum_k coeffs[k] exp(-i rates[k] t), one value per entry of ``t``
-    (``np.outer`` flattens ``t``, so a scalar gives a length-1 array)."""
+    """sum_k coeffs[k] exp(-i rates[k] t), shaped like ``t``: a scalar gives
+    a 0-d value."""
     t = np.asarray(t, dtype=np.float64)
-    return (coeffs[:, None] * np.exp(-1j * np.outer(rates, t))).sum(axis=0)
+    return (coeffs[:, None] * np.exp(-1j * np.outer(rates, t))).sum(axis=0).reshape(t.shape)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, TextIO
 
@@ -25,64 +24,42 @@ from .amplitudes import MAX_SERIES_CELLS
 from .errors import CtqwError, InvalidEdgeList, InvalidParams, UnwritableOutput
 from .graphs import read_edge_list
 from .stieltjes import stieltjes_continued_fraction, stieltjes_pole_sum
-from .verify import (
-    DEFAULT_CLOSED_FORM_TOL,
-    DEFAULT_ORACLE_TOL,
-    Pipeline,
-    entry_status,
-    pipeline_for_entry,
-    pipeline_for_graph,
-)
-
-logger = logging.getLogger(__name__)
+from .verify import Pipeline, entry_status, pipeline_for_entry, pipeline_for_graph
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    graph_spec: str
-    origin: int
-    t_max: float
-    samples: int
-    fmt: str
-    output: str
-    tol: float | None
-
-    def __post_init__(self):
-        if not (0 < self.t_max < np.inf):
-            raise InvalidParams(f"t-max must be positive and finite, got {self.t_max}")
-        if self.samples < 2:
-            raise InvalidParams(f"samples must be >= 2, got {self.samples}")
-        if self.samples > MAX_SERIES_CELLS:
-            raise InvalidParams(
-                f"samples must be <= {MAX_SERIES_CELLS}, got {self.samples}"
-            )
-        if self.tol is not None and not (self.tol > 0):
-            raise InvalidParams(f"tol must be positive, got {self.tol}")
-
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_max, self.samples)
+def _time_grid(t_max: float, samples: int, tol: float | None = None) -> np.ndarray:
+    """The ``--samples`` point grid on [0, ``--t-max``], after checking both
+    and, for ``verify``, ``--tol``."""
+    if not (0 < t_max < np.inf):
+        raise InvalidParams(f"t-max must be positive and finite, got {t_max}")
+    if samples < 2:
+        raise InvalidParams(f"samples must be >= 2, got {samples}")
+    if samples > MAX_SERIES_CELLS:
+        raise InvalidParams(f"samples must be <= {MAX_SERIES_CELLS}, got {samples}")
+    if tol is not None and not (tol > 0):
+        raise InvalidParams(f"tol must be positive, got {tol}")
+    return np.linspace(0.0, t_max, samples)
 
 
-def _resolve_pipeline(cfg: RunConfig) -> tuple[Pipeline, "catalog.CatalogEntry | None"]:
-    """Turn a graph spec into a pipeline.
+def _resolve_pipeline(args: argparse.Namespace) -> tuple[Pipeline, "catalog.CatalogEntry | None"]:
+    """Turn ``--graph`` and ``--origin`` into a pipeline.
 
     Known family names resolve through the catalog; anything else is read as
     an edge-list file (missing file reports InvalidEdgeList).
     """
-    family, _ = catalog.parse_spec(cfg.graph_spec)
+    spec = args.graph
+    family, _ = catalog.parse_spec(spec)
     if catalog.is_known_family(family):
-        entry = catalog.entry_from_spec(cfg.graph_spec)
-        return pipeline_for_entry(entry, origin=cfg.origin), entry
-    if not Path(cfg.graph_spec).exists():
-        raise InvalidEdgeList(
-            f"{cfg.graph_spec!r} is neither a known family nor an existing file"
-        )
-    g = read_edge_list(cfg.graph_spec)
-    return pipeline_for_graph(g, cfg.origin), None
+        entry = catalog.entry_from_spec(spec)
+        return pipeline_for_entry(entry, origin=args.origin), entry
+    if not Path(spec).exists():
+        raise InvalidEdgeList(f"{spec!r} is neither a known family nor an existing file")
+    g = read_edge_list(spec)
+    return pipeline_for_graph(g, args.origin), None
 
 
 def _emit(write: Callable[[TextIO], object], output: str) -> None:
@@ -97,13 +74,14 @@ def _emit(write: Callable[[TextIO], object], output: str) -> None:
         raise UnwritableOutput(f"cannot write {output!r}: {exc.strerror}") from exc
 
 
-def cmd_compute(cfg: RunConfig) -> int:
-    pipeline, _ = _resolve_pipeline(cfg)
-    series = pipeline.series(cfg.times())
-    if cfg.fmt == "csv":
-        _emit(series.to_csv, cfg.output)
+def cmd_compute(args: argparse.Namespace) -> int:
+    times = _time_grid(args.t_max, args.samples)
+    pipeline, _ = _resolve_pipeline(args)
+    series = pipeline.series(times)
+    if args.format == "csv":
+        _emit(series.to_csv, args.output)
     else:
-        _emit(lambda out: out.writelines((series.to_json(), "\n")), cfg.output)
+        _emit(lambda out: out.writelines((series.to_json(), "\n")), args.output)
     print(
         f"max conservation defect: {series.conservation_defect.max():.3e}",
         file=sys.stderr,
@@ -111,23 +89,20 @@ def cmd_compute(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    pipeline, entry = _resolve_pipeline(cfg)
-    status = entry_status(
-        pipeline,
-        entry,
-        cfg.times(),
-        closed_tol=cfg.tol if cfg.tol is not None else DEFAULT_CLOSED_FORM_TOL,
-        oracle_tol=cfg.tol if cfg.tol is not None else DEFAULT_ORACLE_TOL,
-    )
+def cmd_verify(args: argparse.Namespace) -> int:
+    times = _time_grid(args.t_max, args.samples, args.tol)
+    pipeline, entry = _resolve_pipeline(args)
+    # without --tol, entry_status's own defaults apply
+    tols = {} if args.tol is None else {"closed_tol": args.tol, "oracle_tol": args.tol}
+    status = entry_status(pipeline, entry, times, **tols)
     print("\n".join(status.lines))
     return EXIT_OK if status.ok else EXIT_VERIFY_FAIL
 
 
-def cmd_stieltjes(cfg: RunConfig, eval_points: list[str]) -> int:
-    pipeline, _ = _resolve_pipeline(cfg)
+def cmd_stieltjes(args: argparse.Namespace) -> int:
+    pipeline, _ = _resolve_pipeline(args)
     print(pipeline.measure.to_json())
-    for token in eval_points:
+    for token in args.eval:
         z = complex(token)
         g_cf = stieltjes_continued_fraction(pipeline.jc, z)
         g_poles = stieltjes_pole_sum(pipeline.measure, z)
@@ -138,7 +113,7 @@ def cmd_stieltjes(cfg: RunConfig, eval_points: list[str]) -> int:
     return EXIT_OK
 
 
-def cmd_catalog() -> int:
+def cmd_catalog(args: argparse.Namespace) -> int:
     for entry_id, schema, listing in catalog.list_entries():
         print(f"{entry_id}\t{schema}\t{listing}")
     return EXIT_OK
@@ -150,25 +125,29 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Continuous-time quantum walk amplitudes via spectral measures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # every walk subcommand takes the walk options; compute and verify sample
+    # the walk on a time grid
+    walk = argparse.ArgumentParser(add_help=False)
+    walk.add_argument("--graph", required=True, help="family:params or edge-list path")
+    walk.add_argument("--origin", type=int, default=0, help="origin vertex (default: 0)")
+    grid = argparse.ArgumentParser(add_help=False, parents=[walk])
+    grid.add_argument("--t-max", type=float, default=10.0)
+    grid.add_argument("--samples", type=int, default=201)
 
-    def add_run_options(p, with_format=False):
-        p.add_argument("--graph", required=True, help="family:params or edge-list path")
-        p.add_argument("--origin", type=int, default=0, help="origin vertex (default: 0)")
-        p.add_argument("--t-max", type=float, default=10.0)
-        p.add_argument("--samples", type=int, default=201)
-        p.add_argument("--tol", type=float, default=None, help="comparison tolerance override")
-        if with_format:
-            p.add_argument("--format", choices=("csv", "json"), default="csv")
-            p.add_argument("--output", default="-", help="output path, '-' for stdout")
+    p_compute = sub.add_parser("compute", parents=[grid], help="emit a sampled amplitude series")
+    p_compute.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_compute.add_argument("--output", default="-", help="output path, '-' for stdout")
+    p_compute.set_defaults(run=cmd_compute)
 
-    p_compute = sub.add_parser("compute", help="emit a sampled amplitude series")
-    add_run_options(p_compute, with_format=True)
+    p_verify = sub.add_parser(
+        "verify", parents=[grid], help="cross-check pipeline vs oracle and closed forms"
+    )
+    p_verify.add_argument("--tol", type=float, default=None, help="comparison tolerance override")
+    p_verify.set_defaults(run=cmd_verify)
 
-    p_verify = sub.add_parser("verify", help="cross-check pipeline vs oracle and closed forms")
-    add_run_options(p_verify)
-
-    p_st = sub.add_parser("stieltjes", help="print the spectral measure and resolvent values")
-    add_run_options(p_st)
+    p_st = sub.add_parser(
+        "stieltjes", parents=[walk], help="print the spectral measure and resolvent values"
+    )
     p_st.add_argument(
         "--eval",
         action="append",
@@ -176,8 +155,9 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="Z",
         help="evaluation point, complex literal like 4 or 2+1j (repeatable)",
     )
+    p_st.set_defaults(run=cmd_stieltjes)
 
-    sub.add_parser("catalog", help="list catalog entries")
+    sub.add_parser("catalog", help="list catalog entries").set_defaults(run=cmd_catalog)
     return parser
 
 
@@ -209,32 +189,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_join_eval_values(sys.argv[1:] if argv is None else list(argv)))
     try:
-        if args.command == "catalog":
-            return cmd_catalog()
-        cfg = RunConfig(
-            graph_spec=args.graph,
-            origin=args.origin,
-            t_max=args.t_max,
-            samples=args.samples,
-            fmt=getattr(args, "format", "csv"),
-            output=getattr(args, "output", "-"),
-            tol=args.tol,
-        )
-        if args.command == "compute":
-            return cmd_compute(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        if args.command == "stieltjes":
-            return cmd_stieltjes(cfg, args.eval)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except CtqwError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_USAGE
-
 
 if __name__ == "__main__":
     sys.exit(main())

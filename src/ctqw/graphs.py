@@ -3,8 +3,10 @@
 A graph is stored once, as a read-only sparse CSR adjacency matrix. The
 distances (``scipy.sparse.csgraph``), the shell and distance-class counts,
 the Lanczos matvec and the oracle all run on that one matrix, so no step
-builds a dense n x n adjacency or needs a dense eigensolve. Everything here is
-immutable after construction and all operations are pure.
+builds a dense n x n adjacency or needs a dense eigensolve. A stratification
+is the shell index of each vertex; the QD test counts every vertex's
+neighbors one shell down, within and up in one pass, O(n + m). Everything
+here is immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
@@ -53,9 +55,12 @@ class Stratification:
     """BFS shells of a graph seen from a fixed origin vertex."""
 
     origin: int
-    shells: tuple[tuple[int, ...], ...]
-    kappa: tuple[int, ...]
     shell_of: np.ndarray  # shell index per vertex, read-only
+
+    @property
+    def kappa(self) -> tuple[int, ...]:
+        """Shell sizes, shell 0 (the origin) first."""
+        return tuple(np.bincount(self.shell_of).tolist())
 
 
 @dataclass(frozen=True)
@@ -195,13 +200,8 @@ def stratify(g: Graph, origin: int) -> Stratification:
     if not (0 <= origin < g.n):
         raise InvalidParams(f"origin {origin} out of range for n={g.n}")
     dist = bfs_distances(g, origin)
-    depth = int(dist.max())
-    shells = tuple(
-        tuple(int(v) for v in np.flatnonzero(dist == i)) for i in range(depth + 1)
-    )
-    kappa = tuple(len(s) for s in shells)
     dist.setflags(write=False)
-    return Stratification(origin=origin, shells=shells, kappa=kappa, shell_of=dist)
+    return Stratification(origin=origin, shell_of=dist)
 
 
 def all_pairs_distances(g: Graph) -> np.ndarray:
@@ -266,32 +266,37 @@ def classify_qd(g: Graph, strat: Stratification) -> QDClassification:
     """Test whether the stratification space is invariant under the level split.
 
     Equivalent condition: within each shell, every vertex has the same number
-    of neighbors one shell down, in its own shell, and one shell up.
+    of neighbors one shell down, in its own shell, and one shell up. The
+    counts come from one pass over the CSR entries, O(n + m) in time and
+    memory. The witness names the first failing shell, tries the directions
+    down, within, up in that order, and gives the first vertices (in
+    ascending order) with the smallest and the largest count.
     """
-    levels = len(strat.shells)
-    onehot = np.zeros((g.n, levels), dtype=np.float64)
-    onehot[np.arange(g.n), strat.shell_of] = 1.0
-    # counts[l, v] = neighbors of v inside shell l
-    counts = np.rint(g.adjacency @ onehot).T.astype(np.int64)
+    a, shell_of, n = g.adjacency, strat.shell_of, g.n
+    rows = np.repeat(np.arange(n), np.diff(a.indptr))
+    # BFS shells of adjacent vertices differ by at most one: 0 down, 1 within, 2 up
+    direction_of = shell_of[a.indices] - shell_of[rows] + 1
+    counts = np.bincount(direction_of * n + rows, minlength=3 * n).reshape(3, n)
 
-    for k in range(levels):
-        verts = np.array(strat.shells[k], dtype=np.int64)
-        for direction, l in (("down", k - 1), ("within", k), ("up", k + 1)):
-            if not 0 <= l < levels:
-                continue
-            vals = counts[l, verts]
-            if int(vals.min()) != int(vals.max()):
-                ia, ib = int(np.argmin(vals)), int(np.argmax(vals))
-                witness = (
-                    k,
-                    direction,
-                    int(verts[ia]),
-                    int(vals[ia]),
-                    int(verts[ib]),
-                    int(vals[ib]),
-                )
-                return QDClassification(qd=False, witness=witness)
-    return QDClassification(qd=True)
+    # per shell and direction, the smallest and largest count
+    levels = int(shell_of.max()) + 1
+    where = (np.arange(3)[:, None], shell_of)
+    lo = np.full((3, levels), n)
+    np.minimum.at(lo, where, counts)
+    hi = np.zeros((3, levels), dtype=counts.dtype)
+    np.maximum.at(hi, where, counts)
+    varies = lo != hi
+    failing = np.flatnonzero(varies.any(axis=0))
+    if failing.size == 0:
+        return QDClassification(qd=True)
+    k = int(failing[0])
+    d = int(np.argmax(varies[:, k]))
+    verts = np.flatnonzero(shell_of == k)
+    vals = counts[d, verts]
+    ia, ib = int(np.argmin(vals)), int(np.argmax(vals))
+    pair = (verts[ia], vals[ia], verts[ib], vals[ib])
+    witness = (k, ("down", "within", "up")[d], *(int(x) for x in pair))
+    return QDClassification(qd=False, witness=witness)
 
 
 def parse_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:

@@ -17,10 +17,11 @@ other two when their input exists:
 
 ``entry_status`` is the one place that runs them and decides the outcome:
 both ``ctqw verify`` (which prints its lines and exits 0 or 1 on ``ok``)
-and the acceptance suite call it. A closed-form mismatch does not by itself
-fail verification: the tabulated expression is flagged ``paper-typo-suspect``
-and, when the oracle confirms the pipeline or there is no oracle, the engine
-output is authoritative.
+and the acceptance suite call it. A walk that fails the oracle or the
+conservation check has the status ``failed``. A closed-form mismatch does
+not by itself fail verification: the tabulated expression is flagged
+``paper-typo-suspect`` and, when the oracle confirms the pipeline or there
+is no oracle, the engine output is authoritative.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ CONSERVATION_TOL = 1e-10
 VERIFIED = "verified"
 TYPO_SUSPECT = "paper-typo-suspect"
 UNVERIFIED = "unverified-array-only"
+FAILED = "failed"
 
 
 @dataclass(frozen=True)
@@ -149,21 +151,20 @@ def check_closed_form(
     return CheckResult(name="closed-form q0", max_error=err, tolerance=tol)
 
 
-def check_conservation(pipeline: Pipeline, times) -> CheckResult:
-    """Largest |sum_l |q_l|^2 - 1| of the pipeline's series over ``times``."""
-    defect = pipeline.series(times).conservation_defect
-    return CheckResult(
-        name="conservation", max_error=float(defect.max()), tolerance=CONSERVATION_TOL
-    )
+def check_conservation(series: AmplitudeSeries) -> CheckResult:
+    """Largest |sum_l |q_l|^2 - 1| of ``series`` over its samples."""
+    defect = float(series.conservation_defect.max())
+    return CheckResult(name="conservation", max_error=defect, tolerance=CONSERVATION_TOL)
 
 
 def check_oracle(
     pipeline: Pipeline,
-    times,
+    series: AmplitudeSeries,
     *,
     tol: float = DEFAULT_ORACLE_TOL,
 ) -> CheckResult:
-    """Every vertex's amplitude against the oracle's propagator column.
+    """Every vertex's amplitude in ``series``, the pipeline's series, against
+    the oracle's propagator column at the same samples.
 
     The level amplitudes are mapped to vertices through the orthonormal
     Krylov basis of the origin's vertex state, recomputed here rather than
@@ -180,9 +181,8 @@ def check_oracle(
     if basis.shape[1] != pipeline.jc.dim:
         detail = f"Krylov dimension {basis.shape[1]}, walk has {pipeline.jc.dim} levels"
         return CheckResult(name=name, max_error=np.inf, tolerance=tol, detail=detail)
-    times = np.asarray(times, dtype=np.float64)
-    want = oracle_amplitudes(g, pipeline.origin, times)
-    err = float(np.abs(basis @ pipeline.series(times).values - want).max())
+    want = oracle_amplitudes(g, pipeline.origin, series.times)
+    err = float(np.abs(basis @ series.values - want).max())
     return CheckResult(
         name=name,
         max_error=err,
@@ -193,7 +193,7 @@ def check_oracle(
 
 @dataclass(frozen=True)
 class EntryStatus:
-    status: str          # verified | paper-typo-suspect | unverified-array-only
+    status: str          # verified | paper-typo-suspect | unverified-array-only | failed
     checks: tuple[CheckResult, ...]
     ok: bool             # engine output consistent with every independent check
     lines: tuple[str, ...]  # the report ``ctqw verify`` prints, verdict last
@@ -211,20 +211,22 @@ def entry_status(
 
     The oracle runs when the pipeline carries a graph; the conservation
     check always; the closed form when an entry is given and the pipeline
-    walks from vertex 0. ``verified`` needs an oracle confirmation, a
-    conserving series and no closed-form mismatch; a closed-form mismatch
-    becomes ``paper-typo-suspect``; any other walk stays
-    ``unverified-array-only``. ``ok`` is false exactly when the oracle ran
-    and failed or the conservation check failed.
+    walks from vertex 0. ``ok`` is false exactly when the oracle ran and
+    failed or the conservation check failed, and such a walk is ``failed``.
+    Of the others, a closed-form mismatch becomes ``paper-typo-suspect``, an
+    oracle confirmation ``verified``, and a walk no oracle could check stays
+    ``unverified-array-only``. The series is evaluated once, for both the
+    oracle and the conservation check.
     """
+    series = pipeline.series(times)
     checks: list[CheckResult] = []
     lines: list[str] = []
     oracle_result = None
     if pipeline.graph is not None:
-        oracle_result = check_oracle(pipeline, times, tol=oracle_tol)
+        oracle_result = check_oracle(pipeline, series, tol=oracle_tol)
         checks.append(oracle_result)
         lines.append(oracle_result.line())
-    conservation = check_conservation(pipeline, times)
+    conservation = check_conservation(series)
     checks.append(conservation)
     lines.append(conservation.line())
     closed = None
@@ -250,9 +252,11 @@ def entry_status(
 
     ok = conservation.passed and (oracle_result is None or oracle_result.passed)
     lines.append(f"VERIFY {'PASS' if ok else 'FAIL'}")
-    if closed is not None and not closed.passed:
+    if not ok:
+        status = FAILED
+    elif closed is not None and not closed.passed:
         status = TYPO_SUSPECT
-    elif oracle_result is not None and ok:
+    elif oracle_result is not None:
         status = VERIFIED
     else:
         status = UNVERIFIED

@@ -66,6 +66,19 @@ class TestReturnAmplitude:
                 np.conj(return_amplitude(m, t)), abs=1e-14
             )
 
+    def test_scalar_time_gives_scalar(self):
+        m = petersen_measure()
+        form = ExponentialSum.build(exponentials=[(0.5, 1.0)], cosines=[(0.5, 2.0)])
+        for amplitude in (
+            lambda t: return_amplitude(m, t),
+            lambda t: stratum_amplitude(m, PETERSEN_JC, 2, t),
+            form,
+        ):
+            value = amplitude(1.0)
+            assert np.ndim(value) == 0
+            # the same operations in the same order as a one-sample grid
+            assert value == amplitude(np.array([1.0]))[0]
+
 
 class TestLaplaceDomain:
     @pytest.mark.parametrize("s", [1.0, 2.0 + 1.0j])
@@ -158,7 +171,7 @@ class TestVertexAmplitude:
         for level in range(3):
             q = stratum_amplitude(m, PETERSEN_JC, level, t)
             expected = q / np.sqrt(petersen_strat.kappa[level])
-            for v in petersen_strat.shells[level]:
+            for v in np.flatnonzero(petersen_strat.shell_of == level):
                 assert pvec[v] == pytest.approx(expected, abs=1e-12)
 
 

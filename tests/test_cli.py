@@ -212,6 +212,19 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", *argv)
         assert code == (0 if defect < 1e-10 else 1), (defect, out)
 
+    def test_conservation_failure_is_failed_not_array_only(self, tmp_path):
+        from ctqw.graphs import read_edge_list
+        from ctqw.verify import entry_status, pipeline_for_graph
+
+        # random-12-s0 above: the oracle passes, the series loses 2.3e-10
+        path = tmp_path / "random-12-0.edges"
+        write_random_edge_list(path, 12, seed=0)
+        pipe = pipeline_for_graph(read_edge_list(path), 0)
+        status = entry_status(pipe, None, np.linspace(0.0, 10.0, 201))
+        oracle, conservation = status.checks
+        assert oracle.passed and not conservation.passed
+        assert (status.status, status.ok) == ("failed", False)
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -310,6 +323,23 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert f"error: InvalidParams: {message}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("compute", "--tol", "1e-3"),
+            ("stieltjes", "--t-max", "3"),
+            ("stieltjes", "--samples", "5"),
+            ("stieltjes", "--tol", "1e-3"),
+        ],
+        ids=" ".join,
+    )
+    def test_option_of_another_subcommand_rejected(self, capsys, argv):
+        command, *option = argv
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--graph", "petersen", *option])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_unwritable_output(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.csv"

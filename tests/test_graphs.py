@@ -1,6 +1,10 @@
+import tracemalloc
+
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctqw.errors import (
     CtqwError,
@@ -137,7 +141,7 @@ class TestStratify:
         g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
         s = stratify(g, 2)
         assert s.kappa == (1, n - 1)
-        assert s.shells[0] == (2,)
+        assert np.flatnonzero(s.shell_of == 0).tolist() == [2]
 
     def test_petersen_shell_sizes(self, petersen):
         for origin in range(10):
@@ -149,7 +153,8 @@ class TestStratify:
         assert s.shell_of.tolist() == [0, 1]
 
     def test_shells_partition_vertices(self, petersen_strat):
-        seen = sorted(v for shell in petersen_strat.shells for v in shell)
+        levels = range(len(petersen_strat.kappa))
+        seen = sorted(v for k in levels for v in np.flatnonzero(petersen_strat.shell_of == k))
         assert seen == list(range(10))
 
     def test_bad_origin(self, petersen):
@@ -357,6 +362,56 @@ class TestClassifyQD:
                 k, counts = want[v]
                 assert k == shell
                 assert counts.get(shell + step, 0) == count
+
+    def test_path_memory_grows_with_edges(self):
+        # a count matrix of n x shells would be 2000 x 1999 int64 here, 32 MB
+        g = build_graph(2000, [(i, i + 1) for i in range(1999)])
+        tracemalloc.start()
+        try:
+            cls = classify_qd(g, stratify(g, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not cls
+        assert peak < 4e6
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        st.integers(2, 14).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.integers(0, 10**6), min_size=n - 1, max_size=n - 1),
+                st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n),
+            )
+        )
+    )
+    def test_qd_and_shells_match_networkx(self, graph):
+        # a random spanning tree (vertex v hangs off one of 0..v-1) plus
+        # random chords, so every drawn graph is connected
+        n, parents, chords = graph
+        edges = [(p % v, v) for v, p in enumerate(parents, start=1)]
+        edges += [(u, v) for u, v in chords if u != v]
+        g = build_graph(n, edges)
+        h = nx.Graph(edges)
+        for origin in range(n):
+            strat = stratify(g, origin)
+            cls = classify_qd(g, strat)
+            want = neighbor_counts_by_distance(h, origin)
+            depth = max(k for k, _ in want.values())
+            kappa = [0] * (depth + 1)
+            per_shell = [set() for _ in range(depth + 1)]
+            for k, counts in want.values():
+                kappa[k] += 1
+                per_shell[k].add((counts.get(k - 1, 0), counts.get(k, 0), counts.get(k + 1, 0)))
+            assert strat.kappa == tuple(kappa)
+            assert cls.qd == all(len(c) == 1 for c in per_shell)
+            if not cls:
+                shell, direction, va, ca, vb, cb = cls.witness
+                step = {"down": -1, "within": 0, "up": 1}[direction]
+                assert ca != cb
+                for v, count in ((va, ca), (vb, cb)):
+                    assert want[v][0] == shell
+                    assert want[v][1].get(shell + step, 0) == count
 
     def test_distance_regular_implies_qd(self):
         from ctqw import make_entry

@@ -35,9 +35,9 @@ class TestOracleAmplitudes:
         q2 = (-np.exp(-1j * t) + 0.4 * np.exp(2j * t) + 0.6 * np.exp(-3j * t)) / np.sqrt(6)
         # every vertex of shell l carries q_l / sqrt(shell size)
         for level, q in enumerate((q0, q1, q2)):
-            shell = petersen_strat.shells[level]
+            shell = np.flatnonzero(petersen_strat.shell_of == level)
             want = q / np.sqrt(len(shell))
-            assert np.abs(pvec[list(shell)] - want).max() < 1e-12
+            assert np.abs(pvec[shell] - want).max() < 1e-12
 
     def test_origin_out_of_range(self, petersen):
         with pytest.raises(InvalidParams):
@@ -78,7 +78,8 @@ class TestCheckOracle:
 
     def test_level_count_mismatch_fails(self, petersen):
         # petersen from vertex 0 has Krylov dimension 3
-        result = check_oracle(self.doctored(petersen, (0.0, 0.0), (3.0,)), self.GRID)
+        pipe = self.doctored(petersen, (0.0, 0.0), (3.0,))
+        result = check_oracle(pipe, pipe.series(self.GRID))
         assert not result.passed
         assert result.line() == (
             "oracle vertices: max err inf tol 1.0e-08 FAIL "
@@ -86,7 +87,8 @@ class TestCheckOracle:
         )
 
     def test_wrong_coefficients_fail(self, petersen):
-        result = check_oracle(self.doctored(petersen, (0.0, 0.0, 2.0), (3.0, 2.5)), self.GRID)
+        pipe = self.doctored(petersen, (0.0, 0.0, 2.0), (3.0, 2.5))
+        result = check_oracle(pipe, pipe.series(self.GRID))
         assert not result.passed and result.max_error > 1e-3
 
 
