@@ -1,11 +1,21 @@
 """Named graph families and tabulated reference rows.
 
-Families carry explicit constructors where a construction is feasible at
-desk scale; the remaining rows are array-only and run through the pipeline
-from their intersection arrays. Tabulated closed forms are stored verbatim,
-including the handful that are internally inconsistent: the comparison
-machinery flags those as ``paper-typo-suspect`` instead of silently
-correcting them, and the engine/oracle output is authoritative.
+Families carry explicit constructions where one is feasible at desk scale;
+the remaining rows are array-only and run through the pipeline from their
+intersection arrays. Tabulated closed forms are stored verbatim, including
+the handful that are internally inconsistent: the comparison machinery
+flags those as ``paper-typo-suspect`` instead of silently correcting them,
+and the engine/oracle output is authoritative.
+
+``make_entry`` is the one entry contract. From the ``_FAMILIES`` registry
+it checks a spec's parameter count and kinds, then their range, then the
+one size rule: a family's vertex count, or the dimension of a coefficient
+family, must not exceed ``MAX_VERTICES``. Each check fails with
+InvalidParams before anything is allocated, and the size check stays cheap
+however large the parameters are. ``make_entry`` names the entry; the
+family's maker only builds its fields from typed values, once every check
+has passed. A construction is a ``builder``, called only by code that reads
+the graph.
 """
 
 from __future__ import annotations
@@ -31,10 +41,6 @@ class CatalogEntry:
     jacobi: JacobiCoefficients | None = None
     closed_form: ExponentialSum | None = None
 
-    @property
-    def is_constructible(self) -> bool:
-        return self.builder is not None
-
     def build(self) -> Graph:
         if self.builder is None:
             raise InvalidParams(f"{self.id} has no explicit construction")
@@ -49,23 +55,7 @@ class CatalogEntry:
 
 
 # ---------------------------------------------------------------------------
-# explicit constructions
-
-def _complete(n: int) -> Graph:
-    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-
-
-def _cycle(n: int) -> Graph:
-    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def _path(n: int) -> Graph:
-    return build_graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def _complete_bipartite(m: int) -> Graph:
-    return build_graph(2 * m, [(u, m + v) for u in range(m) for v in range(m)])
-
+# explicit constructions shared with the reference rows
 
 def _generalized_petersen(n: int, k: int) -> Graph:
     edges = []
@@ -144,19 +134,6 @@ def _glued_trees(depth: int) -> Graph:
 
 # ---------------------------------------------------------------------------
 # strongly regular helpers
-
-def _srg_check(v: int, kappa: int, lam: int, mu: int) -> None:
-    if not (0 < kappa < v - 1):
-        raise InvalidParams(f"srg needs 0 < kappa < v-1, got v={v}, kappa={kappa}")
-    if not (0 <= lam < kappa):
-        raise InvalidParams(f"srg needs 0 <= lambda < kappa, got lambda={lam}")
-    if not (1 <= mu <= kappa):
-        raise InvalidParams(f"srg needs 1 <= mu <= kappa, got mu={mu}")
-    if (v - kappa - 1) * mu != kappa * (kappa - lam - 1):
-        raise InvalidParams(
-            f"srg parameters ({v},{kappa},{lam},{mu}) violate the counting identity"
-        )
-
 
 def _srg_spectrum(v: int, kappa: int, lam: int, mu: int):
     """Eigenvalues (kappa, r, s) and multiplicities (1, m_r, m_s)."""
@@ -285,83 +262,36 @@ def appendix_row_ids() -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# entry construction
+# entry construction: each maker takes typed, range-checked, size-bounded
+# values and returns the fields of its entry
 
-def _int_params(params, count, family):
-    if len(params) != count:
-        raise InvalidParams(f"{family} takes {count} parameter(s), got {len(params)}")
-    out = []
-    for p in params:
-        if isinstance(p, bool) or (not isinstance(p, int) and not float(p).is_integer()):
-            raise InvalidParams(f"{family} parameters must be integers, got {p!r}")
-        out.append(int(p))
-    return out
-
-
-def _format_id(family: str, params: tuple) -> str:
-    if not params:
-        return family
-    rendered = []
-    for p in params:
-        if isinstance(p, float) and p.is_integer():
-            p = int(p)
-        rendered.append(str(p))
-    return f"{family}:{','.join(rendered)}"
-
-
-def _make_complete(params) -> CatalogEntry:
-    (n,) = _int_params(params, 1, "complete")
-    if n < 2:
-        raise InvalidParams(f"complete graph needs n >= 2, got {n}")
-    ia = IntersectionArray.from_bc((n - 1,), (1,))
-    form = ExponentialSum.build(exponentials=[(1 / n, n - 1), ((n - 1) / n, -1)])
-    return CatalogEntry(
-        id=_format_id("complete", (n,)),
-        builder=lambda: _complete(n),
-        intersection_array=ia,
-        closed_form=form,
+def _make_complete(n):
+    return dict(
+        builder=lambda: build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)]),
+        intersection_array=IntersectionArray.from_bc((n - 1,), (1,)),
+        closed_form=ExponentialSum.build(exponentials=[(1 / n, n - 1), ((n - 1) / n, -1)]),
     )
 
 
-def _make_cycle(params) -> CatalogEntry:
-    (n,) = _int_params(params, 1, "cycle")
-    if n < 3:
-        raise InvalidParams(f"cycle needs n >= 3, got {n}")
+def _make_cycle(n):
     m = n // 2
     b = (2,) + (1,) * (m - 1)
     c = (1,) * (m - 1) + (2,) if n % 2 == 0 else (1,) * m
-    ia = IntersectionArray.from_bc(b, c)
-    return CatalogEntry(
-        id=_format_id("cycle", (n,)),
-        builder=lambda: _cycle(n),
-        intersection_array=ia,
+    return dict(
+        builder=lambda: build_graph(n, [(i, (i + 1) % n) for i in range(n)]),
+        intersection_array=IntersectionArray.from_bc(b, c),
     )
 
 
-def _make_petersen(params) -> CatalogEntry:
-    if params:
-        raise InvalidParams("petersen takes no parameters")
-    ia = IntersectionArray.from_bc((3, 2), (1, 1))
-    form = ExponentialSum.build(
-        exponentials=[(1 / 2, 1), (2 / 5, -2), (1 / 10, 3)]
-    )
-    return CatalogEntry(
-        id="petersen",
+def _make_petersen():
+    return dict(
         builder=lambda: _generalized_petersen(5, 2),
-        intersection_array=ia,
-        closed_form=form,
+        intersection_array=IntersectionArray.from_bc((3, 2), (1, 1)),
+        closed_form=ExponentialSum.build(exponentials=[(1 / 2, 1), (2 / 5, -2), (1 / 10, 3)]),
     )
 
 
-def _make_johnson(params) -> CatalogEntry:
-    n, d = _int_params(params, 2, "johnson")
-    if n < 2 or d < 1 or 2 * d > n:
-        raise InvalidParams(f"johnson needs n >= 2 and 1 <= d <= n/2, got ({n},{d})")
-    if math.comb(n, d) > MAX_VERTICES:
-        raise InvalidParams(f"johnson({n},{d}) too large to construct")
-    b = tuple((d - i) * (n - d - i) for i in range(d))
-    c = tuple((i + 1) ** 2 for i in range(d))
-    ia = IntersectionArray.from_bc(b, c)
+def _make_johnson(n, d):
     form = None
     if d == 2:
         # tabulated two-frequency form; inconsistent with the three-node
@@ -374,199 +304,218 @@ def _make_johnson(params) -> CatalogEntry:
                 ((1 + amp) / 2, (n - 2 - rho) / 2),
             ]
         )
-    return CatalogEntry(
-        id=_format_id("johnson", (n, d)),
+    return dict(
         builder=lambda: _johnson(n, d),
-        intersection_array=ia,
+        intersection_array=IntersectionArray.from_bc(
+            tuple((d - i) * (n - d - i) for i in range(d)), tuple((i + 1) ** 2 for i in range(d))
+        ),
         closed_form=form,
     )
 
 
-def _make_srg(params) -> CatalogEntry:
-    v, kappa, lam, mu = _int_params(params, 4, "srg")
-    _srg_check(v, kappa, lam, mu)
-    ia = IntersectionArray.from_bc((kappa, kappa - lam - 1), (1, mu))
-    return CatalogEntry(
-        id=_format_id("srg", (v, kappa, lam, mu)),
-        intersection_array=ia,
+def _make_srg(v, kappa, lam, mu):
+    return dict(
+        intersection_array=IntersectionArray.from_bc((kappa, kappa - lam - 1), (1, mu)),
         closed_form=_srg_closed_form(v, kappa, lam, mu),
     )
 
 
-def _make_dihedral(params) -> CatalogEntry:
-    (m,) = _int_params(params, 1, "dihedral_srg")
-    if m < 2:
-        raise InvalidParams(f"dihedral_srg needs m >= 2, got {m}")
-    ia = IntersectionArray.from_bc((m, m - 1), (1, m))
-    form = ExponentialSum.build(cosines=[(1 / m, m)], constant=(m - 1) / m)
-    return CatalogEntry(
-        id=_format_id("dihedral_srg", (m,)),
-        builder=lambda: _complete_bipartite(m),
-        intersection_array=ia,
-        closed_form=form,
+def _make_dihedral(m):
+    return dict(
+        builder=lambda: build_graph(2 * m, [(u, m + v) for u in range(m) for v in range(m)]),
+        intersection_array=IntersectionArray.from_bc((m, m - 1), (1, m)),
+        closed_form=ExponentialSum.build(cosines=[(1 / m, m)], constant=(m - 1) / m),
     )
 
 
-def _make_hamming(params) -> CatalogEntry:
-    d, q = _int_params(params, 2, "hamming")
-    if d < 1 or q < 2:
-        raise InvalidParams(f"hamming needs d >= 1 and q >= 2, got ({d},{q})")
-    if q ** d > MAX_VERTICES:
-        raise InvalidParams(f"hamming({d},{q}) too large to construct")
-    b = tuple((d - i) * (q - 1) for i in range(d))
-    c = tuple(i + 1 for i in range(d))
-    ia = IntersectionArray.from_bc(b, c)
-    v = q ** d
-    form = ExponentialSum.build(
-        exponentials=[
-            (math.comb(d, j) * (q - 1) ** j / v, (q - 1) * d - q * j)
-            for j in range(d + 1)
-        ]
-    )
-    return CatalogEntry(
-        id=_format_id("hamming", (d, q)),
+def _make_hamming(d, q):
+    return dict(
         builder=lambda: _hamming(d, q),
-        intersection_array=ia,
-        closed_form=form,
+        intersection_array=IntersectionArray.from_bc(
+            tuple((d - i) * (q - 1) for i in range(d)), tuple(i + 1 for i in range(d))
+        ),
+        closed_form=ExponentialSum.build(
+            exponentials=[
+                (math.comb(d, j) * (q - 1) ** j / q ** d, (q - 1) * d - q * j)
+                for j in range(d + 1)
+            ]
+        ),
     )
 
 
-def _make_path(params) -> CatalogEntry:
-    (n,) = _int_params(params, 1, "path")
-    if n < 2:
-        raise InvalidParams(f"path needs n >= 2, got {n}")
-    jc = JacobiCoefficients(alpha=(0.0,) * n, omega=(1.0,) * (n - 1))
-    return CatalogEntry(
-        id=_format_id("path", (n,)),
-        builder=lambda: _path(n),
-        jacobi=jc,
+def _make_path(n):
+    return dict(
+        builder=lambda: build_graph(n, [(i, i + 1) for i in range(n - 1)]),
+        jacobi=JacobiCoefficients(alpha=(0.0,) * n, omega=(1.0,) * (n - 1)),
     )
 
 
-def _make_glued_trees(params) -> CatalogEntry:
-    (depth,) = _int_params(params, 1, "glued_trees")
-    if depth < 1:
-        raise InvalidParams(f"glued_trees needs depth >= 1, got {depth}")
-    size = 3 * 2 ** depth - 2
-    if size > MAX_VERTICES:
-        raise InvalidParams(f"glued_trees({depth}) has {size} vertices (limit {MAX_VERTICES})")
-    jc = JacobiCoefficients(
-        alpha=(0.0,) * (2 * depth + 1), omega=(2.0,) * (2 * depth)
-    )
-    return CatalogEntry(
-        id=_format_id("glued_trees", (depth,)),
+def _make_glued_trees(depth):
+    return dict(
         builder=lambda: _glued_trees(depth),
-        jacobi=jc,
+        jacobi=JacobiCoefficients(alpha=(0.0,) * (2 * depth + 1), omega=(2.0,) * (2 * depth)),
     )
 
 
-def _tchebichef_params(params, family):
-    if len(params) != 2:
-        raise InvalidParams(f"{family} takes (n, m), got {len(params)} parameter(s)")
-    n, m = params
-    if isinstance(n, bool) or (not isinstance(n, int) and not float(n).is_integer()):
-        raise InvalidParams(f"{family} size must be an integer, got {n!r}")
-    n = int(n)
-    m = float(m)
-    if n < 2:
-        raise InvalidParams(f"{family} needs n >= 2, got {n}")
-    if not (m >= 1.0 and math.isfinite(m)):
-        raise InvalidParams(f"{family} scale exponent must be >= 1, got {m}")
-    return n, m
-
-
-def _make_tchebichef1(params) -> CatalogEntry:
-    n, m = _tchebichef_params(params, "tchebichef1")
-    scale = 2.0 ** m
+def _make_tchebichef1(n, m):
     w = 4.0 ** (m - 1.0)
-    jc = JacobiCoefficients(
-        alpha=(0.0,) * n, omega=(2.0 * w,) + (w,) * (n - 2)
-    )
-    form = ExponentialSum.build(
-        exponentials=[
-            (1.0 / n, scale * math.cos((2 * l + 1) * math.pi / (2 * n)))
-            for l in range(n)
-        ]
-    )
-    return CatalogEntry(
-        id=_format_id("tchebichef1", (n, m)),
-        jacobi=jc,
-        closed_form=form,
+    return dict(
+        jacobi=JacobiCoefficients(alpha=(0.0,) * n, omega=(2.0 * w,) + (w,) * (n - 2)),
+        closed_form=ExponentialSum.build(
+            exponentials=[
+                (1.0 / n, 2.0 ** m * math.cos((2 * l + 1) * math.pi / (2 * n)))
+                for l in range(n)
+            ]
+        ),
     )
 
 
-def _make_tchebichef2(params) -> CatalogEntry:
-    n, m = _tchebichef_params(params, "tchebichef2")
-    scale = 2.0 ** m
-    w = 4.0 ** (m - 1.0)
-    jc = JacobiCoefficients(alpha=(0.0,) * n, omega=(w,) * (n - 1))
-    form = ExponentialSum.build(
-        exponentials=[
-            (
-                2.0 / (n + 1) * math.sin(k * math.pi / (n + 1)) ** 2,
-                scale * math.cos(k * math.pi / (n + 1)),
-            )
-            for k in range(1, n + 1)
-        ]
-    )
-    return CatalogEntry(
-        id=_format_id("tchebichef2", (n, m)),
-        jacobi=jc,
-        closed_form=form,
+def _make_tchebichef2(n, m):
+    return dict(
+        jacobi=JacobiCoefficients(alpha=(0.0,) * n, omega=(4.0 ** (m - 1.0),) * (n - 1)),
+        closed_form=ExponentialSum.build(
+            exponentials=[
+                (2.0 / (n + 1) * math.sin(k * math.pi / (n + 1)) ** 2,
+                 2.0 ** m * math.cos(k * math.pi / (n + 1)))
+                for k in range(1, n + 1)
+            ]
+        ),
     )
 
 
-def _make_appendix(params) -> CatalogEntry:
-    if len(params) != 1 or not isinstance(params[0], str):
-        raise InvalidParams("appendix takes a single row id, e.g. appendix:icosahedron")
-    row_id = params[0]
-    row = _APPENDIX_INDEX.get(row_id)
-    if row is None:
-        raise InvalidParams(
-            f"unknown appendix row {row_id!r}; known: {', '.join(appendix_row_ids())}"
-        )
-    rid, _, b, c, (exponentials, cosines, constant), builder = row
-    ia = IntersectionArray.from_bc(b, c)
-    form = ExponentialSum.build(exponentials, cosines, constant)
-    return CatalogEntry(
-        id=f"appendix:{rid}",
+def _make_appendix(row_id):
+    _, _, b, c, (exponentials, cosines, constant), builder = _APPENDIX_INDEX[row_id]
+    return dict(
         builder=builder,
-        intersection_array=ia,
-        closed_form=form,
+        intersection_array=IntersectionArray.from_bc(b, c),
+        closed_form=ExponentialSum.build(exponentials, cosines, constant),
     )
 
 
-# family -> (maker, params schema, listing text); the appendix family has no
-# schema of its own because `ctqw catalog` lists its rows one by one
-_FAMILIES: dict[str, tuple[Callable[[tuple], CatalogEntry], str | None, str | None]] = {
-    "complete": (_make_complete, "complete:n", "complete graph family"),
-    "cycle": (_make_cycle, "cycle:n", "cycle family"),
-    "petersen": (_make_petersen, "petersen", "strongly regular (10,3,0,1)"),
-    "johnson": (_make_johnson, "johnson:n,d", "Johnson graph family"),
-    "srg": (_make_srg, "srg:v,kappa,lambda,mu", "strongly regular family"),
-    "dihedral_srg": (
-        _make_dihedral, "dihedral_srg:m", "dihedral normal-subgroup strongly regular family"
+# 2 ** _SIZE_BITS exceeds MAX_VERTICES, so a size whose exponent (or binomial
+# lower index, C(n, d) growing in d up to n/2 and C(2k, k) >= 2 ** k) is
+# clipped at _SIZE_BITS passes the size rule exactly when the true size
+# does, at a cost that does not grow with the parameters
+_SIZE_BITS = MAX_VERTICES.bit_length()
+
+
+@dataclass(frozen=True)
+class _Family:
+    maker: Callable[..., dict]
+    schema: str                  # "family:name,name"; the names count the parameters
+    listing: str | None          # None: `ctqw catalog` lists the rows one by one
+    domain: str = ""             # the valid range, in words
+    valid: Callable[..., bool] = lambda *values: True
+    size: Callable[..., int] | None = None   # None: array-only or fixed size
+    kinds: tuple[type, ...] | None = None    # int for every parameter when None
+
+
+# family -> how make_entry parses, range-checks, names and size-bounds its
+# specs before the maker builds the fields; `srg` (array-only) and the fixed
+# `petersen` and `appendix` rows have no size
+_FAMILIES: dict[str, _Family] = {
+    "complete": _Family(
+        _make_complete, "complete:n", "complete graph family",
+        "n >= 2", lambda n: n >= 2, lambda n: n,
     ),
-    "hamming": (_make_hamming, "hamming:d,q", "Hamming graph family"),
-    "path": (_make_path, "path:n", "finite path family"),
-    "glued_trees": (_make_glued_trees, "glued_trees:depth", "glued binary trees family"),
-    "tchebichef1": (
-        _make_tchebichef1, "tchebichef1:n,m", "first-kind Chebyshev coefficient family"
+    "cycle": _Family(
+        _make_cycle, "cycle:n", "cycle family", "n >= 3", lambda n: n >= 3, lambda n: n,
     ),
-    "tchebichef2": (
-        _make_tchebichef2, "tchebichef2:n,m", "second-kind Chebyshev coefficient family"
+    "petersen": _Family(_make_petersen, "petersen", "strongly regular (10,3,0,1)"),
+    "johnson": _Family(
+        _make_johnson, "johnson:n,d", "Johnson graph family",
+        "n >= 2 and 1 <= d <= n/2", lambda n, d: n >= 2 and 1 <= d and 2 * d <= n,
+        lambda n, d: math.comb(n, min(d, _SIZE_BITS)),
     ),
-    "appendix": (_make_appendix, None, None),
+    "srg": _Family(
+        _make_srg, "srg:v,kappa,lambda,mu", "strongly regular family",
+        "0 < kappa < v-1, 0 <= lambda < kappa, 1 <= mu <= kappa and "
+        "(v-kappa-1) mu = kappa (kappa-lambda-1)",
+        lambda v, k, lam, mu: (
+            0 < k < v - 1 and 0 <= lam < k and 1 <= mu <= k
+            and (v - k - 1) * mu == k * (k - lam - 1)
+        ),
+    ),
+    "dihedral_srg": _Family(
+        _make_dihedral, "dihedral_srg:m", "dihedral normal-subgroup strongly regular family",
+        "m >= 2", lambda m: m >= 2, lambda m: 2 * m,
+    ),
+    "hamming": _Family(
+        _make_hamming, "hamming:d,q", "Hamming graph family",
+        "d >= 1 and q >= 2", lambda d, q: d >= 1 and q >= 2,
+        lambda d, q: q ** min(d, _SIZE_BITS),
+    ),
+    "path": _Family(
+        _make_path, "path:n", "finite path family", "n >= 2", lambda n: n >= 2, lambda n: n,
+    ),
+    "glued_trees": _Family(
+        _make_glued_trees, "glued_trees:depth", "glued binary trees family",
+        "depth >= 1", lambda depth: depth >= 1,
+        lambda depth: 3 * 2 ** min(depth, _SIZE_BITS) - 2,
+    ),
+    # from m = 513 on, the weight 4 ** (m - 1) overflows a double
+    "tchebichef1": _Family(
+        _make_tchebichef1, "tchebichef1:n,m", "first-kind Chebyshev coefficient family",
+        "n >= 2 and 1 <= m < 513", lambda n, m: n >= 2 and 1 <= m < 513, lambda n, m: n,
+        kinds=(int, float),
+    ),
+    "tchebichef2": _Family(
+        _make_tchebichef2, "tchebichef2:n,m", "second-kind Chebyshev coefficient family",
+        "n >= 2 and 1 <= m < 513", lambda n, m: n >= 2 and 1 <= m < 513, lambda n, m: n,
+        kinds=(int, float),
+    ),
+    "appendix": _Family(
+        _make_appendix, "appendix:row", None,
+        "a reference table row: " + ", ".join(_APPENDIX_INDEX),
+        lambda row: row in _APPENDIX_INDEX, kinds=(str,),
+    ),
 }
+
+_KIND_TEXT = {int: "an integer", float: "a number", str: "a row name"}
+
+
+def _typed(kind: type, value):
+    """``value`` as ``kind``, or None if it is not one. An integer may come
+    as an integral float; neither kind of number may be a bool or a string."""
+    if kind is str or isinstance(value, (bool, str)):
+        return value if kind is str and isinstance(value, str) else None
+    if kind is int and isinstance(value, int):
+        return value
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if kind is float:
+        return number
+    return int(value) if number.is_integer() else None
+
+
+def _format_id(family: str, values: tuple) -> str:
+    rendered = [str(int(v) if isinstance(v, float) and v.is_integer() else v) for v in values]
+    return f"{family}:{','.join(rendered)}" if values else family
 
 
 def make_entry(family: str, params=()) -> CatalogEntry:
+    """The entry of ``family`` with ``params``; see the module docstring for
+    the order of the checks."""
     known = _FAMILIES.get(family)
     if known is None:
-        raise UnknownFamily(
-            f"unknown family {family!r}; known: {', '.join(sorted(_FAMILIES))}"
-        )
-    return known[0](tuple(params))
+        raise UnknownFamily(f"unknown family {family!r}; known: {', '.join(sorted(_FAMILIES))}")
+    _, names = parse_spec(known.schema)
+    params = tuple(params)
+    if len(params) != len(names):
+        raise InvalidParams(f"{known.schema} takes {len(names)} parameter(s), got {len(params)}")
+    kinds = known.kinds or (int,) * len(names)
+    values = tuple(_typed(kind, p) for kind, p in zip(kinds, params))
+    for name, kind, p, value in zip(names, kinds, params, values):
+        if value is None:
+            raise InvalidParams(f"{family} parameter {name} must be {_KIND_TEXT[kind]}, got {p!r}")
+    entry_id = _format_id(family, values)
+    if not known.valid(*values):
+        raise InvalidParams(f"{family} needs {known.domain}, got {entry_id}")
+    if known.size is not None and known.size(*values) > MAX_VERTICES:
+        raise InvalidParams(f"{entry_id} is too large (limit {MAX_VERTICES} vertices or levels)")
+    return CatalogEntry(id=entry_id, **known.maker(*values))
 
 
 def parse_spec(spec: str) -> tuple[str, tuple]:
@@ -599,13 +548,13 @@ def is_known_family(name: str) -> bool:
 
 def list_entries() -> tuple[tuple[str, str, str], ...]:
     """(id, params schema, listing text) for every family and appendix row."""
-    out = []
-    for family, (_, schema, listing) in sorted(_FAMILIES.items()):
-        if schema is not None:
-            out.append((family, schema, listing))
-    for row in _APPENDIX_ROWS:
-        rid, name = row[0], row[1]
-        out.append(
-            (f"appendix:{rid}", f"appendix:{rid}", f'distance-regular reference table row "{name}"')
-        )
-    return tuple(out)
+    families = [
+        (family, known.schema, known.listing)
+        for family, known in sorted(_FAMILIES.items())
+        if known.listing is not None
+    ]
+    rows = [
+        (f"appendix:{rid}", f"appendix:{rid}", f'distance-regular reference table row "{name}"')
+        for rid, name, *_ in _APPENDIX_ROWS
+    ]
+    return tuple(families + rows)

@@ -4,12 +4,12 @@ and the oracle, the action of exp(-iAt) on the origin's vertex state.
 Three checks exist; the conservation check applies to every walk, the
 other two when their input exists:
 
-* ``check_oracle``, whenever the pipeline carries a graph: every vertex at
-  every sample, for every origin. The walk stays in the Krylov space of the
-  origin's vertex state (Krovi & Brun, PRA 75, 062332, 2007), so the level
-  amplitudes mapped through that space's orthonormal basis give the whole
-  per-vertex state; on QD-type origins the basis columns are the normalized
-  shell indicators;
+* ``check_oracle``, whenever the pipeline has a graph (a catalog entry's
+  is built by this first read): every vertex at every sample, for every
+  origin. The walk stays in the Krylov space of the origin's vertex state
+  (Krovi & Brun, PRA 75, 062332, 2007), so the level amplitudes mapped
+  through that space's orthonormal basis give the whole per-vertex state;
+  on QD-type origins the basis columns are the normalized shell indicators;
 * ``check_conservation``, always: the total probability of the series
   ``compute`` would emit stays within ``CONSERVATION_TOL`` of 1;
 * ``check_closed_form``, for a catalog entry with a tabulated closed form,
@@ -27,7 +27,9 @@ is no oracle, the engine output is authoritative.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -61,7 +63,13 @@ class Pipeline:
     measure: SpectralMeasure
     kappa: tuple[int, ...] | None
     origin: int
-    graph: Graph | None = None
+    builder: Callable[[], Graph] | None = field(default=None, repr=False)
+
+    @cached_property
+    def graph(self) -> Graph | None:
+        """The walk's graph, built on the first read and kept; None when
+        there is no construction."""
+        return None if self.builder is None else self.builder()
 
     def series(self, times) -> AmplitudeSeries:
         return amplitude_series(self.measure, self.jc, times, kappa=self.kappa)
@@ -87,7 +95,7 @@ def pipeline_for_graph(g: Graph, origin: int) -> Pipeline:
         measure=spectral_measure(jc),
         kappa=strat.kappa if qd else None,
         origin=origin,
-        graph=g,
+        builder=lambda: g,
     )
 
 
@@ -96,15 +104,19 @@ def pipeline_for_entry(entry: CatalogEntry, origin: int = 0) -> Pipeline:
 
     From vertex 0 the stored coefficients or the intersection array give the
     walk; any other origin requires the graph construction and runs Lanczos.
+    The graph is built only when read: by ``kappa`` for an entry that stores
+    coefficients, or later through ``Pipeline.graph`` (the oracle).
     """
     if origin != 0:
         return pipeline_for_graph(entry.build(), origin)
     jc = entry.jacobi_coefficients()
-    graph = entry.build() if entry.is_constructible else None
+    builder = None if entry.builder is None else entry.build
     if entry.intersection_array is not None:
         kappa = entry.intersection_array.shell_sizes()
-    elif graph is not None:
+    elif builder is not None:
+        graph = entry.build()
         kappa = stratify(graph, 0).kappa
+        builder = lambda: graph
     else:
         kappa = None
     return Pipeline(
@@ -112,7 +124,7 @@ def pipeline_for_entry(entry: CatalogEntry, origin: int = 0) -> Pipeline:
         measure=spectral_measure(jc),
         kappa=kappa,
         origin=0,
-        graph=graph,
+        builder=builder,
     )
 
 

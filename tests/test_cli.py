@@ -348,6 +348,97 @@ class TestExitCodes:
         assert "error: UnwritableOutput:" in err and str(target) in err
 
 
+class TestGraphBuilds:
+    """A catalog graph is built only when a check reads it, and at most once."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        import ctqw.catalog
+
+        calls = []
+        real = ctqw.catalog.build_graph
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ctqw.catalog, "build_graph", counting)
+        return calls
+
+    @pytest.mark.parametrize("command", ["compute", "stieltjes"])
+    @pytest.mark.parametrize("spec", ["hamming:3,12", "johnson:16,3"])
+    def test_array_walk_builds_no_graph(self, capsys, builds, command, spec):
+        code, _, _ = run(capsys, command, "--graph", spec)
+        assert code == 0
+        assert builds == []
+
+    @pytest.mark.parametrize("spec", ["petersen", "glued_trees:5"])
+    def test_verify_builds_once(self, capsys, builds, spec):
+        code, out, _ = run(capsys, "verify", "--graph", spec, "--samples", "5")
+        assert code == 0 and "oracle vertices" in out
+        assert len(builds) == 1
+
+
+# each is out of range, of the wrong kind, or larger than MAX_VERTICES; at
+# the parent of the size rule several ran out of memory or hung
+BAD_SPECS = [
+    "complete:100000", "cycle:100000000", "path:100000000", "dihedral_srg:5000",
+    "tchebichef2:100000000,1", "complete:1e20", "johnson:7,x", "glued_trees:100000000",
+    "hamming:2,1000000000", "johnson:1000000000,500000000", "johnson:7,", "johnson:7,-1",
+]
+
+
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("spec", BAD_SPECS)
+def test_bad_spec_exits_2_with_named_error(spec):
+    """Each walk subcommand, in a child limited to 2 GiB of address space,
+    rejects the spec with InvalidParams within 5 s."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    procs = {
+        command: subprocess.Popen(
+            [sys.executable, "-m", "ctqw.cli", command, "--graph", spec],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            preexec_fn=_limit_address_space,
+        )
+        for command in ("compute", "verify", "stieltjes")
+    }
+    try:
+        for command, proc in procs.items():
+            try:
+                out, err = proc.communicate(timeout=5)
+            except subprocess.TimeoutExpired:
+                pytest.fail(f"{command} --graph {spec} still running after 5 s")
+            assert (proc.returncode, out) == (2, ""), (command, err)
+            assert err.startswith("error: InvalidParams: "), (command, err)
+    finally:
+        for proc in procs.values():
+            proc.kill()
+            proc.communicate()
+
+
+def test_readme_example_runs():
+    root = Path(__file__).resolve().parents[1]
+    (block,) = re.findall(r"```python\n(.*?)```", (root / "README.md").read_text(), re.S)
+    out = subprocess.run(
+        [sys.executable, "-c", block],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "paper-typo-suspect True" in out.stdout
+
+
 def test_walk_log_env_sets_level(capsys, monkeypatch):
     import logging
 

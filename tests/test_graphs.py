@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctqw import entry_from_spec, make_entry
 from ctqw.errors import (
     CtqwError,
     DisconnectedGraph,
@@ -25,6 +26,16 @@ from ctqw.graphs import (
     read_edge_list,
     stratify,
 )
+from test_catalog import CONSTRUCTIBLE_WITH_ARRAY
+
+# four distance-regular graphs, then every catalog entry that has both a
+# construction and a stored intersection array
+NETWORKX_ARRAY_SPECS = ["petersen", "hamming:3,4", "johnson:8,3", "cycle:9"]
+NETWORKX_ARRAY_SPECS += [
+    spec
+    for spec in (make_entry(family, params).id for family, params in CONSTRUCTIBLE_WITH_ARRAY)
+    if spec not in NETWORKX_ARRAY_SPECS
+]
 
 
 def random_connected_edges(rng, n, extra_edges):
@@ -234,15 +245,15 @@ class TestDistancesAgainstNetworkx:
         with pytest.raises(DisconnectedGraph):
             build_graph(n0 + n1, first + second)
 
-    @pytest.mark.parametrize("spec", ["petersen", "hamming:3,4", "johnson:8,3", "cycle:9"])
+    @pytest.mark.parametrize("spec", NETWORKX_ARRAY_SPECS)
     def test_intersection_numbers_match_networkx(self, spec):
-        from ctqw import entry_from_spec
-
-        g = entry_from_spec(spec).build()
+        """Both the computed and the stored array of the entry against
+        networkx's array of the built graph."""
+        entry = entry_from_spec(spec)
+        g = entry.build()
         b, c = nx.intersection_array(nx.from_scipy_sparse_array(g.adjacency))
-        ia = intersection_numbers(g)
-        assert list(ia.b) == b
-        assert list(ia.c) == c
+        for ia in (intersection_numbers(g), entry.intersection_array):
+            assert (list(ia.b), list(ia.c)) == (b, c)
 
 
 class TestIntersectionNumbers:

@@ -74,7 +74,9 @@ class TestCheckOracle:
 
     def doctored(self, graph, alpha, omega):
         jc = JacobiCoefficients(alpha=alpha, omega=omega)
-        return Pipeline(jc=jc, measure=spectral_measure(jc), kappa=None, origin=0, graph=graph)
+        return Pipeline(
+            jc=jc, measure=spectral_measure(jc), kappa=None, origin=0, builder=lambda: graph
+        )
 
     def test_level_count_mismatch_fails(self, petersen):
         # petersen from vertex 0 has Krylov dimension 3
