@@ -427,13 +427,16 @@ _FAMILIES: dict[str, _Family] = {
         "n >= 2 and 1 <= d <= n/2", lambda n, d: n >= 2 and 1 <= d and 2 * d <= n,
         lambda n, d: math.comb(n, min(d, _SIZE_BITS)),
     ),
+    # no size, but the spectrum and coefficients are doubles: beyond 2**53
+    # the parameters are no longer exact, and from ~1e308 on they do not
+    # convert at all (OverflowError)
     "srg": _Family(
         _make_srg, "srg:v,kappa,lambda,mu", "strongly regular family",
-        "0 < kappa < v-1, 0 <= lambda < kappa, 1 <= mu <= kappa and "
-        "(v-kappa-1) mu = kappa (kappa-lambda-1)",
+        "0 < kappa < v-1, 0 <= lambda < kappa, 1 <= mu <= kappa, "
+        "(v-kappa-1) mu = kappa (kappa-lambda-1) and v <= 2**53",
         lambda v, k, lam, mu: (
             0 < k < v - 1 and 0 <= lam < k and 1 <= mu <= k
-            and (v - k - 1) * mu == k * (k - lam - 1)
+            and (v - k - 1) * mu == k * (k - lam - 1) and v <= 2 ** 53
         ),
     ),
     "dihedral_srg": _Family(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from ctqw import build_graph, make_entry, stratify
 
@@ -28,3 +29,14 @@ def petersen_entry():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@st.composite
+def connected_graphs(draw, max_n):
+    """(n, edges) of a connected graph on 2..max_n vertices: a random spanning
+    tree (vertex v hangs off one of 0..v-1) plus random chords."""
+    n = draw(st.integers(2, max_n))
+    parents = draw(st.lists(st.integers(0, 10**6), min_size=n - 1, max_size=n - 1))
+    chords = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    edges = [(p % v, v) for v, p in enumerate(parents, start=1)]
+    return n, edges + [(u, v) for u, v in chords if u != v]

@@ -388,6 +388,18 @@ BAD_SPECS = [
 ]
 
 
+# srg:2m,2m-2,2m-4,2m-2 (the cocktail-party graph) with m = 10**400 is
+# feasible, but no double holds its parameters
+_HUGE_SRG = "srg:{},{},{},{}".format(*(2 * 10**400 - d for d in (0, 2, 4, 2)))
+
+
+@pytest.mark.parametrize("command", ["compute", "stieltjes", "verify"])
+def test_srg_beyond_double_precision_exits_2(capsys, command):
+    code, out, err = run(capsys, command, "--graph", _HUGE_SRG)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: InvalidParams: srg needs ") and "v <= 2**53" in err
+
+
 def _limit_address_space():
     import resource
 
@@ -454,12 +466,13 @@ def test_walk_log_env_sets_level(capsys, monkeypatch):
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded():
-    # scipy.sparse and scipy.linalg are imported inside the functions that
-    # need them, so that a CLI start does not pay for them
+    # scipy.sparse, scipy.linalg and numpy.fft are imported inside the
+    # functions that need them, so that a CLI start does not pay for them;
+    # nothing needs scipy.special
     src = Path(__file__).resolve().parents[1] / "src"
     probe = (
-        "import ctqw.cli, sys; "
-        "print([m for m in ('scipy.sparse', 'scipy.linalg') if m in sys.modules])"
+        "import ctqw.cli, sys; print([m for m in "
+        "('scipy.sparse', 'scipy.linalg', 'scipy.special', 'numpy.fft') if m in sys.modules])"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe],

@@ -26,6 +26,7 @@ from ctqw.graphs import (
     read_edge_list,
     stratify,
 )
+from conftest import connected_graphs
 from test_catalog import CONSTRUCTIBLE_WITH_ARRAY
 
 # four distance-regular graphs, then every catalog entry that has both a
@@ -387,21 +388,9 @@ class TestClassifyQD:
         assert peak < 4e6
 
     @settings(derandomize=True, deadline=None, max_examples=60)
-    @given(
-        st.integers(2, 14).flatmap(
-            lambda n: st.tuples(
-                st.just(n),
-                st.lists(st.integers(0, 10**6), min_size=n - 1, max_size=n - 1),
-                st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n),
-            )
-        )
-    )
+    @given(connected_graphs(14))
     def test_qd_and_shells_match_networkx(self, graph):
-        # a random spanning tree (vertex v hangs off one of 0..v-1) plus
-        # random chords, so every drawn graph is connected
-        n, parents, chords = graph
-        edges = [(p % v, v) for v, p in enumerate(parents, start=1)]
-        edges += [(u, v) for u, v in chords if u != v]
+        n, edges = graph
         g = build_graph(n, edges)
         h = nx.Graph(edges)
         for origin in range(n):

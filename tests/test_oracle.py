@@ -1,11 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import connected_graphs
 from ctqw import build_graph, entry_from_spec, spectral_measure
 from ctqw.errors import InvalidParams
 from ctqw.jacobi import JacobiCoefficients
 from ctqw.oracle import oracle_amplitudes
 from ctqw.verify import CheckResult, Pipeline, check_oracle
+
+
+def expm_reference(g, origin, times):
+    """(n, T) propagator columns from scipy's expm_multiply, one call per
+    sample: a reference that shares nothing with the Chebyshev recursion."""
+    from scipy.sparse.linalg import expm_multiply
+
+    state = np.zeros(g.n)
+    state[origin] = 1.0
+    return np.stack([expm_multiply(-1j * t * g.adjacency, state) for t in times], axis=1)
 
 
 class TestOracleAmplitudes:
@@ -43,14 +56,37 @@ class TestOracleAmplitudes:
         with pytest.raises(InvalidParams):
             oracle_amplitudes(petersen, 10, 0.0)
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, [0.0, -np.inf]], ids=["nan", "inf", "grid"])
+    def test_non_finite_time_rejected(self, petersen, t):
+        # the term count grows with max|t|
+        with pytest.raises(InvalidParams, match="time must be finite"):
+            oracle_amplitudes(petersen, 0, t)
+
     @pytest.mark.parametrize(
         "grid",
         [[0.0, 1.0, 3.0], [2.0, 1.0, 0.0], [1.0, 1.0]],
         ids=["uneven", "descending", "constant"],
     )
-    def test_irregular_grid_rejected(self, petersen, grid):
-        with pytest.raises(InvalidParams):
-            oracle_amplitudes(petersen, 0, np.array(grid))
+    def test_irregular_grid_matches_reference(self, petersen, grid):
+        got = oracle_amplitudes(petersen, 0, np.array(grid))
+        assert got.shape == (10, len(grid))
+        assert np.abs(got - expm_reference(petersen, 0, grid)).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "spec, grid",
+        [
+            # largest row sum 59: R * t_max = 2950 Chebyshev terms and more
+            ("complete:60", [50.0, 0.0, 13.7, 31.2]),
+            # largest row sum 27, n = 1000
+            ("hamming:3,10", [50.0, 0.5, 24.9]),
+        ],
+        ids=["complete:60", "hamming:3,10"],
+    )
+    def test_truncation_on_wide_spectra(self, spec, grid):
+        # the term count grows with R * max|t|; a fixed count fails here
+        g = entry_from_spec(spec).build()
+        got = oracle_amplitudes(g, 1, np.array(grid))
+        assert np.abs(got - expm_reference(g, 1, grid)).max() <= 1e-10
 
     def test_length_one_grid_matches_scalar(self, petersen):
         column = oracle_amplitudes(petersen, 0, np.array([2.5]))
@@ -59,14 +95,30 @@ class TestOracleAmplitudes:
 
     @pytest.mark.parametrize("t", [10.0, np.linspace(0.0, 10.0, 41)], ids=["scalar", "grid"])
     def test_global_random_stream_untouched(self, t):
-        # |tA|_1 = 120 here: large enough for expm_multiply to estimate norms
-        # by random sampling
+        # |tA|_1 = 120 here: large enough for a norm-estimating method such
+        # as expm_multiply to sample at random
         g = entry_from_spec("johnson:8,2").build()
         np.random.seed(0)
         want = np.random.rand()
         np.random.seed(0)
         oracle_amplitudes(g, 0, t)
         assert np.random.rand() == want
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        connected_graphs(40),
+        st.integers(0, 10**6),
+        st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=4),
+    )
+    def test_random_graphs_match_reference_and_reverse_time(self, graph, origin, grid):
+        n, edges = graph
+        origin %= n
+        g = build_graph(n, edges)
+        times = np.array(grid)
+        got = oracle_amplitudes(g, origin, times)
+        assert np.abs(got - expm_reference(g, origin, times)).max() < 1e-10
+        # A is real, so running the walk backwards conjugates it
+        assert np.abs(oracle_amplitudes(g, origin, -times) - got.conj()).max() < 1e-12
 
 
 class TestCheckOracle:
