@@ -14,7 +14,6 @@ from .amplitudes import (
     amplitude_series,
     laplace_return_amplitude,
     return_amplitude,
-    stratum_amplitude,
 )
 from .catalog import CatalogEntry, entry_from_spec, list_entries, make_entry
 from .errors import CtqwError
@@ -38,7 +37,6 @@ from .jacobi import (
 from .oracle import oracle_amplitudes
 from .stieltjes import (
     SpectralMeasure,
-    associated_poly,
     spectral_measure,
     stieltjes_continued_fraction,
     stieltjes_pole_sum,
@@ -59,7 +57,6 @@ __all__ = [
     "SpectralMeasure",
     "Stratification",
     "amplitude_series",
-    "associated_poly",
     "build_graph",
     "classify_qd",
     "entry_from_spec",
@@ -78,6 +75,5 @@ __all__ = [
     "stieltjes_continued_fraction",
     "stieltjes_pole_sum",
     "stratify",
-    "stratum_amplitude",
     "vertex_state",
 ]

@@ -16,22 +16,34 @@ bounds the strata x samples of one series.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence, TextIO
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidParams
+from .errors import InvalidParams
 from .jacobi import JacobiCoefficients
 from .stieltjes import SpectralMeasure, orthonormal_values, stieltjes_pole_sum
 
-# bounds strata x samples of one series, so that a huge grid is refused
-# before the (levels, T) arrays and their text are allocated
+# bounds strata x samples of one series, and terms x samples of the oracle's
+# table, so that a huge grid is refused before either is allocated
 MAX_SERIES_CELLS = 2**24
 
 # CSV rows formatted by one % operation (whole samples, at least one); bounds
 # the argument tuple and the row text held per block
 _CSV_BLOCK = 1 << 14
+
+
+def as_times(t) -> np.ndarray:
+    """``t`` as a float array after checking it: a scalar or a non-empty 1-d
+    grid of finite times, in any order and spacing."""
+    t = np.asarray(t, dtype=np.float64)
+    if t.ndim > 1 or t.size == 0:
+        raise InvalidParams(f"time must be a scalar or a non-empty 1-d grid, not {t.shape}")
+    if not np.isfinite(t).all():
+        raise InvalidParams("time must be finite")
+    return t
 
 
 def _exponential_sum(coeffs: np.ndarray, rates: np.ndarray, t) -> np.ndarray:
@@ -69,7 +81,7 @@ class ExponentialSum:
 class AmplitudeSeries:
     """Per-stratum amplitudes sampled on a time grid."""
 
-    times: np.ndarray                 # ascending, shape (T,)
+    times: np.ndarray                 # shape (T,), in the caller's order
     values: np.ndarray                # complex, shape (levels, T)
     kappa: tuple[int, ...] | None     # shell sizes, when a graph stratification exists
     conservation_defect: np.ndarray   # |sum_l |q_l|^2 - 1| per sample, shape (T,)
@@ -122,15 +134,6 @@ def laplace_return_amplitude(measure: SpectralMeasure, s: complex) -> complex:
     return 1j * stieltjes_pole_sum(measure, 1j * s)
 
 
-def stratum_amplitude(measure: SpectralMeasure, jc: JacobiCoefficients, level: int, t):
-    """q_l(t) = sum_i A_i p_l(x_i) exp(-i x_i t) with orthonormal p_l."""
-    if not (0 <= level <= jc.depth):
-        raise IndexOutOfRange(f"stratum {level} outside [0, {jc.depth}]")
-    nodes = measure.nodes_array()
-    poly = orthonormal_values(jc, nodes)[level]
-    return _exponential_sum(measure.weights_array() * poly, nodes, t)
-
-
 def amplitude_series(
     measure: SpectralMeasure,
     jc: JacobiCoefficients,
@@ -138,22 +141,23 @@ def amplitude_series(
     *,
     kappa: Sequence[int] | None = None,
 ) -> AmplitudeSeries:
-    """All stratum amplitudes over an ascending time grid.
+    """All stratum amplitudes q_l(t) = sum_i A_i p_l(x_i) exp(-i x_i t), with
+    orthonormal p_l, over a time grid (``as_times``; a scalar is one sample).
 
     Every sample is evaluated independently (one matrix product per grid),
-    so results do not depend on evaluation order. ``kappa`` carries shell
+    so a reordered grid gives its columns reordered. ``kappa`` carries shell
     sizes when the coefficients came from an actual graph stratification.
     """
-    times = np.asarray(times, dtype=np.float64)
-    if times.ndim != 1 or times.size < 1:
-        raise InvalidParams("time grid must be a non-empty 1-d array")
+    times = as_times(times).reshape(-1)
     if jc.dim * times.size > MAX_SERIES_CELLS:
         raise InvalidParams(
             f"series too large ({jc.dim} strata x {times.size} samples"
             f" > {MAX_SERIES_CELLS} cells)"
         )
-    if times.size > 1 and not (np.diff(times) > 0).all():
-        raise InvalidParams("time grid must be strictly ascending")
+    nodes = measure.nodes_array()
+    # a product of Python floats overflows to inf with no warning
+    if not math.isfinite(float(np.abs(nodes).max()) * float(np.abs(times).max())):
+        raise InvalidParams("phases overflow: max|node| x max|t| is not finite")
     if kappa is not None:
         kappa = tuple(int(k) for k in kappa)
         if len(kappa) != jc.dim:
@@ -161,7 +165,6 @@ def amplitude_series(
                 f"kappa has {len(kappa)} entries for {jc.dim} strata"
             )
 
-    nodes = measure.nodes_array()
     weighted = orthonormal_values(jc, nodes) * measure.weights_array()[None, :]
     phases = np.exp(-1j * np.outer(nodes, times))
     values = weighted @ phases

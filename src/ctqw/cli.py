@@ -45,7 +45,7 @@ def _time_grid(t_max: float, samples: int, tol: float | None = None) -> np.ndarr
     return np.linspace(0.0, t_max, samples)
 
 
-def _resolve_pipeline(args: argparse.Namespace) -> tuple[Pipeline, "catalog.CatalogEntry | None"]:
+def _resolve_pipeline(args: argparse.Namespace) -> Pipeline:
     """Turn ``--graph`` and ``--origin`` into a pipeline.
 
     Known family names resolve through the catalog; anything else is read as
@@ -54,12 +54,10 @@ def _resolve_pipeline(args: argparse.Namespace) -> tuple[Pipeline, "catalog.Cata
     spec = args.graph
     family, _ = catalog.parse_spec(spec)
     if catalog.is_known_family(family):
-        entry = catalog.entry_from_spec(spec)
-        return pipeline_for_entry(entry, origin=args.origin), entry
+        return pipeline_for_entry(catalog.entry_from_spec(spec), origin=args.origin)
     if not Path(spec).exists():
         raise InvalidEdgeList(f"{spec!r} is neither a known family nor an existing file")
-    g = read_edge_list(spec)
-    return pipeline_for_graph(g, args.origin), None
+    return pipeline_for_graph(read_edge_list(spec), args.origin)
 
 
 def _emit(write: Callable[[TextIO], object], output: str) -> None:
@@ -76,8 +74,7 @@ def _emit(write: Callable[[TextIO], object], output: str) -> None:
 
 def cmd_compute(args: argparse.Namespace) -> int:
     times = _time_grid(args.t_max, args.samples)
-    pipeline, _ = _resolve_pipeline(args)
-    series = pipeline.series(times)
+    series = _resolve_pipeline(args).series(times)
     if args.format == "csv":
         _emit(series.to_csv, args.output)
     else:
@@ -91,25 +88,26 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     times = _time_grid(args.t_max, args.samples, args.tol)
-    pipeline, entry = _resolve_pipeline(args)
     # without --tol, entry_status's own defaults apply
     tols = {} if args.tol is None else {"closed_tol": args.tol, "oracle_tol": args.tol}
-    status = entry_status(pipeline, entry, times, **tols)
+    status = entry_status(_resolve_pipeline(args), times, **tols)
     print("\n".join(status.lines))
     return EXIT_OK if status.ok else EXIT_VERIFY_FAIL
 
 
 def cmd_stieltjes(args: argparse.Namespace) -> int:
-    pipeline, _ = _resolve_pipeline(args)
-    print(pipeline.measure.to_json())
+    pipeline = _resolve_pipeline(args)
+    lines = [pipeline.measure.to_json()]
     for token in args.eval:
         z = complex(token)
         g_cf = stieltjes_continued_fraction(pipeline.jc, z)
         g_poles = stieltjes_pole_sum(pipeline.measure, z)
-        print(
+        lines.append(
             f"z={token} G_cf={g_cf:.12g} G_poles={g_poles:.12g} "
             f"|diff|={abs(g_cf - g_poles):.3e}"
         )
+    # printed once every point is evaluated, so a refused point prints nothing
+    print("\n".join(lines))
     return EXIT_OK
 
 

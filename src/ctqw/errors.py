@@ -42,10 +42,6 @@ class ZeroReference(CtqwError):
     """Reference vector has (numerically) zero norm."""
 
 
-class IndexOutOfRange(CtqwError):
-    """Polynomial or stratum index outside the defined range."""
-
-
 class PoleProximity(CtqwError):
     """Evaluation point too close to a pole of the Stieltjes function."""
 

@@ -47,10 +47,6 @@ class JacobiCoefficients:
                 raise InvalidParams(f"omega_{k} = {w} must be positive")
 
     @property
-    def depth(self) -> int:
-        return len(self.omega)
-
-    @property
     def dim(self) -> int:
         """Dimension of the tridiagonal operator (= number of spectral atoms)."""
         return len(self.alpha)

@@ -24,6 +24,7 @@ from itertools import islice
 
 import numpy as np
 
+from .amplitudes import MAX_SERIES_CELLS, as_times
 from .errors import InvalidParams
 from .graphs import Graph, vertex_state
 
@@ -36,34 +37,37 @@ _FFT_CHUNK = 1 << 12
 def oracle_amplitudes(g: Graph, origin: int, t):
     """Propagator column <alpha|exp(-iAt)|origin> for every vertex alpha.
 
-    Scalar t gives a vector over vertices; a 1-d grid, in any order and
-    spacing, gives shape (n, T).
+    Scalar t gives a vector over vertices; a 1-d grid (``as_times``) gives
+    shape (n, T). The K x T coefficient table, K ~ R max|t| terms, is held to
+    ``MAX_SERIES_CELLS`` cells, the bound of a series.
     """
     if not (0 <= origin < g.n):
         raise InvalidParams(f"origin {origin} out of range for n={g.n}")
-    t = np.asarray(t, dtype=np.float64)
-    if t.ndim > 1 or t.size == 0:
-        raise InvalidParams(f"time must be a scalar or a non-empty 1-d grid, not {t.shape}")
-    if not np.isfinite(t).all():
-        raise InvalidParams("time must be finite")
+    t = as_times(t)
     # Gershgorin: every eigenvalue of A lies in [-radius, radius]; radius >= 1
     # on a connected graph
     radius = float(g.adjacency.sum(axis=1).max())
-    table = _coefficients(radius * t.reshape(-1))
+    # enough terms for every sample; Python floats overflow to inf, no warning
+    x_max = radius * float(np.abs(t).max())
+    terms = x_max + 10.0 * float(np.cbrt(x_max)) + 40.0
+    if terms * t.size > MAX_SERIES_CELLS:
+        raise InvalidParams(
+            f"oracle table too large ({terms:.3g} terms x {t.size} samples"
+            f" > {MAX_SERIES_CELLS} cells)"
+        )
+    table = _coefficients(radius * t.reshape(-1), int(np.ceil(terms)))
     columns = _chebyshev_sum(g.adjacency, radius, vertex_state(g.n, origin), table)
     return columns[:, 0] if t.ndim == 0 else columns
 
 
-def _coefficients(x: np.ndarray) -> np.ndarray:
-    """(K, T) table of (2 - delta_k0) (-i)^k J_k(x_j): the Chebyshev
-    coefficients of exp(-i x_j y) on y in [-1, 1], enough terms for every x_j.
+def _coefficients(x: np.ndarray, terms: int) -> np.ndarray:
+    """(K, T) table of (2 - delta_k0) (-i)^k J_k(x_j), K = ``terms``: the
+    Chebyshev coefficients of exp(-i x_j y) on y in [-1, 1].
 
     Row k is the k-th Fourier coefficient of exp(-i x cos th), from an FFT
     over N >= 2K equispaced th, so the coefficients aliased onto it are of
     order J_{N-K}(x), below the truncation error.
     """
-    x_max = float(np.abs(x).max())
-    terms = int(np.ceil(x_max + 10.0 * np.cbrt(x_max) + 40.0))
     points = 1 << (2 * terms - 1).bit_length()
     cos_theta = np.cos(2.0 * np.pi / points * np.arange(points))
     table = np.empty((terms, x.size), dtype=np.complex128)

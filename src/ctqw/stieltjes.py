@@ -9,13 +9,14 @@ overflow well before depth 30.
 
 from __future__ import annotations
 
+import cmath
 import json
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EigensolverFailure, IndexOutOfRange, InvalidParams, PoleProximity
+from .errors import EigensolverFailure, InvalidParams, PoleProximity
 from .jacobi import JacobiCoefficients
 
 logger = logging.getLogger(__name__)
@@ -62,22 +63,12 @@ class SpectralMeasure:
         return json.dumps(self.as_dict())
 
 
-def associated_poly(jc: JacobiCoefficients, k: int, x):
-    """First-associated polynomial of degree k at x.
-
-    These are the characteristic polynomials of the trailing principal blocks:
-    R_0 = 1, R_1 = x - alpha_1, R_{j+1} = (x - alpha_{j+1}) R_j - omega_{j+1} R_{j-1},
-    so that the Stieltjes function equals R_{dim-1} / Q_dim.
-    """
-    if not (0 <= k <= jc.dim - 1):
-        raise IndexOutOfRange(f"associated degree {k} outside [0, {jc.dim - 1}]")
-    p_prev = x * 0 + 1.0
-    if k == 0:
-        return p_prev
-    p_cur = x - jc.alpha[1]
-    for j in range(1, k):
-        p_cur, p_prev = (x - jc.alpha[j + 1]) * p_cur - jc.omega[j] * p_prev, p_cur
-    return p_cur
+def _finite_point(z) -> complex:
+    """``z`` as a complex number; both resolvent routes refuse a non-finite one."""
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise InvalidParams(f"z={z} is not finite")
+    return z
 
 
 def stieltjes_continued_fraction(jc: JacobiCoefficients, z: complex) -> complex:
@@ -86,6 +77,7 @@ def stieltjes_continued_fraction(jc: JacobiCoefficients, z: complex) -> complex:
 
     Raises PoleProximity when |1/G| < POLE_TOL (1 + |z|).
     """
+    z = _finite_point(z)
     v = z - jc.alpha[jc.dim - 1]
     for j in range(jc.dim - 2, -1, -1):
         if abs(v) < 1e-150:
@@ -102,6 +94,7 @@ def stieltjes_pole_sum(measure: SpectralMeasure, z: complex) -> complex:
     Raises PoleProximity when z is a node, and under the continued
     fraction's rule |1/G| < POLE_TOL (1 + |z|).
     """
+    z = _finite_point(z)
     nodes = measure.nodes_array()
     if (nodes == z).any():
         raise PoleProximity(f"z={z} is a spectral node")
@@ -165,7 +158,7 @@ def orthonormal_values(jc: JacobiCoefficients, xs: np.ndarray) -> np.ndarray:
     p_l = Q_l / sqrt(omega_1 ... omega_l); evaluated by the normalized
     recursion beta_{j+1} p_{j+1} = (x - alpha_j) p_j - beta_j p_{j-1} so no
     overflow-prone monic values or explicit products appear. Levels run
-    0..depth (one per spectral atom).
+    0..dim-1 (one per spectral atom).
     """
     xs = np.asarray(xs, dtype=np.float64)
     betas = jc.betas()

@@ -12,9 +12,10 @@ other two when their input exists:
   on QD-type origins the basis columns are the normalized shell indicators;
 * ``check_conservation``, always: the total probability of the series
   ``compute`` would emit stays within ``CONSERVATION_TOL`` of 1;
-* ``check_closed_form``, for a catalog entry with a tabulated closed form,
-  walked from vertex 0.
+* ``check_closed_form``, when the pipeline carries a tabulated closed form
+  (a catalog entry walked from vertex 0): row 0 of the series against it.
 
+Each check reads the pipeline and its series, never the catalog entry.
 ``entry_status`` is the one place that runs them and decides the outcome:
 both ``ctqw verify`` (which prints its lines and exits 0 or 1 on ``ok``)
 and the acceptance suite call it. A walk that fails the oracle or the
@@ -33,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .amplitudes import AmplitudeSeries, amplitude_series, return_amplitude
+from .amplitudes import AmplitudeSeries, ExponentialSum, amplitude_series
 from .catalog import CatalogEntry
 from .errors import InvalidParams
 from .graphs import Graph, classify_qd, stratify, vertex_state
@@ -64,6 +65,7 @@ class Pipeline:
     kappa: tuple[int, ...] | None
     origin: int
     builder: Callable[[], Graph] | None = field(default=None, repr=False)
+    closed_form: ExponentialSum | None = None  # tabulated q0, of a walk from vertex 0 only
 
     @cached_property
     def graph(self) -> Graph | None:
@@ -125,6 +127,7 @@ def pipeline_for_entry(entry: CatalogEntry, origin: int = 0) -> Pipeline:
         kappa=kappa,
         origin=0,
         builder=builder,
+        closed_form=entry.closed_form,
     )
 
 
@@ -148,18 +151,15 @@ class CheckResult:
 
 def check_closed_form(
     pipeline: Pipeline,
-    entry: CatalogEntry,
-    times,
+    series: AmplitudeSeries,
     *,
     tol: float = DEFAULT_CLOSED_FORM_TOL,
 ) -> CheckResult | None:
-    """Pipeline return amplitude against the entry's tabulated closed form."""
-    if entry.closed_form is None:
+    """The return amplitude in ``series``, the pipeline's series, against the
+    pipeline's closed form at the same samples; None when it has none."""
+    if pipeline.closed_form is None:
         return None
-    times = np.asarray(times, dtype=np.float64)
-    got = return_amplitude(pipeline.measure, times)
-    want = entry.closed_form(times)
-    err = float(np.abs(got - want).max())
+    err = float(np.abs(series.values[0] - pipeline.closed_form(series.times)).max())
     return CheckResult(name="closed-form q0", max_error=err, tolerance=tol)
 
 
@@ -213,7 +213,6 @@ class EntryStatus:
 
 def entry_status(
     pipeline: Pipeline,
-    entry: CatalogEntry | None,
     times,
     *,
     closed_tol: float = DEFAULT_CLOSED_FORM_TOL,
@@ -222,54 +221,38 @@ def entry_status(
     """Run every check that applies to a walk and resolve its flag.
 
     The oracle runs when the pipeline carries a graph; the conservation
-    check always; the closed form when an entry is given and the pipeline
-    walks from vertex 0. ``ok`` is false exactly when the oracle ran and
-    failed or the conservation check failed, and such a walk is ``failed``.
-    Of the others, a closed-form mismatch becomes ``paper-typo-suspect``, an
-    oracle confirmation ``verified``, and a walk no oracle could check stays
-    ``unverified-array-only``. The series is evaluated once, for both the
-    oracle and the conservation check.
+    check always; the closed form when the pipeline carries one. All three
+    read the one series evaluated here. ``ok`` is false exactly when the
+    oracle ran and failed or the conservation check failed, and such a walk
+    is ``failed``. Of the others, a closed-form mismatch becomes
+    ``paper-typo-suspect``, an oracle confirmation ``verified``, and a walk
+    no oracle could check stays ``unverified-array-only``.
     """
     series = pipeline.series(times)
-    checks: list[CheckResult] = []
-    lines: list[str] = []
-    oracle_result = None
-    if pipeline.graph is not None:
-        oracle_result = check_oracle(pipeline, series, tol=oracle_tol)
-        checks.append(oracle_result)
-        lines.append(oracle_result.line())
+    oracle = None if pipeline.graph is None else check_oracle(pipeline, series, tol=oracle_tol)
     conservation = check_conservation(series)
-    checks.append(conservation)
-    lines.append(conservation.line())
-    closed = None
-    if entry is not None and pipeline.origin == 0:
-        closed = check_closed_form(pipeline, entry, times, tol=closed_tol)
-    if closed is not None:
-        checks.append(closed)
-        mismatch = (
-            f"{closed.name}: max err {closed.max_error:.3e} tol "
-            f"{closed.tolerance:.1e} MISMATCH"
-        )
-        if closed.passed:
-            lines.append(closed.line())
-        elif oracle_result is None:
-            lines.append(
-                f"{mismatch} (no oracle available; engine output authoritative) "
-                f"{TYPO_SUSPECT}"
-            )
-        elif oracle_result.passed:
-            lines.append(f"{mismatch} -> {TYPO_SUSPECT} (engine confirmed by oracle) PASS")
+    closed = check_closed_form(pipeline, series, tol=closed_tol)
+    checks = tuple(c for c in (oracle, conservation, closed) if c is not None)
+    # a closed-form mismatch gets its own line, which says how it is resolved
+    flagged = closed is not None and not closed.passed
+    lines = [c.line() for c in checks if not (flagged and c is closed)]
+    if flagged:
+        if oracle is None:
+            resolution = f"(no oracle available; engine output authoritative) {TYPO_SUSPECT}"
+        elif oracle.passed:
+            resolution = f"-> {TYPO_SUSPECT} (engine confirmed by oracle) PASS"
         else:
-            lines.append(f"{mismatch} (oracle failed too)")
+            resolution = "(oracle failed too)"
+        lines.append(f"{closed.line().removesuffix('FAIL')}MISMATCH {resolution}")
 
-    ok = conservation.passed and (oracle_result is None or oracle_result.passed)
+    ok = conservation.passed and (oracle is None or oracle.passed)
     lines.append(f"VERIFY {'PASS' if ok else 'FAIL'}")
     if not ok:
         status = FAILED
-    elif closed is not None and not closed.passed:
+    elif flagged:
         status = TYPO_SUSPECT
-    elif oracle_result is not None:
+    elif oracle is not None:
         status = VERIFIED
     else:
         status = UNVERIFIED
-    return EntryStatus(status=status, checks=tuple(checks), ok=ok, lines=tuple(lines))
+    return EntryStatus(status=status, checks=checks, ok=ok, lines=tuple(lines))

@@ -14,9 +14,8 @@ from ctqw.amplitudes import (
     amplitude_series,
     laplace_return_amplitude,
     return_amplitude,
-    stratum_amplitude,
 )
-from ctqw.errors import IndexOutOfRange, InvalidParams, PoleProximity
+from ctqw.errors import InvalidParams, PoleProximity
 from ctqw.jacobi import JacobiCoefficients
 from ctqw.oracle import oracle_amplitudes
 from ctqw.stieltjes import SpectralMeasure, spectral_measure
@@ -27,6 +26,12 @@ PETERSEN_JC = JacobiCoefficients(alpha=(0.0, 0.0, 2.0), omega=(3.0, 2.0))
 
 def petersen_measure():
     return spectral_measure(PETERSEN_JC)
+
+
+def series_row(measure, jc, level, t):
+    """Row ``level`` of the series, shaped like ``t``."""
+    t = np.asarray(t, dtype=np.float64)
+    return amplitude_series(measure, jc, t).values[level].reshape(t.shape)
 
 
 def petersen_q0(t):
@@ -69,11 +74,7 @@ class TestReturnAmplitude:
     def test_scalar_time_gives_scalar(self):
         m = petersen_measure()
         form = ExponentialSum.build(exponentials=[(0.5, 1.0)], cosines=[(0.5, 2.0)])
-        for amplitude in (
-            lambda t: return_amplitude(m, t),
-            lambda t: stratum_amplitude(m, PETERSEN_JC, 2, t),
-            form,
-        ):
+        for amplitude in (lambda t: return_amplitude(m, t), form):
             value = amplitude(1.0)
             assert np.ndim(value) == 0
             # the same operations in the same order as a one-sample grid
@@ -111,14 +112,14 @@ class TestStratumAmplitude:
     def test_petersen_q1_q2(self):
         m = petersen_measure()
         t = np.linspace(0.0, 10.0, 101)
-        assert np.abs(stratum_amplitude(m, PETERSEN_JC, 1, t) - petersen_q1(t)).max() < 1e-12
-        assert np.abs(stratum_amplitude(m, PETERSEN_JC, 2, t) - petersen_q2(t)).max() < 1e-12
+        assert np.abs(series_row(m, PETERSEN_JC, 1, t) - petersen_q1(t)).max() < 1e-12
+        assert np.abs(series_row(m, PETERSEN_JC, 2, t) - petersen_q2(t)).max() < 1e-12
 
     def test_level_zero_reduces_to_return_amplitude(self):
         m = petersen_measure()
         t = np.linspace(0, 5, 21)
         assert np.abs(
-            stratum_amplitude(m, PETERSEN_JC, 0, t) - return_amplitude(m, t)
+            series_row(m, PETERSEN_JC, 0, t) - return_amplitude(m, t)
         ).max() < 1e-14
 
     def test_higher_levels_vanish_at_zero(self):
@@ -126,7 +127,7 @@ class TestStratumAmplitude:
             jc = make_entry(spec, params).jacobi_coefficients()
             m = spectral_measure(jc)
             for level in range(1, jc.dim):
-                assert stratum_amplitude(m, jc, level, 0.0) == pytest.approx(0.0, abs=1e-12)
+                assert series_row(m, jc, level, 0.0) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [2, 6, 30])
     def test_complete_q1(self, n):
@@ -134,7 +135,7 @@ class TestStratumAmplitude:
         m = spectral_measure(jc)
         t = np.linspace(0, 8, 33)
         want = np.sqrt(n - 1) / n * (np.exp(-1j * (n - 1) * t) - np.exp(1j * t))
-        assert np.abs(stratum_amplitude(m, jc, 1, t) - want).max() < 1e-11
+        assert np.abs(series_row(m, jc, 1, t) - want).max() < 1e-11
 
     def test_derivative_operator_identity(self, rng):
         # q_1 = (i / beta_1) dq_0/dt, differentiated term by term
@@ -147,11 +148,7 @@ class TestStratumAmplitude:
             for t in rng.uniform(0, 10, size=7):
                 derivative = (w * (-1j * x) * np.exp(-1j * x * t)).sum()
                 alt = 1j / beta1 * derivative
-                assert stratum_amplitude(m, jc, 1, t) == pytest.approx(alt, abs=1e-12)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexOutOfRange):
-            stratum_amplitude(petersen_measure(), PETERSEN_JC, 3, 0.0)
+                assert series_row(m, jc, 1, t) == pytest.approx(alt, abs=1e-12)
 
     def test_unitarity_bound(self, rng):
         for spec, params in [("petersen", ()), ("glued_trees", (3,)), ("cycle", (12,))]:
@@ -159,7 +156,7 @@ class TestStratumAmplitude:
             m = spectral_measure(jc)
             for t in rng.uniform(0, 50, size=20):
                 for level in range(jc.dim):
-                    assert abs(stratum_amplitude(m, jc, level, t)) <= 1.0 + 1e-12
+                    assert abs(series_row(m, jc, level, t)) <= 1.0 + 1e-12
 
 
 class TestVertexAmplitude:
@@ -169,7 +166,7 @@ class TestVertexAmplitude:
         t = 0.9
         pvec = oracle_amplitudes(petersen, 0, t)
         for level in range(3):
-            q = stratum_amplitude(m, PETERSEN_JC, level, t)
+            q = series_row(m, PETERSEN_JC, level, t)
             expected = q / np.sqrt(petersen_strat.kappa[level])
             for v in np.flatnonzero(petersen_strat.shell_of == level):
                 assert pvec[v] == pytest.approx(expected, abs=1e-12)
@@ -209,10 +206,14 @@ class TestAmplitudeSeries:
         want = series.values[shell_of] / np.sqrt(np.asarray(pipe.kappa))[shell_of, None]
         assert np.abs(pvec - want).max() < 1e-8
 
-    def test_grid_must_ascend(self):
+    def test_descending_grid_reorders_columns(self):
         m = petersen_measure()
-        with pytest.raises(InvalidParams):
-            amplitude_series(m, PETERSEN_JC, np.array([0.0, 2.0, 1.0]))
+        grid = np.array([9.5, 4.0, 3.75, 0.0])  # descending and uneven
+        series = amplitude_series(m, PETERSEN_JC, grid, kappa=(1, 3, 6))
+        ascending = amplitude_series(m, PETERSEN_JC, grid[::-1], kappa=(1, 3, 6))
+        assert np.array_equal(series.times, grid)
+        assert np.array_equal(series.values, ascending.values[:, ::-1])
+        assert np.array_equal(series.conservation_defect, ascending.conservation_defect[::-1])
 
     def test_kappa_length_checked(self):
         m = petersen_measure()
@@ -321,11 +322,29 @@ class TestSerializers:
         assert_same_text(series.to_json(), json.dumps(reference_as_dict(series)))
 
     def test_series_cell_bound(self):
-        # the bound is checked before the grid is differenced or any
-        # (levels, T) array is made, so a zero-copy grid is enough
+        # the bound is checked before any (levels, T) array is made, so a
+        # zero-copy grid is enough
         times = np.broadcast_to(0.0, (MAX_SERIES_CELLS // PETERSEN_JC.dim + 1,))
         with pytest.raises(InvalidParams, match="series too large"):
             amplitude_series(petersen_measure(), PETERSEN_JC, times)
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda t: amplitude_series(petersen_measure(), PETERSEN_JC, t),
+        lambda t: oracle_amplitudes(make_entry("petersen").build(), 0, t),
+    ],
+    ids=["series", "oracle"],
+)
+@pytest.mark.parametrize(
+    "times",
+    [[], [[0.0, 1.0]], [0.0, np.nan], np.inf],
+    ids=["empty", "2-d", "nan", "inf"],
+)
+def test_both_evaluators_refuse_bad_times(evaluate, times):
+    with pytest.raises(InvalidParams, match="^time must be"):
+        evaluate(np.array(times))
 
 
 class TestClosedForm:

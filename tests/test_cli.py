@@ -220,7 +220,7 @@ class TestVerify:
         path = tmp_path / "random-12-0.edges"
         write_random_edge_list(path, 12, seed=0)
         pipe = pipeline_for_graph(read_edge_list(path), 0)
-        status = entry_status(pipe, None, np.linspace(0.0, 10.0, 201))
+        status = entry_status(pipe, np.linspace(0.0, 10.0, 201))
         oracle, conservation = status.checks
         assert oracle.passed and not conservation.passed
         assert (status.status, status.ok) == ("failed", False)
@@ -406,29 +406,50 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
-@pytest.mark.parametrize("spec", BAD_SPECS)
-def test_bad_spec_exits_2_with_named_error(spec):
-    """Each walk subcommand, in a child limited to 2 GiB of address space,
-    rejects the spec with InvalidParams within 5 s."""
+# each is run as given: an oracle coefficient table beyond MAX_SERIES_CELLS
+# (unchecked, a MemoryError, numpy's size error or an OverflowError
+# traceback), phases that overflow to NaN, or a non-finite resolvent point
+# (unchecked, both print nan and exit 0)
+BAD_ARGVS = [
+    ("compute", "--graph", "petersen", "--t-max", "1e308", "--samples", "3"),
+    ("verify", "--graph", "petersen", "--t-max", "1e6"),
+    ("verify", "--graph", "petersen", "--t-max", "1e20"),
+    ("verify", "--graph", "petersen", "--t-max", "1e308"),
+    ("stieltjes", "--graph", "petersen", "--eval=nan"),
+]
+
+
+@pytest.mark.parametrize(
+    "bad", BAD_SPECS + BAD_ARGVS, ids=lambda bad: bad if isinstance(bad, str) else " ".join(bad)
+)
+def test_bad_spec_exits_2_with_named_error(bad):
+    """A bad spec under each walk subcommand, or a bad argv as given, in a
+    child limited to 2 GiB of address space, is rejected with InvalidParams
+    within 5 s."""
+    if isinstance(bad, str):
+        argvs = [(command, "--graph", bad) for command in ("compute", "verify", "stieltjes")]
+    else:
+        argvs = [bad]
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
     procs = {
-        command: subprocess.Popen(
-            [sys.executable, "-m", "ctqw.cli", command, "--graph", spec],
+        argv: subprocess.Popen(
+            [sys.executable, "-m", "ctqw.cli", *argv],
             env=env,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
             preexec_fn=_limit_address_space,
         )
-        for command in ("compute", "verify", "stieltjes")
+        for argv in argvs
     }
     try:
-        for command, proc in procs.items():
+        for argv, proc in procs.items():
+            command = " ".join(argv)
             try:
                 out, err = proc.communicate(timeout=5)
             except subprocess.TimeoutExpired:
-                pytest.fail(f"{command} --graph {spec} still running after 5 s")
+                pytest.fail(f"{command} still running after 5 s")
             assert (proc.returncode, out) == (2, ""), (command, err)
             assert err.startswith("error: InvalidParams: "), (command, err)
     finally:

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from ctqw import build_graph, classify_qd, make_entry, stratify
-from ctqw.errors import IndexOutOfRange, InvalidParams, PoleProximity
+from ctqw.errors import InvalidParams, PoleProximity
 from ctqw.jacobi import JacobiCoefficients
 from ctqw.stieltjes import (
     SpectralMeasure,
-    associated_poly,
     orthonormal_values,
     spectral_measure,
     stieltjes_continued_fraction,
@@ -31,6 +30,21 @@ def monic_poly(jc, k, x):
         return p_prev
     for j in range(1, k):
         p_cur, p_prev = (x - jc.alpha[j]) * p_cur - jc.omega[j - 1] * p_prev, p_cur
+    return p_cur
+
+
+def associated_poly(jc, k, x):
+    """Reference first-associated polynomial R_k(x), the characteristic
+    polynomial of the trailing principal blocks: R_0 = 1, R_1 = x - alpha_1,
+    R_{j+1} = (x - alpha_{j+1}) R_j - omega_{j+1} R_{j-1}, so that the
+    Stieltjes function equals R_{dim-1} / Q_dim.
+    """
+    p_prev = x * 0 + 1.0
+    if k == 0:
+        return p_prev
+    p_cur = x - jc.alpha[1]
+    for j in range(1, k):
+        p_cur, p_prev = (x - jc.alpha[j + 1]) * p_cur - jc.omega[j] * p_prev, p_cur
     return p_cur
 
 
@@ -88,10 +102,6 @@ class TestPolynomials:
         for x in (-3.0, 0.5, 2.0):
             want = (x - 3.0) * (x - 1.0) * (x + 2.0)
             assert monic_poly(PETERSEN_JC, 3, x) == pytest.approx(want, abs=1e-12)
-
-    def test_index_range(self):
-        with pytest.raises(IndexOutOfRange):
-            associated_poly(PETERSEN_JC, 3, 0.0)
 
     def test_associated_ratio_equals_continued_fraction(self, rng):
         # R_{dim-1}(z) / Q_dim(z) is the ratio form of the resolvent
@@ -278,6 +288,15 @@ def test_both_routes_share_the_pole_rule():
     for z in (1 + 1e-6, 1 + 1e-6j):
         cf = stieltjes_continued_fraction(PETERSEN_JC, z)
         assert abs(cf - stieltjes_pole_sum(m, z)) < 1e-6 * abs(cf)
+
+
+@pytest.mark.parametrize("z", [np.nan, np.inf, complex(1.0, -np.inf), complex(0.5, np.nan)])
+def test_both_routes_refuse_non_finite_points(z):
+    m = spectral_measure(PETERSEN_JC)
+    with pytest.raises(InvalidParams, match="is not finite"):
+        stieltjes_continued_fraction(PETERSEN_JC, z)
+    with pytest.raises(InvalidParams, match="is not finite"):
+        stieltjes_pole_sum(m, z)
 
 
 def seeded_random_edges(n, seed):
