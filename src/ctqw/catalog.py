@@ -25,6 +25,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .amplitudes import ExponentialSum
 from .errors import InvalidParams, UnknownFamily
 from .graphs import MAX_VERTICES, Graph, IntersectionArray, build_graph
@@ -103,15 +105,15 @@ def _johnson(n: int, d: int) -> Graph:
 
 
 def _hamming(d: int, q: int) -> Graph:
-    verts = list(itertools.product(range(q), repeat=d))
-    index = {v: i for i, v in enumerate(verts)}
+    # vertex i is its d-digit base-q word; a neighbor changes the digit of one place
+    vertex = np.arange(q ** d)
     edges = []
-    for i, a in enumerate(verts):
-        for pos in range(d):
-            for sym in range(a[pos] + 1, q):
-                b = a[:pos] + (sym,) + a[pos + 1 :]
-                edges.append((i, index[b]))
-    return build_graph(len(verts), edges)
+    for place in (q ** pos for pos in range(d)):
+        digit = vertex // place % q
+        for step in range(1, q):
+            u = vertex[digit + step < q]
+            edges.append(np.column_stack([u, u + step * place]))
+    return build_graph(vertex.size, np.concatenate(edges))
 
 
 def _glued_trees(depth: int) -> Graph:
@@ -267,7 +269,7 @@ def appendix_row_ids() -> tuple[str, ...]:
 
 def _make_complete(n):
     return dict(
-        builder=lambda: build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)]),
+        builder=lambda: build_graph(n, np.column_stack(np.triu_indices(n, 1))),
         intersection_array=IntersectionArray.from_bc((n - 1,), (1,)),
         closed_form=ExponentialSum.build(exponentials=[(1 / n, n - 1), ((n - 1) / n, -1)]),
     )

@@ -141,26 +141,13 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     if n > MAX_VERTICES:
         raise InvalidParams(f"graph too large ({n} > {MAX_VERTICES} vertices)")
 
-    us: list[int] = []
-    vs: list[int] = []
-    for e in edges:
-        try:
-            u, v = e
-        except (TypeError, ValueError):
-            raise InvalidEdge(f"edge {e!r} is not a vertex pair") from None
-        u, v = int(u), int(v)
-        if not (0 <= u < n and 0 <= v < n):
-            raise InvalidEdge(f"edge ({u}, {v}) out of range for n={n}")
-        if u == v:
-            raise InvalidEdge(f"self-loop at vertex {u}")
-        us.append(u)
-        vs.append(v)
+    pairs = _edge_array(n, edges)
 
     # imported here: scipy.sparse would slow every CLI start
     from scipy.sparse import coo_array
 
-    rows = np.array(us + vs, dtype=np.int64)
-    cols = np.array(vs + us, dtype=np.int64)
+    # int32 indices, half the memory: every vertex is below MAX_VERTICES
+    rows, cols = np.concatenate([pairs, pairs[:, ::-1]], dtype=np.int32).T
     adjacency = coo_array((np.ones(rows.size), (rows, cols)), shape=(n, n)).tocsr()
     # sorted indices and one entry per edge, whatever order the edges came in
     adjacency.sum_duplicates()
@@ -176,6 +163,32 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             f"vertex {missing} not reachable from vertex 0"
         )
     return g
+
+
+def _edge_array(n: int, edges) -> np.ndarray:
+    """The edges as an (m, 2) int64 array; InvalidEdge names the first bad one."""
+    edges = edges if isinstance(edges, np.ndarray) else list(edges)
+    try:
+        pairs = np.asarray(edges, dtype=np.int64)
+        ok = pairs.shape == (len(edges), 2) and (pairs >= 0).all() and (pairs < n).all()
+        if ok and (pairs[:, 0] != pairs[:, 1]).all():
+            return pairs
+    except (TypeError, ValueError, OverflowError):
+        pass
+    # not all pairs of distinct vertices: name the first bad edge in input order
+    pairs = []
+    for e in edges:
+        try:
+            u, v = e
+        except (TypeError, ValueError):
+            raise InvalidEdge(f"edge {e!r} is not a vertex pair") from None
+        u, v = int(u), int(v)
+        if not (0 <= u < n and 0 <= v < n):
+            raise InvalidEdge(f"edge ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise InvalidEdge(f"self-loop at vertex {u}")
+        pairs.append((u, v))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 def _distances(g: Graph, indices) -> np.ndarray:

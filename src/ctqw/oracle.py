@@ -8,9 +8,10 @@ spectrum,
     exp(-iAt) v = sum_k (2 - delta_k0) (-i)^k J_k(Rt) T_k(A/R) v,
 
 where T_k(A/R) v follows from the three-term recursion, one sparse matvec
-per term, and every sample time reuses the same vectors. The coefficients
-come from the Jacobi-Anger expansion exp(-ix cos th) = sum_k (-i)^k J_k(x)
-exp(ik th), one FFT per sample. Nothing in it knows the spectrum, so it
+per term, and every sample time reuses the same vectors. Each coefficient is
+real (even k) or imaginary (odd k), so the table is real; its Bessel values
+come from Miller's backward recurrence (Gautschi, SIAM Rev. 9, 24, 1967),
+run for every sample at once. Nothing in it knows the spectrum, so it
 shares no algorithm with the pipeline's tridiagonal reduction and measure
 extraction: the cross-checks compare two independent routes. It takes any
 time grid and draws no random numbers. The result is per vertex;
@@ -28,10 +29,13 @@ from .amplitudes import MAX_SERIES_CELLS, as_times
 from .errors import InvalidParams
 from .graphs import Graph, vertex_state
 
-# Chebyshev vectors accumulated into the result per matrix product
+# Chebyshev vectors per block; even, so a block row's parity is its term's
 _BLOCK = 64
-# FFT values alive at once while the coefficient table is built
-_FFT_CHUNK = 1 << 12
+# below this |x| the leading Taylor term gives every J_k(x) to rounding
+_SERIES_BELOW = 1e-8
+# rescale once a row's squares sum past this: Miller's recurrence grows by
+# at most 2K/x < 1e16 per step above _SERIES_BELOW, so nothing overflows
+_RESCALE_ABOVE = 1e200
 
 
 def oracle_amplitudes(g: Graph, origin: int, t):
@@ -61,22 +65,33 @@ def oracle_amplitudes(g: Graph, origin: int, t):
 
 
 def _coefficients(x: np.ndarray, terms: int) -> np.ndarray:
-    """(K, T) table of (2 - delta_k0) (-i)^k J_k(x_j), K = ``terms``: the
-    Chebyshev coefficients of exp(-i x_j y) on y in [-1, 1].
+    """Real (K, T) table, K = ``terms``: row k is the real (even k) or the
+    imaginary (odd k) part, the other being zero, of (2 - delta_k0) (-i)^k
+    J_k(x_j), the Chebyshev coefficients of exp(-i x_j y) on y in [-1, 1].
 
-    Row k is the k-th Fourier coefficient of exp(-i x cos th), from an FFT
-    over N >= 2K equispaced th, so the coefficients aliased onto it are of
-    order J_{N-K}(x), below the truncation error.
+    Miller's recurrence J_{k-1} = (2k/x) J_k - J_{k+1} starts past each
+    sample's turning point k = |x| by the largest sample's margin, and is
+    normalized by J_0 + 2 sum_k J_2k = 1. Below ``_SERIES_BELOW``, the
+    leading Taylor term (x/2)^k / k! is exact to rounding.
     """
-    points = 1 << (2 * terms - 1).bit_length()
-    cos_theta = np.cos(2.0 * np.pi / points * np.arange(points))
-    table = np.empty((terms, x.size), dtype=np.complex128)
-    chunk = max(1, _FFT_CHUNK // points)
-    for start in range(0, x.size, chunk):
-        values = np.exp(-1j * np.multiply.outer(x[start:start + chunk], cos_theta))
-        table[:, start:start + chunk] = np.fft.fft(values, axis=1)[:, :terms].T
-    table[1:] *= 2.0 / points
-    table[0] *= 1.0 / points
+    size = np.abs(x)
+    tiny = size < _SERIES_BELOW
+    table = np.zeros((terms, x.size))
+    table[0, tiny] = 1.0
+    table[1:, tiny] = np.cumprod(np.multiply.outer(0.5 / np.arange(1, terms), size[tiny]), axis=0)
+    size = size[~tiny]
+    starts = (size + (terms - 1 - np.abs(x).max())).astype(np.int64)
+    # a column is zero above its start and holds its seed 1 until reached
+    f = np.zeros((terms + 2, size.size))
+    f[starts, np.arange(size.size)] = 1.0
+    for k in range(terms - 1, -1, -1):
+        f[k] += (2.0 * (k + 1) / size) * f[k + 1] - f[k + 2]
+        if f[k] @ f[k] > _RESCALE_ABOVE:
+            f[k:] /= np.maximum(np.maximum(np.abs(f[k]), np.abs(f[k + 1])), 1.0)
+    table[:, ~tiny] = (f / (f[0] + 2.0 * f[2::2].sum(axis=0)))[:terms]
+    # J_k(-x) = (-1)^k J_k(x); (2 - delta_k0) (-i)^k has signs +, -, -, +, ...
+    table[1::2, x < 0] *= -1.0
+    table[1:] *= 2.0 * (-1.0) ** ((np.arange(1, terms) + 1) // 2)[:, None]
     return table
 
 
@@ -93,15 +108,15 @@ def _chebyshev_vectors(a, radius: float, state: np.ndarray):
 
 
 def _chebyshev_sum(a, radius: float, state: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """(n, T) columns sum_k table[k, j] T_k(A/R) state, for R = ``radius``.
-
-    Blocks of ``_BLOCK`` vectors enter through one real product with the
-    table's interleaved real and imaginary parts, so no K x n array exists.
+    """(n, T) columns sum_k c_k(t_j) T_k(A/R) state, for R = ``radius``; the
+    even rows of the real ``table`` weigh the real part, the odd rows the
+    imaginary part, each block of ``_BLOCK`` vectors in one product per part.
     """
     terms = _chebyshev_vectors(a, radius, state)
-    weights = table.view(np.float64)  # (K, 2T): re, im, re, im, ...
-    out = np.zeros((state.size, weights.shape[1]))
-    for start in range(0, weights.shape[0], _BLOCK):
-        rows = weights[start:start + _BLOCK]
-        out += np.array(list(islice(terms, rows.shape[0]))).T @ rows
-    return out.view(np.complex128)
+    out = np.zeros((state.size, table.shape[1]), dtype=complex)
+    for start in range(0, table.shape[0], _BLOCK):
+        rows = table[start:start + _BLOCK]
+        vectors = np.array(list(islice(terms, rows.shape[0])))
+        out.real += vectors[0::2].T @ rows[0::2]
+        out.imag += vectors[1::2].T @ rows[1::2]
+    return out

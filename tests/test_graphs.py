@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -121,6 +125,44 @@ class TestBuildGraph:
     def test_oversized_rejected(self):
         with pytest.raises(InvalidParams):
             build_graph(2001, [])
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 1), (1, 2, 0), (0, 9)], "edge (1, 2, 0) is not a vertex pair"),
+            ([(0, 1), 7, (1, 1)], "edge 7 is not a vertex pair"),
+            ([(0, 1), (2, 2), (0, 9)], "self-loop at vertex 2"),
+            ([(0, 1), (0, 9), (2, 2)], "edge (0, 9) out of range for n=3"),
+            ([(0, 1), (-1, 1)], "edge (-1, 1) out of range for n=3"),
+            ([(0, 1), (0, 10**30)], f"edge (0, {10**30}) out of range for n=3"),
+            (np.array([[0, 1], [2, 2]]), "self-loop at vertex 2"),
+        ],
+        ids=["triple", "scalar", "loop-first", "range-first", "negative", "huge", "array"],
+    )
+    def test_first_bad_edge_named_in_input_order(self, edges, message):
+        with pytest.raises(InvalidEdge) as err:
+            build_graph(3, edges)
+        assert str(err.value) == message
+
+    def test_complete_2000_builds_in_bounded_memory(self):
+        # the CSR adjacency of K_2000 is 48 MB; the edge list goes through
+        # arrays, never ~2M Python tuples. A child process, so that the peak
+        # RSS (ru_maxrss, KiB on Linux) belongs to this build alone.
+        probe = (
+            "import resource; from ctqw import entry_from_spec; "
+            "entry_from_spec('complete:5').build(); "
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
+            "entry_from_spec('complete:2000').build(); "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert int(out.stdout) < 300 * 1024
 
     @pytest.mark.filterwarnings("ignore::scipy.sparse.SparseEfficiencyWarning")
     def test_adjacency_is_read_only(self, petersen):

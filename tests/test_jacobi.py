@@ -1,3 +1,6 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 
@@ -15,8 +18,30 @@ from ctqw import (
 )
 from ctqw.errors import InvalidParams, ZeroReference
 from ctqw.graphs import IntersectionArray
-from ctqw.jacobi import JacobiCoefficients
+from ctqw.jacobi import DEFLATION_TOL, JacobiCoefficients
 from ctqw.oracle import oracle_amplitudes
+
+
+def two_pass_lanczos(g, reference):
+    """Reference Lanczos that always takes two Gram-Schmidt passes per step,
+    with the deflation rule of ``lanczos``."""
+    a = g.adjacency
+    cutoff = DEFLATION_TOL * max(1.0, float(a.sum(axis=1).max()))
+    basis = [reference / np.linalg.norm(reference)]
+    alphas, omegas, beta = [], [], 0.0
+    while True:
+        q = basis[-1]
+        w = a @ q
+        alphas.append(float(q @ w))
+        w = w - alphas[-1] * q - (beta * basis[-2] if len(basis) > 1 else 0.0)
+        done = np.array(basis)
+        for _ in range(2):
+            w = w - done.T @ (done @ w)
+        beta = float(np.linalg.norm(w))
+        if beta <= cutoff or len(basis) == g.n:
+            return JacobiCoefficients(tuple(alphas), tuple(omegas))
+        omegas.append(beta * beta)
+        basis.append(w / beta)
 
 
 def path_graph(n):
@@ -192,3 +217,41 @@ class TestLanczos:
             full_vals = np.linalg.eigvalsh(g.adjacency.toarray())
             for x in tri_vals:
                 assert np.abs(full_vals - x).min() < 1e-8
+
+    def test_single_pass_matches_two_on_random_graph(self):
+        # n = 800, m = 1600: the size of the benchmark's random edge list
+        rng = np.random.default_rng(800)
+        n, m = 800, 1600
+        edges = {(int(rng.integers(0, v)), v) for v in range(1, n)}
+        while len(edges) < m:
+            u, v = sorted(int(x) for x in rng.integers(0, n, size=2))
+            if u != v:
+                edges.add((u, v))
+        g = build_graph(n, sorted(edges))
+        reference = vertex_state(n, 0)
+        jc, basis = lanczos(g, reference, return_basis=True)
+        assert np.abs(basis.T @ basis - np.eye(jc.dim)).max() < 1e-13
+        spectrum = np.linalg.eigvalsh(g.adjacency.toarray())
+        for node in spectral_measure(jc).nodes:
+            assert np.abs(spectrum - node).min() < 1e-9
+        want = two_pass_lanczos(g, reference)
+        assert jc.dim == want.dim
+        assert np.abs(np.subtract(jc.alpha, want.alpha)).max() < 1e-10
+        assert np.abs(np.subtract(jc.omega, want.omega)).max() < 1e-10
+
+    @pytest.mark.parametrize("n, dim", [(10, 10), (9, 8)], ids=["exhausts", "deflates"])
+    def test_debug_line_reports_passes_and_residual(self, caplog, n, dim):
+        # one line whether the space runs out (even n) or the residual
+        # deflates (odd n), entered at the second vertex
+        with caplog.at_level(logging.DEBUG, logger="ctqw.jacobi"):
+            jc = lanczos(path_graph(n), vertex_state(n, 1))
+        assert jc.dim == dim
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "ctqw.jacobi"]
+        found = re.fullmatch(
+            rf"lanczos dimension {dim}, (\d+) steps with a second Gram-Schmidt pass,"
+            r" final residual (\S+)",
+            line,
+        )
+        assert found, line
+        assert 0 <= int(found[1]) <= dim
+        assert 0 <= float(found[2]) <= DEFLATION_TOL * 2

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import connected_graphs
 from ctqw import build_graph, entry_from_spec, spectral_measure
 from ctqw.errors import InvalidParams
 from ctqw.jacobi import JacobiCoefficients
-from ctqw.oracle import oracle_amplitudes
+from ctqw.oracle import _coefficients, oracle_amplitudes
 from ctqw.verify import CheckResult, Pipeline, check_oracle
 
 
@@ -105,6 +105,8 @@ class TestOracleAmplitudes:
         assert np.random.rand() == want
 
     @settings(derandomize=True, deadline=None, max_examples=40)
+    # R t this small once made the Bessel recurrence divide by ~0: NaN
+    @example(graph=(2, [(0, 1)]), origin=0, grid=[3.459590657252687e-209])
     @given(
         connected_graphs(40),
         st.integers(0, 10**6),
@@ -119,6 +121,21 @@ class TestOracleAmplitudes:
         assert np.abs(got - expm_reference(g, origin, times)).max() < 1e-10
         # A is real, so running the walk backwards conjugates it
         assert np.abs(oracle_amplitudes(g, origin, -times) - got.conj()).max() < 1e-12
+
+
+def test_coefficients_match_scipy_bessel():
+    from scipy.special import jv
+
+    # 1.5e-8: just above the Taylor range, where the recurrence must rescale
+    x = np.array([0.0, 3.46e-209, -3.46e-209, 1.5e-8, 1e-6, -1e-6, 0.5, -30.0, 210.0, 2950.0])
+    terms = 2950 + 144 + 40  # R t + 10 (R t)^(1/3) + 40 for the largest
+    k = np.arange(terms)[:, None]
+    want = (2 - (k == 0)) * (-1j) ** (k % 4) * jv(k, x)
+    # even rows carry the real part, odd rows the imaginary part
+    want = np.where(k % 2 == 0, want.real, want.imag)
+    got = _coefficients(x, terms)
+    assert got.shape == (terms, x.size) and got.dtype == np.float64
+    assert np.abs(got - want).max() <= 1e-13
 
 
 class TestCheckOracle:
