@@ -93,15 +93,14 @@ def _icosahedron() -> Graph:
 
 
 def _johnson(n: int, d: int) -> Graph:
-    verts = list(itertools.combinations(range(n), d))
-    index = {v: i for i, v in enumerate(verts)}
-    edges = []
-    for i, a in enumerate(verts):
-        sa = set(a)
-        for b in verts[i + 1 :]:
-            if len(sa & set(b)) == d - 1:
-                edges.append((i, index[b]))
-    return build_graph(len(verts), edges)
+    # vertex i is the i-th d-subset in combinations order; two subsets are
+    # adjacent when they share d - 1 elements, counted by one incidence
+    # product (float32 is exact for counts up to n <= MAX_VERTICES)
+    subsets = np.array(list(itertools.combinations(range(n), d)))
+    inc = np.zeros((len(subsets), n), dtype=np.float32)
+    np.put_along_axis(inc, subsets, 1.0, axis=1)
+    shared = inc @ inc.T
+    return build_graph(len(subsets), np.argwhere(np.triu(shared == d - 1, 1)))
 
 
 def _hamming(d: int, q: int) -> Graph:

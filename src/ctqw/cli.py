@@ -40,8 +40,8 @@ def _time_grid(t_max: float, samples: int, tol: float | None = None) -> np.ndarr
         raise InvalidParams(f"samples must be >= 2, got {samples}")
     if samples > MAX_SERIES_CELLS:
         raise InvalidParams(f"samples must be <= {MAX_SERIES_CELLS}, got {samples}")
-    if tol is not None and not (tol > 0):
-        raise InvalidParams(f"tol must be positive, got {tol}")
+    if tol is not None and not (0 < tol < np.inf):
+        raise InvalidParams(f"tol must be positive and finite, got {tol}")
     return np.linspace(0.0, t_max, samples)
 
 

@@ -3,9 +3,10 @@
 Two routes produce the same object: closed-form coefficients from an
 intersection array, for catalog entries walked from vertex 0, and a
 Lanczos recursion from any reference state, for every explicit graph and
-origin; it reorthogonalizes by the DGKS test. On a QD-type origin the
-Krylov levels are the normalized BFS shells, so Lanczos reproduces the
-shell-count coefficients of the paper.
+origin; it reorthogonalizes by the DGKS test and returns the orthonormal
+Krylov basis with the coefficients, through which ``verify`` maps levels to
+vertices. On a QD-type origin the Krylov levels are the normalized BFS
+shells, so Lanczos reproduces the shell-count coefficients of the paper.
 The squared off-diagonals ``omega`` are stored instead of the off-diagonals
 themselves because every downstream formula consumes the squares.
 """
@@ -71,14 +72,10 @@ def qd_from_intersection_array(ia: IntersectionArray) -> JacobiCoefficients:
     )
 
 
-def lanczos(
-    g: Graph,
-    reference: np.ndarray,
-    *,
-    return_basis: bool = False,
-):
+def lanczos(g: Graph, reference: np.ndarray) -> tuple[JacobiCoefficients, np.ndarray]:
     """Three-term recursion coefficients of the adjacency matrix on the
-    Krylov space generated from ``reference``.
+    Krylov space generated from ``reference``, and that space's orthonormal
+    basis, an (n, dim) array with columns in generation order.
 
     Each step is one sparse (CSR) matvec, O(edges), and writes the new basis
     vector into row k of a preallocated (n, n) array, so the basis is never
@@ -87,8 +84,6 @@ def lanczos(
     the basis orthonormal. Iteration stops when the residual norm falls below
     ``DEFLATION_TOL`` relative to the largest row sum of the adjacency, or
     when the space is exhausted.
-    With ``return_basis`` the orthonormal Krylov basis is returned as the
-    second element, an (n, dim) array with columns in generation order.
     """
     ref = np.asarray(reference, dtype=np.float64).reshape(-1)
     if ref.shape[0] != g.n:
@@ -131,6 +126,4 @@ def lanczos(
     jc = JacobiCoefficients(tuple(alphas), tuple(omegas))
     logger.debug("lanczos dimension %d, %d steps with a second Gram-Schmidt pass, "
                  "final residual %.3e", jc.dim, second_passes, beta)
-    if return_basis:
-        return jc, basis[: jc.dim].T
-    return jc
+    return jc, basis[: jc.dim].T

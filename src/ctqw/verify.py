@@ -4,8 +4,8 @@ and the oracle, the action of exp(-iAt) on the origin's vertex state.
 Three checks exist; the conservation check applies to every walk, the
 other two when their input exists:
 
-* ``check_oracle``, whenever the pipeline has a graph (a catalog entry's
-  is built by this first read): every vertex at every sample, for every
+* ``check_oracle``, whenever the pipeline has a graph (built here if
+  nothing read it before): every vertex at every sample, for every
   origin. The walk stays in the Krylov space of the origin's vertex state
   (Krovi & Brun, PRA 75, 062332, 2007), so the level amplitudes mapped
   through that space's orthonormal basis give the whole per-vertex state;
@@ -15,7 +15,9 @@ other two when their input exists:
 * ``check_closed_form``, when the pipeline carries a tabulated closed form
   (a catalog entry walked from vertex 0): row 0 of the series against it.
 
-Each check reads the pipeline and its series, never the catalog entry.
+A ``Pipeline`` holds only what a walk is given and derives its graph,
+coefficients, measure and shell sizes on first read. Each check reads the
+pipeline and its series, never the catalog entry.
 ``entry_status`` is the one place that runs them and decides the outcome:
 both ``ctqw verify`` (which prints its lines and exits 0 or 1 on ``ok``)
 and the acceptance suite call it. A walk that fails the oracle or the
@@ -58,75 +60,77 @@ FAILED = "failed"
 
 @dataclass(frozen=True)
 class Pipeline:
-    """Everything the spectral route produces for one walk."""
+    """What a walk is given; the rest is derived on first read and kept."""
 
-    jc: JacobiCoefficients
-    measure: SpectralMeasure
-    kappa: tuple[int, ...] | None
     origin: int
     builder: Callable[[], Graph] | None = field(default=None, repr=False)
-    closed_form: ExponentialSum | None = None  # tabulated q0, of a walk from vertex 0 only
+    coefficients: JacobiCoefficients | None = None  # stated, of a walk from vertex 0 only
+    shell_sizes: tuple[int, ...] | None = None      # of the stated intersection array
+    closed_form: ExponentialSum | None = None       # tabulated q0, of a walk from vertex 0 only
 
     @cached_property
     def graph(self) -> Graph | None:
-        """The walk's graph, built on the first read and kept; None when
-        there is no construction."""
+        """The walk's graph; None when there is no construction."""
         return None if self.builder is None else self.builder()
+
+    def krylov(self) -> tuple[JacobiCoefficients, np.ndarray]:
+        """Lanczos from the origin's vertex state: the coefficients and the
+        (n, dim) orthonormal Krylov basis. Not kept: the basis is n x dim."""
+        return lanczos(self.graph, vertex_state(self.graph.n, self.origin))
+
+    @cached_property
+    def jc(self) -> JacobiCoefficients:
+        """The stated coefficients, else those of Lanczos on the graph."""
+        if self.coefficients is not None:
+            return self.coefficients
+        jc = self.krylov()[0]
+        if logger.isEnabledFor(logging.INFO):
+            logger.info(
+                "origin %d: Lanczos dimension %d, %s stratification",
+                self.origin, jc.dim, "non-QD" if self.kappa is None else "QD",
+            )
+        return jc
+
+    @cached_property
+    def measure(self) -> SpectralMeasure:
+        return spectral_measure(self.jc)
+
+    @cached_property
+    def kappa(self) -> tuple[int, ...] | None:
+        """The stated shell sizes, else the graph's BFS shell sizes when
+        ``classify_qd`` (the paper's diagnostic) says they are QD type, else
+        None: the levels are then Krylov levels, not shells."""
+        if self.shell_sizes is not None:
+            return self.shell_sizes
+        if self.graph is None:
+            return None
+        strat = stratify(self.graph, self.origin)
+        return strat.kappa if classify_qd(self.graph, strat) else None
 
     def series(self, times) -> AmplitudeSeries:
         return amplitude_series(self.measure, self.jc, times, kappa=self.kappa)
 
 
 def pipeline_for_graph(g: Graph, origin: int) -> Pipeline:
-    """Spectral route for an explicit graph: Lanczos from the origin's vertex
-    state, whatever the origin.
-
-    ``classify_qd`` is the paper's diagnostic only: when the BFS
-    stratification is QD type the Krylov levels are its shells, and their
-    sizes are reported as ``kappa``; otherwise ``kappa`` is None.
-    """
-    strat = stratify(g, origin)
-    qd = bool(classify_qd(g, strat))
-    jc = lanczos(g, vertex_state(g.n, origin))
-    logger.info(
-        "origin %d: Lanczos dimension %d, %s stratification",
-        origin, jc.dim, "QD" if qd else "non-QD",
-    )
-    return Pipeline(
-        jc=jc,
-        measure=spectral_measure(jc),
-        kappa=strat.kappa if qd else None,
-        origin=origin,
-        builder=lambda: g,
-    )
+    """The walk on an explicit graph from any origin; its coefficients come
+    from Lanczos on first read."""
+    if not (0 <= origin < g.n):
+        raise InvalidParams(f"origin {origin} out of range for n={g.n}")
+    return Pipeline(origin=origin, builder=lambda: g)
 
 
 def pipeline_for_entry(entry: CatalogEntry, origin: int = 0) -> Pipeline:
-    """Spectral route for a catalog entry.
-
-    From vertex 0 the stored coefficients or the intersection array give the
-    walk; any other origin requires the graph construction and runs Lanczos.
-    The graph is built only when read: by ``kappa`` for an entry that stores
-    coefficients, or later through ``Pipeline.graph`` (the oracle).
-    """
+    """The walk on a catalog entry. From vertex 0 the entry states the
+    coefficients, the shell sizes of its intersection array, if any, and its
+    closed form; any other origin is a walk on the built graph."""
     if origin != 0:
         return pipeline_for_graph(entry.build(), origin)
-    jc = entry.jacobi_coefficients()
-    builder = None if entry.builder is None else entry.build
-    if entry.intersection_array is not None:
-        kappa = entry.intersection_array.shell_sizes()
-    elif builder is not None:
-        graph = entry.build()
-        kappa = stratify(graph, 0).kappa
-        builder = lambda: graph
-    else:
-        kappa = None
+    ia = entry.intersection_array
     return Pipeline(
-        jc=jc,
-        measure=spectral_measure(jc),
-        kappa=kappa,
         origin=0,
-        builder=builder,
+        builder=None if entry.builder is None else entry.build,
+        coefficients=entry.jacobi_coefficients(),
+        shell_sizes=None if ia is None else ia.shell_sizes(),
         closed_form=entry.closed_form,
     )
 
@@ -179,16 +183,17 @@ def check_oracle(
     the oracle's propagator column at the same samples.
 
     The level amplitudes are mapped to vertices through the orthonormal
-    Krylov basis of the origin's vertex state, recomputed here rather than
-    kept on the pipeline; the error is the largest deviation over all
-    vertices and samples. A walk whose level count differs from the Krylov
-    dimension fails without a comparison. Requires the pipeline to carry a
-    graph.
+    Krylov basis of the origin's vertex state; the error is the largest
+    deviation over all vertices and samples. A walk whose level count
+    differs from the Krylov dimension fails without a comparison. Requires
+    the pipeline to carry a graph.
     """
     if pipeline.graph is None:
         raise InvalidParams("oracle comparison needs an explicit graph")
     g = pipeline.graph
-    _, basis = lanczos(g, vertex_state(g.n, pipeline.origin), return_basis=True)
+    # a second Lanczos run on a graph walk: a basis kept on the pipeline from
+    # the first would stay resident through the measure and the output
+    _, basis = pipeline.krylov()
     name = "oracle vertices"
     if basis.shape[1] != pipeline.jc.dim:
         detail = f"Krylov dimension {basis.shape[1]}, walk has {pipeline.jc.dim} levels"

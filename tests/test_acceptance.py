@@ -284,7 +284,7 @@ def test_10_lanczos_non_qd_path():
     patterns = {}
     for n in range(4, 21):
         g = build_graph(n, [(i, i + 1) for i in range(n - 1)])
-        jc = lanczos(g, vertex_state(n, 1))
+        jc, _ = lanczos(g, vertex_state(n, 1))
         # interleaved pattern (i+1)/i at odd positions, i/(i+1) at even ones;
         # an even-length chain terminates early with 1/(n/2) instead
         count = n - 1 if n % 2 == 0 else n - 2

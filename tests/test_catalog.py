@@ -1,7 +1,10 @@
+import itertools
+
+import numpy as np
 import pytest
 
-from ctqw import list_entries, make_entry, pipeline_for_entry
-from ctqw.catalog import appendix_row_ids, entry_from_spec, parse_spec
+from ctqw import build_graph, list_entries, make_entry, pipeline_for_entry
+from ctqw.catalog import _johnson, appendix_row_ids, entry_from_spec, parse_spec
 from ctqw.errors import InvalidParams, UnknownFamily
 from ctqw.graphs import intersection_numbers
 
@@ -125,6 +128,31 @@ class TestArrayRoundTrip:
         if entry.intersection_array is None:
             pytest.skip("entry stores coefficients directly")
         assert intersection_numbers(entry.build()) == entry.intersection_array
+
+
+def johnson_pair_loop(n, d):
+    """J(n, d) by testing every pair of d-subsets, in combinations order:
+    a reference for the incidence-product construction."""
+    verts = list(itertools.combinations(range(n), d))
+    edges = [
+        (i, j)
+        for i, a in enumerate(verts)
+        for j in range(i + 1, len(verts))
+        if len(set(a) & set(verts[j])) == d - 1
+    ]
+    return build_graph(len(verts), edges)
+
+
+# d = 1 (the complete graph) and 2d = n at both ends of the range
+@pytest.mark.parametrize(
+    "n, d", [(2, 1), (5, 1), (4, 2), (7, 2), (8, 4), (10, 3), (10, 5), (12, 4)]
+)
+def test_johnson_matches_pair_loop(n, d):
+    got = _johnson(n, d).adjacency
+    want = johnson_pair_loop(n, d).adjacency
+    # the same vertex order: the oracle and the checks compare per vertex in it
+    for field in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
 
 class TestListing:

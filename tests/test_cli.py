@@ -378,6 +378,33 @@ class TestGraphBuilds:
         assert code == 0 and "oracle vertices" in out
         assert len(builds) == 1
 
+    @pytest.mark.parametrize("spec", ["path:600", "glued_trees:9"])
+    def test_stated_coefficients_build_no_graph(self, capsys, builds, spec):
+        # the shell sizes of these families come from the graph, but only a
+        # series reads them
+        code, _, _ = run(capsys, "stieltjes", "--graph", spec)
+        assert code == 0
+        assert builds == []
+
+
+@pytest.mark.parametrize("command", [("compute", "--samples", "5"), ("stieltjes",)], ids=" ".join)
+def test_edge_list_walk_runs_lanczos_once(capsys, monkeypatch, tmp_path, command):
+    import ctqw.verify
+
+    calls = []
+    real = ctqw.verify.lanczos
+
+    def counting(g, reference):
+        calls.append(g.n)
+        return real(g, reference)
+
+    monkeypatch.setattr(ctqw.verify, "lanczos", counting)
+    path = tmp_path / "random-20-3.edges"
+    write_random_edge_list(path, 20, seed=3)
+    code, _, _ = run(capsys, command[0], "--graph", str(path), *command[1:])
+    assert code == 0
+    assert calls == [20]
+
 
 # each is out of range, of the wrong kind, or larger than MAX_VERTICES; at
 # the parent of the size rule several ran out of memory or hung
@@ -416,6 +443,9 @@ BAD_ARGVS = [
     ("verify", "--graph", "petersen", "--t-max", "1e20"),
     ("verify", "--graph", "petersen", "--t-max", "1e308"),
     ("stieltjes", "--graph", "petersen", "--eval=nan"),
+    # unchecked, an infinite tolerance passes every check (1e400 parses to inf)
+    ("verify", "--graph", "appendix:pappus", "--tol", "inf"),
+    ("verify", "--graph", "appendix:pappus", "--tol", "1e400"),
 ]
 
 

@@ -9,6 +9,7 @@ from ctqw import (
     classify_qd,
     lanczos,
     make_entry,
+    pipeline_for_entry,
     pipeline_for_graph,
     qd_from_intersection_array,
     return_amplitude,
@@ -126,12 +127,29 @@ class TestFromStrata:
         assert pipe.kappa is None
         assert pipe.jc.dim == 4
 
+    @pytest.mark.parametrize(
+        "family, param, kappa",
+        [
+            ("path", 9, (1,) * 9),
+            ("path", 600, (1,) * 600),
+            ("glued_trees", 3, (1, 2, 4, 8, 4, 2, 1)),
+            ("glued_trees", 9, tuple(2 ** min(j, 18 - j) for j in range(19))),
+        ],
+    )
+    def test_kappa_same_from_catalog_and_graph(self, family, param, kappa):
+        # these entries state coefficients but no shell sizes, so both routes
+        # read the graph's shells through the QD test
+        entry = make_entry(family, (param,))
+        assert pipeline_for_entry(entry).kappa == kappa
+        assert pipeline_for_graph(entry.build(), 0).kappa == kappa
+        assert pipeline_for_entry(entry, origin=1).kappa is None
+
 
 class TestLanczos:
     @pytest.mark.parametrize("n", range(4, 21))
     def test_path_from_second_vertex_pattern(self, n):
         g = path_graph(n)
-        jc = lanczos(g, vertex_state(n, 1))
+        jc, _ = lanczos(g, vertex_state(n, 1))
         expected = expected_path_omegas(n)
         assert len(jc.omega) == len(expected)
         assert np.allclose(jc.omega, expected, atol=1e-12, rtol=0)
@@ -139,12 +157,12 @@ class TestLanczos:
 
     def test_k5_from_vertex(self):
         g = make_entry("complete", (5,)).build()
-        jc = lanczos(g, vertex_state(5, 0))
+        jc, _ = lanczos(g, vertex_state(5, 0))
         assert np.allclose(jc.alpha, (0.0, 3.0), atol=1e-12)
         assert np.allclose(jc.omega, (4.0,), atol=1e-12)
 
     def test_k2(self):
-        jc = lanczos(build_graph(2, [(0, 1)]), vertex_state(2, 0))
+        jc, _ = lanczos(build_graph(2, [(0, 1)]), vertex_state(2, 0))
         assert np.allclose(jc.alpha, (0.0, 0.0), atol=1e-14)
         assert np.allclose(jc.omega, (1.0,), atol=1e-14)
 
@@ -163,7 +181,7 @@ class TestLanczos:
             ]
             g = build_graph(n, edges)
             ref = rng.standard_normal(n)
-            jc, basis = lanczos(g, ref, return_basis=True)
+            jc, basis = lanczos(g, ref)
             gram = basis.T @ basis
             assert np.abs(gram - np.eye(gram.shape[0])).max() < 1e-10
 
@@ -173,7 +191,7 @@ class TestLanczos:
         edges += [(int(u), int(v)) for u, v in rng.integers(0, n, size=(n, 2)) if u != v]
         g = build_graph(n, edges)
         origin = next(o for o in range(n) if not classify_qd(g, stratify(g, o)))
-        jc, basis = lanczos(g, vertex_state(n, origin), return_basis=True)
+        jc, basis = lanczos(g, vertex_state(n, origin))
         assert basis.shape == (n, jc.dim)
         assert np.abs(basis.T @ basis - np.eye(jc.dim)).max() < 1e-10
         diag, off = jc.tridiagonal()
@@ -196,7 +214,7 @@ class TestLanczos:
             entry = make_entry(spec, params)
             g = entry.build()
             from_array = qd_from_intersection_array(entry.intersection_array)
-            from_lanczos = lanczos(g, vertex_state(g.n, 0))
+            from_lanczos, _ = lanczos(g, vertex_state(g.n, 0))
             from_graph = pipeline_for_graph(g, 0).jc
             for b in (from_lanczos, from_graph):
                 assert np.allclose(from_array.alpha, b.alpha, rtol=0, atol=1e-12)
@@ -208,7 +226,7 @@ class TestLanczos:
             n = int(rng.integers(5, 25))
             edges = [(int(rng.integers(0, v)), v) for v in range(1, n)]
             g = build_graph(n, edges)
-            jc = lanczos(g, rng.standard_normal(n))
+            jc, _ = lanczos(g, rng.standard_normal(n))
             diag, off = jc.tridiagonal()
             tri = np.diag(diag)
             if len(off):
@@ -229,7 +247,7 @@ class TestLanczos:
                 edges.add((u, v))
         g = build_graph(n, sorted(edges))
         reference = vertex_state(n, 0)
-        jc, basis = lanczos(g, reference, return_basis=True)
+        jc, basis = lanczos(g, reference)
         assert np.abs(basis.T @ basis - np.eye(jc.dim)).max() < 1e-13
         spectrum = np.linalg.eigvalsh(g.adjacency.toarray())
         for node in spectral_measure(jc).nodes:
@@ -244,7 +262,7 @@ class TestLanczos:
         # one line whether the space runs out (even n) or the residual
         # deflates (odd n), entered at the second vertex
         with caplog.at_level(logging.DEBUG, logger="ctqw.jacobi"):
-            jc = lanczos(path_graph(n), vertex_state(n, 1))
+            jc, _ = lanczos(path_graph(n), vertex_state(n, 1))
         assert jc.dim == dim
         (line,) = [r.getMessage() for r in caplog.records if r.name == "ctqw.jacobi"]
         found = re.fullmatch(

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import connected_graphs
-from ctqw import build_graph, entry_from_spec, spectral_measure
+from ctqw import build_graph, entry_from_spec
 from ctqw.errors import InvalidParams
 from ctqw.jacobi import JacobiCoefficients
 from ctqw.oracle import _coefficients, oracle_amplitudes
@@ -142,9 +142,13 @@ class TestCheckOracle:
     GRID = np.linspace(0.0, 10.0, 21)
 
     def doctored(self, graph, alpha, omega):
-        jc = JacobiCoefficients(alpha=alpha, omega=omega)
+        # stated coefficients that are not the graph's; one vertex per level,
+        # so the graph's own shells are never read
         return Pipeline(
-            jc=jc, measure=spectral_measure(jc), kappa=None, origin=0, builder=lambda: graph
+            origin=0,
+            builder=lambda: graph,
+            coefficients=JacobiCoefficients(alpha=alpha, omega=omega),
+            shell_sizes=(1,) * len(alpha),
         )
 
     def test_level_count_mismatch_fails(self, petersen):
