@@ -13,7 +13,6 @@ from .amplitudes import (
     ExponentialSum,
     amplitude_series,
     laplace_return_amplitude,
-    return_amplitude,
 )
 from .catalog import CatalogEntry, entry_from_spec, list_entries, make_entry
 from .errors import CtqwError
@@ -24,7 +23,6 @@ from .graphs import (
     Stratification,
     build_graph,
     classify_qd,
-    intersection_numbers,
     read_edge_list,
     stratify,
     vertex_state,
@@ -60,7 +58,6 @@ __all__ = [
     "build_graph",
     "classify_qd",
     "entry_from_spec",
-    "intersection_numbers",
     "lanczos",
     "laplace_return_amplitude",
     "list_entries",
@@ -70,7 +67,6 @@ __all__ = [
     "pipeline_for_graph",
     "qd_from_intersection_array",
     "read_edge_list",
-    "return_amplitude",
     "spectral_measure",
     "stieltjes_continued_fraction",
     "stieltjes_pole_sum",

@@ -1,11 +1,12 @@
 """Walk amplitudes from a spectral measure.
 
 The inverse Laplace transform is carried out analytically: the measure is
-finite and atomic, so the return amplitude is an exact exponential sum
-sum_i A_i exp(-i x_i t) and the stratum amplitudes add the orthonormal
-polynomial values at the nodes. The Laplace-domain form exists only for
-validation against tabulated s-domain expressions; it is never inverted
-numerically.
+finite and atomic, so each stratum amplitude is an exact exponential sum
+q_l(t) = sum_i A_i p_l(x_i) exp(-i x_i t) over orthonormal polynomials p_l.
+With p_0 = 1, row 0 of ``amplitude_series`` is the return amplitude
+sum_i A_i exp(-i x_i t); ``ExponentialSum`` holds a tabulated closed form to
+compare with it. The Laplace-domain form exists only for validation against
+tabulated s-domain expressions; it is never inverted numerically.
 
 ``AmplitudeSeries.to_csv`` formats its rows at ``%.17g`` in blocks of whole
 samples, one ``%`` operation per block, and writes each block to its stream;
@@ -46,13 +47,6 @@ def as_times(t) -> np.ndarray:
     return t
 
 
-def _exponential_sum(coeffs: np.ndarray, rates: np.ndarray, t) -> np.ndarray:
-    """sum_k coeffs[k] exp(-i rates[k] t), shaped like ``t``: a scalar gives
-    a 0-d value."""
-    t = np.asarray(t, dtype=np.float64)
-    return (coeffs[:, None] * np.exp(-1j * np.outer(rates, t))).sum(axis=0).reshape(t.shape)
-
-
 @dataclass(frozen=True)
 class ExponentialSum:
     """Closed-form amplitude sum(coeff * exp(-i * rate * t)) with real terms."""
@@ -60,9 +54,11 @@ class ExponentialSum:
     terms: tuple[tuple[float, float], ...]  # (coefficient, rate)
 
     def __call__(self, t):
+        """The sum at ``t``, shaped like ``t``: a scalar gives a 0-d value."""
+        t = np.asarray(t, dtype=np.float64)
         coeffs = np.array([c for c, _ in self.terms])
         rates = np.array([r for _, r in self.terms])
-        return _exponential_sum(coeffs, rates, t)
+        return (coeffs[:, None] * np.exp(-1j * np.outer(rates, t))).sum(axis=0).reshape(t.shape)
 
     @classmethod
     def build(cls, exponentials=(), cosines=(), constant=0.0) -> "ExponentialSum":
@@ -122,11 +118,6 @@ class AmplitudeSeries:
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict())
-
-
-def return_amplitude(measure: SpectralMeasure, t):
-    """q_0(t) = sum_i A_i exp(-i x_i t)."""
-    return _exponential_sum(measure.weights_array(), measure.nodes_array(), t)
 
 
 def laplace_return_amplitude(measure: SpectralMeasure, s: complex) -> complex:

@@ -258,10 +258,6 @@ _APPENDIX_ROWS: tuple[tuple, ...] = (
 _APPENDIX_INDEX = {row[0]: row for row in _APPENDIX_ROWS}
 
 
-def appendix_row_ids() -> tuple[str, ...]:
-    return tuple(row[0] for row in _APPENDIX_ROWS)
-
-
 # ---------------------------------------------------------------------------
 # entry construction: each maker takes typed, range-checked, size-bounded
 # values and returns the fields of its entry

@@ -11,6 +11,7 @@ Exit codes are a stable contract: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -99,7 +100,10 @@ def cmd_stieltjes(args: argparse.Namespace) -> int:
     pipeline = _resolve_pipeline(args)
     lines = [pipeline.measure.to_json()]
     for token in args.eval:
-        z = complex(token)
+        try:
+            z = complex(token)
+        except ValueError:
+            raise InvalidParams(f"eval point {token!r} is not a complex literal") from None
         g_cf = stieltjes_continued_fraction(pipeline.jc, z)
         g_poles = stieltjes_pole_sum(pipeline.measure, z)
         lines.append(
@@ -117,7 +121,10 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process; ``parse_args`` gives each
+    call a fresh namespace, and ``--eval`` appends to a copy of its default."""
     parser = argparse.ArgumentParser(
         prog="ctqw",
         description="Continuous-time quantum walk amplitudes via spectral measures.",
@@ -135,13 +142,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_compute = sub.add_parser("compute", parents=[grid], help="emit a sampled amplitude series")
     p_compute.add_argument("--format", choices=("csv", "json"), default="csv")
     p_compute.add_argument("--output", default="-", help="output path, '-' for stdout")
-    p_compute.set_defaults(run=cmd_compute)
 
     p_verify = sub.add_parser(
         "verify", parents=[grid], help="cross-check pipeline vs oracle and closed forms"
     )
     p_verify.add_argument("--tol", type=float, default=None, help="comparison tolerance override")
-    p_verify.set_defaults(run=cmd_verify)
 
     p_st = sub.add_parser(
         "stieltjes", parents=[walk], help="print the spectral measure and resolvent values"
@@ -153,9 +158,8 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="Z",
         help="evaluation point, complex literal like 4 or 2+1j (repeatable)",
     )
-    p_st.set_defaults(run=cmd_stieltjes)
 
-    sub.add_parser("catalog", help="list catalog entries").set_defaults(run=cmd_catalog)
+    sub.add_parser("catalog", help="list catalog entries")
     return parser
 
 
@@ -187,7 +191,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_join_eval_values(sys.argv[1:] if argv is None else list(argv)))
     try:
-        return args.run(args)
+        # looked up on each call, not bound into the parser built once, so a
+        # cmd_* function rebound on this module since then is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except CtqwError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -29,7 +29,7 @@ if TYPE_CHECKING:
     from scipy.sparse import csr_array
 
 # bounds the dense n x n arrays: the Lanczos basis and the all-pairs distance
-# matrix (all_pairs_distances, intersection_numbers)
+# matrix of intersection_numbers
 MAX_VERTICES = 2000
 
 
@@ -41,9 +41,6 @@ class Graph:
     # (n, n) float64, symmetric 0/1, zero diagonal, sorted indices; its data,
     # indices and indptr are read-only
     adjacency: csr_array
-
-    def degree(self, v: int) -> int:
-        return int(self.adjacency.indptr[v + 1] - self.adjacency.indptr[v])
 
     @property
     def edge_count(self) -> int:
@@ -191,21 +188,16 @@ def _edge_array(n: int, edges) -> np.ndarray:
     return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
-def _distances(g: Graph, indices) -> np.ndarray:
-    """Unweighted shortest-path lengths from ``indices`` (None: all vertices);
-    -1 marks unreachable vertices."""
+def bfs_distances(g: Graph, source: int | None) -> np.ndarray:
+    """Graph distances from ``source``, or the (n, n) matrix of all pairs
+    when ``source`` is None; -1 marks unreachable vertices."""
     from scipy.sparse.csgraph import shortest_path
 
     # unit-weight Dijkstra is a BFS per source; "auto" picks O(n^3)
     # Floyd-Warshall for all pairs on dense graphs
-    d = shortest_path(g.adjacency, method="D", unweighted=True, indices=indices)
+    d = shortest_path(g.adjacency, method="D", unweighted=True, indices=source)
     d[np.isinf(d)] = -1
     return d.astype(np.int64)
-
-
-def bfs_distances(g: Graph, source: int) -> np.ndarray:
-    """Graph distances from ``source``; -1 marks unreachable vertices."""
-    return _distances(g, source)
 
 
 def stratify(g: Graph, origin: int) -> Stratification:
@@ -217,11 +209,6 @@ def stratify(g: Graph, origin: int) -> Stratification:
     return Stratification(origin=origin, shell_of=dist)
 
 
-def all_pairs_distances(g: Graph) -> np.ndarray:
-    """(n, n) matrix of graph distances; -1 marks unreachable pairs."""
-    return _distances(g, None)
-
-
 def intersection_numbers(g: Graph) -> IntersectionArray:
     """Intersection array of a distance-regular graph.
 
@@ -229,7 +216,7 @@ def intersection_numbers(g: Graph) -> IntersectionArray:
     at distance i-1, i, i+1 from u must not depend on the pair. A failure
     raises NotDistanceRegular carrying two offending pairs.
     """
-    d = all_pairs_distances(g)
+    d = bfs_distances(g, None)
     diameter = int(d.max())
 
     def neighbor_counts(k: int) -> np.ndarray:

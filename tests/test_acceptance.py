@@ -13,10 +13,10 @@ import numpy as np
 from scipy.special import jv
 
 from ctqw import (
+    amplitude_series,
     build_graph,
     lanczos,
     make_entry,
-    return_amplitude,
     stratify,
     vertex_state,
 )
@@ -96,7 +96,7 @@ def test_03_dihedral_srg():
     worst_res = 0.0
     for m in range(2, 11):
         pipe = pipeline_for_entry(make_entry("dihedral_srg", (m,)))
-        q0 = return_amplitude(pipe.measure, t)
+        q0 = pipe.series(t).values[0]
         ref = (m - 1 + np.cos(m * t)) / m
         worst_q0 = max(worst_q0, float(np.abs(q0 - ref).max()))
         assert np.allclose(pipe.measure.nodes, (-m, 0.0, m), atol=1e-9)
@@ -118,7 +118,7 @@ def test_04_johnson_d2_tabulated_form():
     for n in range(4, 13):
         entry = make_entry("johnson", (n, 2))
         pipe = pipeline_for_entry(entry)
-        q0 = return_amplitude(pipe.measure, t)
+        q0 = pipe.series(t).values[0]
         # exact spectrum of J(n,2): 2(n-2), n-4 and -2 with multiplicities
         # 1, n-1 and n(n-3)/2; the printed two-frequency form sits at the
         # eigenvalues of the 2x2 Jacobi truncation instead, so it is kept
@@ -251,13 +251,13 @@ def test_09_bessel_limits():
     tol = 1e-6
     t = np.linspace(0.0, 5.0, 101)
 
-    path_measure = spectral_measure(make_entry("path", (200,)).jacobi_coefficients())
-    q0_path = return_amplitude(path_measure, t)
+    path_jc = make_entry("path", (200,)).jacobi_coefficients()
+    q0_path = amplitude_series(spectral_measure(path_jc), path_jc, t).values[0]
     ref_path = jv(0, 2 * t) + jv(2, 2 * t)
     err_path = float(np.abs(q0_path - ref_path).max())
 
-    cycle_measure = spectral_measure(make_entry("cycle", (400,)).jacobi_coefficients())
-    q0_cycle = return_amplitude(cycle_measure, t)
+    cycle_jc = make_entry("cycle", (400,)).jacobi_coefficients()
+    q0_cycle = amplitude_series(spectral_measure(cycle_jc), cycle_jc, t).values[0]
     ref_cycle = jv(0, 2 * t)
     err_cycle = float(np.abs(q0_cycle - ref_cycle).max())
 
@@ -303,8 +303,7 @@ def test_10_lanczos_non_qd_path():
         )
         worst_omega = max(worst_omega, float(np.abs(jc.alpha).max()))
 
-        measure = spectral_measure(jc)
-        q0 = return_amplitude(measure, GRID)
+        q0 = amplitude_series(spectral_measure(jc), jc, GRID).values[0]
         want = oracle_amplitudes(g, 1, GRID)[1]
         worst_q0 = max(worst_q0, float(np.abs(q0 - want).max()))
     passed = worst_omega < omega_tol and worst_q0 < oracle_tol

@@ -301,6 +301,38 @@ class TestCatalogCommand:
         assert first == second
 
 
+class TestParser:
+    def test_tree_built_once_per_process(self, capsys, monkeypatch):
+        import argparse
+
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        for _ in range(4):
+            assert run(capsys, "catalog")[0] == 0
+        # at most the one tree (7 parsers), if no earlier call built it
+        assert len(built) <= 7, built
+
+    def test_defaults_do_not_leak_between_calls(self, capsys):
+        # K4's spectrum is {3, -1}, so z = 1 is no pole
+        code, out, _ = run(capsys, "stieltjes", "--graph", "complete:4", "--eval=1")
+        assert code == 0 and len(out.splitlines()) == 2
+        code, out, _ = run(capsys, "stieltjes", "--graph", "complete:4")
+        assert code == 0
+        (line,) = out.splitlines()
+        assert set(json.loads(line)) >= {"nodes", "weights"}
+
+        code, out, _ = run(capsys, "compute", "--graph", "petersen", "--format", "json")
+        assert code == 0 and out.startswith("{")
+        code, out, _ = run(capsys, "compute", "--graph", "petersen")
+        assert code == 0 and out.startswith("t,stratum,re,im,prob\n")
+
+
 class TestExitCodes:
     def test_unknown_family(self, capsys):
         code, _, err = run(capsys, "compute", "--graph", "fancy:3")
@@ -443,6 +475,10 @@ BAD_ARGVS = [
     ("verify", "--graph", "petersen", "--t-max", "1e20"),
     ("verify", "--graph", "petersen", "--t-max", "1e308"),
     ("stieltjes", "--graph", "petersen", "--eval=nan"),
+    # unchecked, complex()'s own message with no error name
+    ("stieltjes", "--graph", "petersen", "--eval=abc"),
+    ("stieltjes", "--graph", "petersen", "--eval="),
+    ("stieltjes", "--graph", "petersen", "--eval=1+2j+3"),
     # unchecked, an infinite tolerance passes every check (1e400 parses to inf)
     ("verify", "--graph", "appendix:pappus", "--tol", "inf"),
     ("verify", "--graph", "appendix:pappus", "--tol", "1e400"),
@@ -486,6 +522,26 @@ def test_bad_spec_exits_2_with_named_error(bad):
         for proc in procs.values():
             proc.kill()
             proc.communicate()
+
+
+def test_emit_series_payloads_match_pinned_digests(capsys, monkeypatch, tmp_path):
+    """Every call of the benchmark's emit_series workload, run in-process,
+    writes the bytes whose sha256 the benchmark pins."""
+    import importlib.util
+
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", bench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses resolve their annotations through sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    pinned = json.loads((bench / "expected.json").read_text())["emit_series"]
+    calls = workloads.emit_series(0, tmp_path)
+    assert sorted(call.label for call in calls) == sorted(pinned)
+    for call in calls:
+        code, out, _ = run(capsys, *call.argv)
+        assert code == 0, call.label
+        assert hashlib.sha256(out.encode()).hexdigest() == pinned[call.label], call.label
 
 
 def test_readme_example_runs():
@@ -543,3 +599,24 @@ def test_star_import_and_every_export_resolves():
     for name in ctqw.__all__:
         assert name in namespace, name
         assert getattr(ctqw, name) is namespace[name]
+
+
+def test_every_export_has_a_caller_in_src_or_the_readme():
+    """``__all__`` is the documented surface: each name is read somewhere in
+    the package beyond its own definition, or the README names it."""
+    import ast
+
+    import ctqw
+
+    root = Path(__file__).resolve().parents[1]
+    read = set()
+    for path in (root / "src" / "ctqw").glob("*.py"):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+    readme = (root / "README.md").read_text()
+    orphans = [name for name in ctqw.__all__ if name not in read and f"`{name}`" not in readme]
+    assert orphans == []

@@ -21,7 +21,6 @@ from ctqw.errors import (
 )
 from ctqw.graphs import (
     IntersectionArray,
-    all_pairs_distances,
     bfs_distances,
     build_graph,
     classify_qd,
@@ -99,8 +98,8 @@ class TestBuildGraph:
         assert g.adjacency.toarray().tolist() == [[0, 1], [1, 0]]
 
     def test_petersen_is_cubic_with_diameter_2(self, petersen):
-        assert all(petersen.degree(v) == 3 for v in range(10))
-        assert all_pairs_distances(petersen).max() == 2
+        assert (np.diff(petersen.adjacency.indptr) == 3).all()
+        assert bfs_distances(petersen, None).max() == 2
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraph):
@@ -186,7 +185,7 @@ class TestBuildGraph:
         assert a.dtype == np.float64 and a.has_sorted_indices
         assert (a.toarray() == nx.to_numpy_array(h, nodelist=range(n))).all()
         assert g.edge_count == h.number_of_edges()
-        assert [g.degree(v) for v in range(n)] == [h.degree(v) for v in range(n)]
+        assert np.diff(a.indptr).tolist() == [h.degree(v) for v in range(n)]
 
 
 class TestStratify:
@@ -230,13 +229,13 @@ class TestDistanceMatrices:
     """The distance classes (d == i) of the all-pairs distance matrix d."""
 
     def test_k2(self):
-        d = all_pairs_distances(build_graph(2, [(0, 1)]))
+        d = bfs_distances(build_graph(2, [(0, 1)]), None)
         assert (d == 0).astype(int).tolist() == [[1, 0], [0, 1]]
         assert (d == 1).astype(int).tolist() == [[0, 1], [1, 0]]
 
     def test_c4_antipodal(self):
         g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        d = all_pairs_distances(g)
+        d = bfs_distances(g, None)
         assert d.max() == 2
         assert ((d == 1) == g.adjacency.toarray()).all()
         assert (d == 2).astype(int).tolist() == [
@@ -247,7 +246,7 @@ class TestDistanceMatrices:
         ]
 
     def test_petersen_row_sums(self, petersen):
-        d = all_pairs_distances(petersen)
+        d = bfs_distances(petersen, None)
         assert ((d == 1).sum(axis=1) == 3).all()
         assert ((d == 2).sum(axis=1) == 6).all()
 
@@ -255,7 +254,7 @@ class TestDistanceMatrices:
         for _ in range(10):
             n = int(rng.integers(4, 25))
             g = random_connected_graph(rng, n, int(rng.integers(0, n)))
-            d = all_pairs_distances(g)
+            d = bfs_distances(g, None)
             total = np.zeros((n, n), dtype=int)
             for i in range(int(d.max()) + 1):
                 total += d == i
@@ -271,7 +270,7 @@ class TestDistancesAgainstNetworkx:
         edges = random_connected_edges(rng, n, int(rng.integers(0, n)))
         g = build_graph(n, edges)
         h = nx.Graph(edges)
-        d = all_pairs_distances(g)
+        d = bfs_distances(g, None)
         assert d.dtype == np.int64 and d.shape == (n, n)
         for source in range(n):
             want = np.zeros(n, dtype=np.int64)
