@@ -20,7 +20,6 @@ from .graphs import (
     Graph,
     IntersectionArray,
     QDClassification,
-    Stratification,
     build_graph,
     classify_qd,
     read_edge_list,
@@ -53,7 +52,6 @@ __all__ = [
     "JacobiCoefficients",
     "QDClassification",
     "SpectralMeasure",
-    "Stratification",
     "amplitude_series",
     "build_graph",
     "classify_qd",

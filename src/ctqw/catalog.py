@@ -542,10 +542,6 @@ def entry_from_spec(spec: str) -> CatalogEntry:
     return make_entry(family, params)
 
 
-def is_known_family(name: str) -> bool:
-    return name in _FAMILIES
-
-
 def list_entries() -> tuple[tuple[str, str, str], ...]:
     """(id, params schema, listing text) for every family and appendix row."""
     families = [

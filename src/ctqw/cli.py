@@ -11,18 +11,19 @@ Exit codes are a stable contract: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import logging
 import os
 import sys
-from pathlib import Path
 from typing import Callable, TextIO
 
 import numpy as np
 
 from . import catalog
 from .amplitudes import MAX_SERIES_CELLS
-from .errors import CtqwError, InvalidEdgeList, InvalidParams, UnwritableOutput
+from .errors import CtqwError, InvalidEdgeList, InvalidParams, UnknownFamily, UnwritableOutput
 from .graphs import read_edge_list
 from .stieltjes import stieltjes_continued_fraction, stieltjes_pole_sum
 from .verify import Pipeline, entry_status, pipeline_for_entry, pipeline_for_graph
@@ -50,27 +51,39 @@ def _resolve_pipeline(args: argparse.Namespace) -> Pipeline:
     """Turn ``--graph`` and ``--origin`` into a pipeline.
 
     Known family names resolve through the catalog; anything else is read as
-    an edge-list file (missing file reports InvalidEdgeList).
+    an edge-list file (a missing or unnamable file reports InvalidEdgeList).
     """
     spec = args.graph
-    family, _ = catalog.parse_spec(spec)
-    if catalog.is_known_family(family):
-        return pipeline_for_entry(catalog.entry_from_spec(spec), origin=args.origin)
-    if not Path(spec).exists():
-        raise InvalidEdgeList(f"{spec!r} is neither a known family nor an existing file")
-    return pipeline_for_graph(read_edge_list(spec), args.origin)
-
-
-def _emit(write: Callable[[TextIO], object], output: str) -> None:
-    """Call ``write`` on stdout ('-') or on the file ``output``."""
-    if output == "-":
-        write(sys.stdout)
-        return
     try:
-        with open(output, "w") as fh:
-            write(fh)
+        entry = catalog.entry_from_spec(spec)
+    except UnknownFamily:
+        if os.path.exists(spec):
+            return pipeline_for_graph(read_edge_list(spec), args.origin)
+        raise InvalidEdgeList(f"{spec!r} is neither a known family nor an existing file") from None
+    return pipeline_for_entry(entry, origin=args.origin)
+
+
+def _emit(write: Callable[[TextIO], object], output: str = "-") -> None:
+    """Call ``write`` on stdout ('-') or on the file ``output``; every command
+    writes its stdout here. A failed open, write or flush is UnwritableOutput."""
+    try:
+        if output == "-":
+            write(sys.stdout)
+            sys.stdout.flush()  # a buffered write fails here, not at exit
+        else:
+            with open(output, "w") as fh:
+                write(fh)
     except OSError as exc:
-        raise UnwritableOutput(f"cannot write {output!r}: {exc.strerror}") from exc
+        if output != "-":
+            raise UnwritableOutput(f"cannot write {output!r}: {exc.strerror}") from exc
+        # what the failed stdout still buffers must not be written, and fail,
+        # again at exit: its descriptor, if it has one, now goes to os.devnull
+        with contextlib.suppress(io.UnsupportedOperation):
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        raise UnwritableOutput(f"cannot write stdout: {exc.strerror}") from exc
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
@@ -92,7 +105,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # without --tol, entry_status's own defaults apply
     tols = {} if args.tol is None else {"closed_tol": args.tol, "oracle_tol": args.tol}
     status = entry_status(_resolve_pipeline(args), times, **tols)
-    print("\n".join(status.lines))
+    _emit(lambda out: print("\n".join(status.lines), file=out))
     return EXIT_OK if status.ok else EXIT_VERIFY_FAIL
 
 
@@ -111,13 +124,12 @@ def cmd_stieltjes(args: argparse.Namespace) -> int:
             f"|diff|={abs(g_cf - g_poles):.3e}"
         )
     # printed once every point is evaluated, so a refused point prints nothing
-    print("\n".join(lines))
+    _emit(lambda out: print("\n".join(lines), file=out))
     return EXIT_OK
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
-    for entry_id, schema, listing in catalog.list_entries():
-        print(f"{entry_id}\t{schema}\t{listing}")
+    _emit(lambda out: print("\n".join(map("\t".join, catalog.list_entries())), file=out))
     return EXIT_OK
 
 

@@ -3,10 +3,11 @@
 A graph is stored once, as a read-only sparse CSR adjacency matrix. The
 distances (``scipy.sparse.csgraph``), the shell and distance-class counts,
 the Lanczos matvec and the oracle all run on that one matrix, so no step
-builds a dense n x n adjacency or needs a dense eigensolve. A stratification
-is the shell index of each vertex; the QD test counts every vertex's
-neighbors one shell down, within and up in one pass, O(n + m). Everything
-here is immutable after construction and all operations are pure.
+builds a dense n x n adjacency or needs a dense eigensolve. ``stratify``
+gives the shell index of each vertex, whose ``np.bincount`` is the shell
+sizes; the QD test counts every vertex's neighbors one shell down, within
+and up in one pass, O(n + m). Everything here is immutable after
+construction, stores nothing it can derive, and all operations are pure.
 """
 
 from __future__ import annotations
@@ -37,27 +38,17 @@ MAX_VERTICES = 2000
 class Graph:
     """Undirected simple connected graph."""
 
-    n: int
     # (n, n) float64, symmetric 0/1, zero diagonal, sorted indices; its data,
     # indices and indptr are read-only
     adjacency: csr_array
 
     @property
-    def edge_count(self) -> int:
-        return self.adjacency.nnz // 2
-
-
-@dataclass(frozen=True, eq=False)
-class Stratification:
-    """BFS shells of a graph seen from a fixed origin vertex."""
-
-    origin: int
-    shell_of: np.ndarray  # shell index per vertex, read-only
+    def n(self) -> int:
+        return self.adjacency.shape[0]
 
     @property
-    def kappa(self) -> tuple[int, ...]:
-        """Shell sizes, shell 0 (the origin) first."""
-        return tuple(np.bincount(self.shell_of).tolist())
+    def edge_count(self) -> int:
+        return self.adjacency.nnz // 2
 
 
 @dataclass(frozen=True)
@@ -113,12 +104,15 @@ class IntersectionArray:
 class QDClassification:
     """Outcome of the stratification-invariance test.
 
-    When ``qd`` is false, ``witness`` records
+    A non-QD stratification has a ``witness``,
     ``(shell, direction, vertex_a, count_a, vertex_b, count_b)``.
     """
 
-    qd: bool
     witness: tuple | None = None
+
+    @property
+    def qd(self) -> bool:
+        return self.witness is None
 
     def __bool__(self) -> bool:
         return self.qd
@@ -151,7 +145,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     adjacency.data[:] = 1.0
     for arr in (adjacency.data, adjacency.indices, adjacency.indptr):
         arr.setflags(write=False)
-    g = Graph(n=n, adjacency=adjacency)
+    g = Graph(adjacency)
 
     dist = bfs_distances(g, 0)
     if (dist < 0).any():
@@ -200,13 +194,13 @@ def bfs_distances(g: Graph, source: int | None) -> np.ndarray:
     return d.astype(np.int64)
 
 
-def stratify(g: Graph, origin: int) -> Stratification:
-    """Partition vertices into BFS shells around ``origin``."""
+def stratify(g: Graph, origin: int) -> np.ndarray:
+    """The BFS shell index of each vertex around ``origin``, read-only."""
     if not (0 <= origin < g.n):
         raise InvalidParams(f"origin {origin} out of range for n={g.n}")
-    dist = bfs_distances(g, origin)
-    dist.setflags(write=False)
-    return Stratification(origin=origin, shell_of=dist)
+    shell_of = bfs_distances(g, origin)
+    shell_of.setflags(write=False)
+    return shell_of
 
 
 def intersection_numbers(g: Graph) -> IntersectionArray:
@@ -231,9 +225,8 @@ def intersection_numbers(g: Graph) -> IntersectionArray:
         lo, hi = int(vals.min()), int(vals.max())
         if lo != hi:
             pairs = np.argwhere(mask)
-            flat = counts[mask]
-            p1 = pairs[int(np.argmin(flat))]
-            p2 = pairs[int(np.argmax(flat))]
+            p1 = pairs[int(np.argmin(vals))]
+            p2 = pairs[int(np.argmax(vals))]
             witness = (dist_i, kind, (int(p1[0]), int(p1[1]), lo), (int(p2[0]), int(p2[1]), hi))
             raise NotDistanceRegular(
                 f"{kind}_{dist_i} not constant: pair {tuple(p1)} gives {lo}, "
@@ -252,17 +245,15 @@ def intersection_numbers(g: Graph) -> IntersectionArray:
         constant_or_witness(cur_counts, mask, i, "a")
         if i >= 1:
             c.append(constant_or_witness(prev_counts, mask, i, "c"))
+        # no vertices beyond the diameter: b_d = 0 by convention
         if i < diameter:
             b.append(constant_or_witness(next_counts, mask, i, "b"))
-        else:
-            # no vertices beyond the diameter: b_d = 0 by convention
-            pass
         prev_counts, cur_counts = cur_counts, next_counts
         next_counts = neighbor_counts(i + 2) if i + 1 < diameter else None
     return IntersectionArray.from_bc(b, c)
 
 
-def classify_qd(g: Graph, strat: Stratification) -> QDClassification:
+def classify_qd(g: Graph, shell_of: np.ndarray) -> QDClassification:
     """Test whether the stratification space is invariant under the level split.
 
     Equivalent condition: within each shell, every vertex has the same number
@@ -272,7 +263,7 @@ def classify_qd(g: Graph, strat: Stratification) -> QDClassification:
     down, within, up in that order, and gives the first vertices (in
     ascending order) with the smallest and the largest count.
     """
-    a, shell_of, n = g.adjacency, strat.shell_of, g.n
+    a, n = g.adjacency, g.n
     rows = np.repeat(np.arange(n), np.diff(a.indptr))
     # BFS shells of adjacent vertices differ by at most one: 0 down, 1 within, 2 up
     direction_of = shell_of[a.indices] - shell_of[rows] + 1
@@ -288,7 +279,7 @@ def classify_qd(g: Graph, strat: Stratification) -> QDClassification:
     varies = lo != hi
     failing = np.flatnonzero(varies.any(axis=0))
     if failing.size == 0:
-        return QDClassification(qd=True)
+        return QDClassification()
     k = int(failing[0])
     d = int(np.argmax(varies[:, k]))
     verts = np.flatnonzero(shell_of == k)
@@ -296,7 +287,7 @@ def classify_qd(g: Graph, strat: Stratification) -> QDClassification:
     ia, ib = int(np.argmin(vals)), int(np.argmax(vals))
     pair = (verts[ia], vals[ia], verts[ib], vals[ib])
     witness = (k, ("down", "within", "up")[d], *(int(x) for x in pair))
-    return QDClassification(qd=False, witness=witness)
+    return QDClassification(witness)
 
 
 def parse_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
@@ -337,11 +328,11 @@ def parse_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
 
 
 def read_edge_list(path: str | Path) -> Graph:
-    """Read a graph from an edge-list file."""
+    """Read a graph from a UTF-8 edge-list file."""
     p = Path(path)
     try:
-        text = p.read_text()
-    except OSError as exc:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidEdgeList(f"cannot read {p}: {exc}") from None
     n, edges = parse_edge_list(text)
     return build_graph(n, edges)

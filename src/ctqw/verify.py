@@ -104,8 +104,8 @@ class Pipeline:
             return self.shell_sizes
         if self.graph is None:
             return None
-        strat = stratify(self.graph, self.origin)
-        return strat.kappa if classify_qd(self.graph, strat) else None
+        shell_of = stratify(self.graph, self.origin)
+        return tuple(np.bincount(shell_of).tolist()) if classify_qd(self.graph, shell_of) else None
 
     def series(self, times) -> AmplitudeSeries:
         return amplitude_series(self.measure, self.jc, times, kappa=self.kappa)
@@ -212,8 +212,12 @@ def check_oracle(
 class EntryStatus:
     status: str          # verified | paper-typo-suspect | unverified-array-only | failed
     checks: tuple[CheckResult, ...]
-    ok: bool             # engine output consistent with every independent check
     lines: tuple[str, ...]  # the report ``ctqw verify`` prints, verdict last
+
+    @property
+    def ok(self) -> bool:
+        """Engine output consistent with every independent check."""
+        return self.status != FAILED
 
 
 def entry_status(
@@ -260,4 +264,4 @@ def entry_status(
         status = VERIFIED
     else:
         status = UNVERIFIED
-    return EntryStatus(status=status, checks=checks, ok=ok, lines=tuple(lines))
+    return EntryStatus(status=status, checks=checks, lines=tuple(lines))

@@ -17,7 +17,7 @@ def petersen():
 
 
 @pytest.fixture
-def petersen_strat(petersen):
+def petersen_shell_of(petersen):
     return stratify(petersen, 0)
 
 

@@ -66,7 +66,7 @@ def test_01_petersen_closed_forms():
     err = max(
         float(np.abs(series.values[l] - refs[l]).max()) for l in range(3)
     )
-    oracle_vals = shell_sums(oracle_amplitudes(pipe.graph, 0, t), stratify(pipe.graph, 0).shell_of)
+    oracle_vals = shell_sums(oracle_amplitudes(pipe.graph, 0, t), stratify(pipe.graph, 0))
     ref_vs_oracle = max(
         float(np.abs(oracle_vals[l] - refs[l]).max()) for l in range(3)
     )

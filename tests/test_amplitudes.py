@@ -19,6 +19,7 @@ from ctqw.jacobi import JacobiCoefficients
 from ctqw.oracle import oracle_amplitudes
 from ctqw.stieltjes import SpectralMeasure, spectral_measure
 from ctqw.verify import pipeline_for_entry
+from test_stieltjes import property_jcs
 
 PETERSEN_JC = JacobiCoefficients(alpha=(0.0, 0.0, 2.0), omega=(3.0, 2.0))
 
@@ -74,11 +75,13 @@ class TestReturnAmplitude:
         assert series_row(m, jc, 0, np.pi) == pytest.approx(-1.0 / 3.0, abs=1e-13)
 
     def test_time_reversal(self, rng):
-        m = petersen_measure()
-        for t in rng.uniform(0, 20, size=10):
-            assert series_row(m, PETERSEN_JC, 0, -t) == pytest.approx(
-                np.conj(series_row(m, PETERSEN_JC, 0, t)), abs=1e-14
-            )
+        # every level of every property matrix, Petersen's among them
+        t = rng.uniform(0, 20, size=10)
+        for jc in property_jcs():
+            m = spectral_measure(jc)
+            backward = amplitude_series(m, jc, -t).values
+            forward = amplitude_series(m, jc, t).values
+            assert np.abs(backward - np.conj(forward)).max() < 1e-14
 
     def test_scalar_time_gives_scalar(self):
         m = petersen_measure()
@@ -169,15 +172,15 @@ class TestStratumAmplitude:
 
 
 class TestVertexAmplitude:
-    def test_matches_oracle_per_vertex(self, petersen, petersen_strat):
+    def test_matches_oracle_per_vertex(self, petersen, petersen_shell_of):
         # every vertex of shell l carries q_l / sqrt(kappa_l)
         m = petersen_measure()
         t = 0.9
         pvec = oracle_amplitudes(petersen, 0, t)
         for level in range(3):
             q = series_row(m, PETERSEN_JC, level, t)
-            expected = q / np.sqrt(petersen_strat.kappa[level])
-            for v in np.flatnonzero(petersen_strat.shell_of == level):
+            expected = q / np.sqrt(np.bincount(petersen_shell_of)[level])
+            for v in np.flatnonzero(petersen_shell_of == level):
                 assert pvec[v] == pytest.approx(expected, abs=1e-12)
 
 
@@ -211,7 +214,7 @@ class TestAmplitudeSeries:
         series = pipe.series(times)
         pvec = oracle_amplitudes(pipe.graph, 0, times)
         # every vertex of shell l carries q_l / sqrt(shell size)
-        shell_of = stratify(pipe.graph, 0).shell_of
+        shell_of = stratify(pipe.graph, 0)
         want = series.values[shell_of] / np.sqrt(np.asarray(pipe.kappa))[shell_of, None]
         assert np.abs(pvec - want).max() < 1e-8
 

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import re
@@ -10,6 +11,10 @@ import numpy as np
 import pytest
 
 from ctqw.cli import main
+
+
+# all a failed stdout leaves on stderr: no traceback, nothing at exit
+STDOUT_ERROR = "error: UnwritableOutput: cannot write stdout: {}\n"
 
 
 def run(capsys, *argv):
@@ -378,6 +383,85 @@ class TestExitCodes:
         code, _, err = run(capsys, "compute", "--graph", "petersen", "--output", str(target))
         assert code == 2
         assert "error: UnwritableOutput:" in err and str(target) in err
+
+    def test_failed_in_memory_stdout(self, capsys, monkeypatch):
+        class ClosedStream(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedStream())
+        code = main(["verify", "--graph", "petersen"])
+        assert code == 2
+        assert capsys.readouterr().err == STDOUT_ERROR.format("Broken pipe")
+
+    @pytest.mark.parametrize("command", ["compute", "verify", "stieltjes"])
+    def test_edge_list_not_utf8(self, capsys, tmp_path, command):
+        path = tmp_path / "bad.edges"
+        path.write_bytes(b"\xff\xfe3 2\n0 1\n1 2\n")
+        code, out, err = run(capsys, command, "--graph", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: InvalidEdgeList: cannot read {path}: 'utf-8' codec can't")
+
+    def test_file_name_too_long(self, capsys):
+        # os.stat raises ENAMETOOLONG rather than report a missing file
+        code, out, err = run(capsys, "compute", "--graph", "x" * 5000)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: InvalidEdgeList: 'xxx")
+        assert err.endswith("' is neither a known family nor an existing file\n")
+
+
+# every subcommand, each writing its stdout in its own way; the compute
+# outputs (1.8 MB of CSV, 1.0 MB of JSON) outgrow a pipe's buffer
+STDOUT_ARGVS = [
+    ("compute", "--graph", "path:100"),
+    ("compute", "--graph", "path:100", "--format", "json"),
+    ("verify", "--graph", "petersen"),
+    ("stieltjes", "--graph", "petersen", "--eval", "4"),
+    ("catalog",),
+]
+
+
+def _cli_child(argv, stdout, buffered):
+    """``python -m ctqw.cli argv`` writing to ``stdout``, with block-buffered
+    or unbuffered standard streams."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen(
+        [sys.executable, "-m", "ctqw.cli", *argv],
+        env=env, stdout=stdout, stderr=subprocess.PIPE, text=True,
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", STDOUT_ARGVS, ids=" ".join)
+def test_full_stdout_exits_2_with_named_error(argv, buffered):
+    """A write to stdout that fails exits 2 with UnwritableOutput, with no
+    traceback and nothing left to fail when the interpreter exits."""
+    with open("/dev/full", "w") as full:
+        proc = _cli_child(argv, full, buffered)
+        _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (2, STDOUT_ERROR.format("No space left on device"))
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", STDOUT_ARGVS[:2], ids=" ".join)
+def test_stdout_closed_early_exits_2(argv, buffered):
+    """A reader that closes the pipe after the first 4 KB (the CSV header and
+    some rows, or the start of the one JSON line), as ``| head`` does."""
+    proc = _cli_child(argv, subprocess.PIPE, buffered)
+    try:
+        proc.stdout.read(4096)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert (proc.returncode, err) == (2, STDOUT_ERROR.format("Broken pipe"))
 
 
 class TestGraphBuilds:

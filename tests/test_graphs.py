@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -192,22 +193,22 @@ class TestStratify:
     @pytest.mark.parametrize("n", [3, 5, 9])
     def test_complete_graph_two_shells(self, n):
         g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-        s = stratify(g, 2)
-        assert s.kappa == (1, n - 1)
-        assert np.flatnonzero(s.shell_of == 0).tolist() == [2]
+        shell_of = stratify(g, 2)
+        assert tuple(np.bincount(shell_of).tolist()) == (1, n - 1)
+        assert np.flatnonzero(shell_of == 0).tolist() == [2]
 
     def test_petersen_shell_sizes(self, petersen):
         for origin in range(10):
-            assert stratify(petersen, origin).kappa == (1, 3, 6)
+            assert tuple(np.bincount(stratify(petersen, origin)).tolist()) == (1, 3, 6)
 
     def test_k2(self):
-        s = stratify(build_graph(2, [(0, 1)]), 0)
-        assert s.kappa == (1, 1)
-        assert s.shell_of.tolist() == [0, 1]
+        shell_of = stratify(build_graph(2, [(0, 1)]), 0)
+        assert tuple(np.bincount(shell_of).tolist()) == (1, 1)
+        assert shell_of.tolist() == [0, 1]
 
-    def test_shells_partition_vertices(self, petersen_strat):
-        levels = range(len(petersen_strat.kappa))
-        seen = sorted(v for k in levels for v in np.flatnonzero(petersen_strat.shell_of == k))
+    def test_shells_partition_vertices(self, petersen_shell_of):
+        levels = range(len(np.bincount(petersen_shell_of)))
+        seen = sorted(v for k in levels for v in np.flatnonzero(petersen_shell_of == k))
         assert seen == list(range(10))
 
     def test_bad_origin(self, petersen):
@@ -218,11 +219,11 @@ class TestStratify:
         for _ in range(20):
             n = int(rng.integers(5, 40))
             g = random_connected_graph(rng, n, int(rng.integers(0, 2 * n)))
-            s = stratify(g, int(rng.integers(0, n)))
+            shell_of = stratify(g, int(rng.integers(0, n)))
             a = g.adjacency
             for u in range(n):
                 for v in a.indices[a.indptr[u] : a.indptr[u + 1]]:
-                    assert abs(int(s.shell_of[u]) - int(s.shell_of[v])) <= 1
+                    assert abs(int(shell_of[u]) - int(shell_of[v])) <= 1
 
 
 class TestDistanceMatrices:
@@ -435,8 +436,8 @@ class TestClassifyQD:
         g = build_graph(n, edges)
         h = nx.Graph(edges)
         for origin in range(n):
-            strat = stratify(g, origin)
-            cls = classify_qd(g, strat)
+            shell_of = stratify(g, origin)
+            cls = classify_qd(g, shell_of)
             want = neighbor_counts_by_distance(h, origin)
             depth = max(k for k, _ in want.values())
             kappa = [0] * (depth + 1)
@@ -444,7 +445,7 @@ class TestClassifyQD:
             for k, counts in want.values():
                 kappa[k] += 1
                 per_shell[k].add((counts.get(k - 1, 0), counts.get(k, 0), counts.get(k + 1, 0)))
-            assert strat.kappa == tuple(kappa)
+            assert tuple(np.bincount(shell_of).tolist()) == tuple(kappa)
             assert cls.qd == all(len(c) == 1 for c in per_shell)
             if not cls:
                 shell, direction, va, ca, vb, cb = cls.witness
@@ -481,6 +482,12 @@ class TestEdgeListFormat:
     def test_missing_file(self):
         with pytest.raises(InvalidEdgeList):
             read_edge_list("/nonexistent/file.edges")
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "bad.edges"
+        path.write_bytes(b"\xff\xfe3 2\n0 1\n1 2\n")
+        with pytest.raises(InvalidEdgeList, match=re.escape(f"cannot read {path}: 'utf-8' codec")):
+            read_edge_list(path)
 
     @pytest.mark.parametrize(
         "text",

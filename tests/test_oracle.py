@@ -40,7 +40,7 @@ class TestOracleAmplitudes:
             p = oracle_amplitudes(petersen, 0, float(t))
             assert (np.abs(p) ** 2).sum() == pytest.approx(1.0, abs=1e-10)
 
-    def test_petersen_matches_closed_forms(self, petersen, petersen_strat):
+    def test_petersen_matches_closed_forms(self, petersen, petersen_shell_of):
         t = np.linspace(0.0, 10.0, 41)
         pvec = oracle_amplitudes(petersen, 0, t)
         q0 = 0.1 * (5 * np.exp(-1j * t) + 4 * np.exp(2j * t) + np.exp(-3j * t))
@@ -48,7 +48,7 @@ class TestOracleAmplitudes:
         q2 = (-np.exp(-1j * t) + 0.4 * np.exp(2j * t) + 0.6 * np.exp(-3j * t)) / np.sqrt(6)
         # every vertex of shell l carries q_l / sqrt(shell size)
         for level, q in enumerate((q0, q1, q2)):
-            shell = np.flatnonzero(petersen_strat.shell_of == level)
+            shell = np.flatnonzero(petersen_shell_of == level)
             want = q / np.sqrt(len(shell))
             assert np.abs(pvec[shell] - want).max() < 1e-12
 

@@ -8,6 +8,7 @@ from ctqw import build_graph, classify_qd, make_entry, stratify
 from ctqw.errors import InvalidParams, PoleProximity
 from ctqw.jacobi import JacobiCoefficients
 from ctqw.stieltjes import (
+    MERGE_TOL,
     SpectralMeasure,
     orthonormal_values,
     spectral_measure,
@@ -75,6 +76,60 @@ PROPERTY_SPECS = [
 
 def property_jcs():
     return [make_entry(f, p).jacobi_coefficients() for f, p in PROPERTY_SPECS]
+
+
+# two blocks coupled by a vanishing omega give eigenvalue pairs at +-1 split
+# far below the merge tolerance
+NEAR_DEGENERATE_JC = JacobiCoefficients(alpha=(0.0,) * 4, omega=(1.0, 1e-30, 1.0))
+
+
+def coupled_blocks(copies):
+    """``copies`` copies of one 3 x 3 block coupled by vanishing omegas: each
+    of the block's three eigenvalues becomes a group of ``copies`` nodes split
+    far below the merge tolerance."""
+    return JacobiCoefficients(
+        alpha=(0.3, -1.2, 0.5) * copies, omega=((1.0, 2.0, 1e-30) * copies)[:-1]
+    )
+
+
+def reference_measure(jc):
+    """(nodes, weights, defect) merged the way ``spectral_measure`` once did:
+    a loop over the ascending nodes and one ``np.sum`` per group, and the
+    1 x 1 case apart."""
+    import scipy.linalg
+
+    diag, off = jc.tridiagonal()
+    if jc.dim == 1:
+        return (float(diag[0]),), (1.0,), 0.0
+    vals, vecs = scipy.linalg.eigh_tridiagonal(diag, off)
+    weights = vecs[0, :] ** 2
+    defect = abs(float(weights.sum()) - 1.0)
+    weights = weights / weights.sum()
+    gap_tol = MERGE_TOL * float(vals[-1] - vals[0])
+    nodes_out, weights_out = [], []
+    i, n = 0, len(vals)
+    while i < n:
+        j = i
+        while j + 1 < n and vals[j + 1] - vals[j] < gap_tol:
+            j += 1
+        w = float(weights[i : j + 1].sum())
+        nodes_out.append(float((vals[i : j + 1] * weights[i : j + 1]).sum() / w))
+        weights_out.append(w)
+        i = j + 1
+    return tuple(nodes_out), tuple(weights_out), defect
+
+
+def bits(xs):
+    """Exact representations: tells -0.0 from 0.0."""
+    return [float(x).hex() for x in xs]
+
+
+MERGE_CASES = {
+    **{f"{f}{list(p)}": jc for (f, p), jc in zip(PROPERTY_SPECS, property_jcs())},
+    "near-degenerate": NEAR_DEGENERATE_JC,
+    **{f"blocks-x{k}": coupled_blocks(k) for k in range(2, 8)},
+    "1x1": JacobiCoefficients(alpha=(0.5,), omega=()),
+}
 
 
 def random_offaxis_points(rng, jc, count=100):
@@ -190,13 +245,32 @@ class TestSpectralMeasure:
             assert abs((w * x * x).sum() - (jc.alpha[0] ** 2 + jc.omega[0])) < 1e-10
 
     def test_near_degenerate_nodes_merge(self):
-        # two blocks coupled by a vanishing omega give eigenvalue pairs at
-        # +-1 split far below the merge tolerance
-        jc = JacobiCoefficients(alpha=(0.0,) * 4, omega=(1.0, 1e-30, 1.0))
-        m = spectral_measure(jc)
+        m = spectral_measure(NEAR_DEGENERATE_JC)
         assert m.size == 2
         assert np.allclose(m.nodes, (-1.0, 1.0), atol=1e-12)
         assert np.allclose(m.weights, (0.5, 0.5), atol=1e-12)
+
+    @pytest.mark.parametrize("jc", MERGE_CASES.values(), ids=MERGE_CASES.keys())
+    def test_one_pass_merge_matches_loop(self, jc):
+        m = spectral_measure(jc)
+        nodes, weights, defect = reference_measure(jc)
+        assert bits(m.nodes) == bits(nodes)
+        assert bits(m.weights) == bits(weights)
+        assert bits([m.renormalization_defect]) == bits([defect])
+
+    @pytest.mark.parametrize("copies", range(2, 8))
+    def test_coupled_blocks_merge_to_one_node_per_eigenvalue(self, copies):
+        assert spectral_measure(coupled_blocks(copies)).size == 3
+
+    def test_negative_zero_node_comes_out_positive(self, monkeypatch):
+        import scipy.linalg
+
+        # an eigensolver that returns -0.0; only row 0 of the vectors is read
+        vals, vecs = np.array([-1.0, -0.0, 1.0]), np.sqrt([[0.25, 0.5, 0.25]] * 3)
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", lambda d, e: (vals, vecs))
+        jc = JacobiCoefficients(alpha=(0.0,) * 3, omega=(1.0, 1.0))
+        nodes, _, _ = reference_measure(jc)
+        assert bits(spectral_measure(jc).nodes) == bits(nodes) == bits([-1.0, 0.0, 1.0])
 
     def test_interlacing(self):
         for jc in property_jcs():
