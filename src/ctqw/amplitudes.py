@@ -10,8 +10,11 @@ tabulated s-domain expressions; it is never inverted numerically.
 
 ``AmplitudeSeries.to_csv`` formats its rows at ``%.17g`` in blocks of whole
 samples, one ``%`` operation per block, and writes each block to its stream;
-the bytes are those of formatting each cell on its own. ``MAX_SERIES_CELLS``
-bounds the strata x samples of one series.
+the bytes are those of formatting each cell on its own.
+``AmplitudeSeries.to_json`` gives the bytes of ``json.dumps(as_dict())``, but
+renders each distinct float bit pattern of the values once and joins the text
+one level at a time. ``MAX_SERIES_CELLS`` bounds the strata x samples of one
+series.
 """
 
 from __future__ import annotations
@@ -34,6 +37,10 @@ MAX_SERIES_CELLS = 2**24
 # CSV rows formatted by one % operation (whole samples, at least one); bounds
 # the argument tuple and the row text held per block
 _CSV_BLOCK = 1 << 14
+
+# JSON value cells gathered per block (whole levels, at least one); bounds the
+# object array of cell text held per block
+_JSON_BLOCK = 1 << 14
 
 
 def as_times(t) -> np.ndarray:
@@ -117,7 +124,32 @@ class AmplitudeSeries:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict())
+        """The bytes of ``json.dumps(self.as_dict())``, with each distinct
+        float bit pattern of ``values`` rendered once; the cells of whole levels
+        are gathered in blocks and each level's text is joined on its own."""
+        levels, samples = self.values.shape
+        # re, im interleaved per cell; bit patterns keep -0.0 and NaN payloads apart
+        bits = np.ascontiguousarray(self.values, dtype=np.complex128).view(np.int64).ravel()
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        inverse = inverse.reshape(levels, 2 * samples)  # its shape varies across numpy releases
+        # json renders nan, inf, -0.0 and repr itself; no float token holds ", "
+        text = json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", ")
+        text = np.array(text, dtype=object)
+        step = max(1, _JSON_BLOCK // samples)  # whole levels per block
+        cells = np.empty((min(step, levels), 4 * samples + 1), dtype=object)
+        # a level is "[[" re ", " im "], [" re ", " im ... "]]"
+        cells[:, 0], cells[:, 2::4], cells[:, 4::4], cells[:, -1] = "[[", ", ", "], [", "]]"
+        rows = []
+        for l0 in range(0, levels, step):
+            block = cells[: min(step, levels - l0)]
+            block[:, 1::2] = text[inverse[l0 : l0 + step]]
+            rows.extend(map("".join, block.tolist()))
+        return "".join((
+            '{"times": ', json.dumps(self.times.tolist()),
+            ', "kappa": ', json.dumps(self.kappa),
+            ', "values": [', ", ".join(rows),
+            '], "conservation_defect": ', json.dumps(self.conservation_defect.tolist()), "}",
+        ))
 
 
 def laplace_return_amplitude(measure: SpectralMeasure, s: complex) -> complex:

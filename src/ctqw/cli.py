@@ -133,11 +133,22 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose help on stdout goes out through ``_emit``:
+    argparse itself drops a failed write of it. Subparsers are made of the
+    same class."""
+
+    def print_help(self, file=None) -> None:
+        if file is not None:
+            return super().print_help(file)
+        _emit(lambda out: out.write(self.format_help()))
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built once per process; ``parse_args`` gives each
     call a fresh namespace, and ``--eval`` appends to a copy of its default."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ctqw",
         description="Continuous-time quantum walk amplitudes via spectral measures.",
     )
@@ -200,9 +211,10 @@ def _join_eval_values(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     _configure_logging()
-    parser = _build_parser()
-    args = parser.parse_args(_join_eval_values(sys.argv[1:] if argv is None else list(argv)))
+    argv = _join_eval_values(sys.argv[1:] if argv is None else list(argv))
     try:
+        # --help raises UnwritableOutput here when stdout fails
+        args = _build_parser().parse_args(argv)
         # looked up on each call, not bound into the parser built once, so a
         # cmd_* function rebound on this module since then is the one that runs
         return globals()[f"cmd_{args.command}"](args)

@@ -8,6 +8,7 @@ from scipy.special import jv
 from ctqw import make_entry, stratify
 from ctqw.amplitudes import (
     _CSV_BLOCK,
+    _JSON_BLOCK,
     MAX_SERIES_CELLS,
     AmplitudeSeries,
     ExponentialSum,
@@ -287,13 +288,30 @@ def assert_same_text(got, want):
 
 SPECIAL_FLOATS = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, -1e300, 0.1, 1.0]
 
+# few values, several of them alike to json: both zeros, and quiet NaNs with
+# different payloads and signs
+POOL_FLOATS = np.concatenate([
+    [0.0, -0.0, np.inf, -np.inf, 5e-324, 1e300],
+    np.array(
+        [0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000, 0x7FFFFFFFFFFFFFFF],
+        dtype=np.uint64,
+    ).view(np.float64),
+])
+
 
 def hand_built_series(rng, levels, samples, special=False):
+    """Random cells spread over 300 decades; ``special`` True plants
+    SPECIAL_FLOATS, "pool" draws every cell from POOL_FLOATS and "single"
+    gives every cell the one value 5e-324."""
     times = np.sort(rng.uniform(0.0, 50.0, size=samples))
     scale = 10.0 ** rng.integers(-150, 150, size=(2, levels, samples))
     parts = rng.standard_normal((2, levels, samples)) * scale
     defect = rng.uniform(0.0, 1e-12, size=samples)
-    if special:
+    if special == "pool":
+        parts = rng.choice(POOL_FLOATS, size=parts.shape)
+    elif special == "single":
+        parts = np.full(parts.shape, 5e-324)
+    elif special:
         times[: len(SPECIAL_FLOATS)] = SPECIAL_FLOATS[:samples]
         flat = parts.reshape(2, -1)
         for k, x in enumerate(SPECIAL_FLOATS):
@@ -323,6 +341,9 @@ class TestSerializers:
             (5, 1, False),
             (1, 40, False),
             (3, 20, True),                        # -0, nan, +-inf, subnormal, huge
+            (6, 30, "pool"),                      # mostly duplicates
+            (1, 50, "pool"),
+            (4, 10, "single"),                    # one distinct value
         ],
     )
     def test_matches_per_cell_reference(self, rng, levels, samples, special):
@@ -332,6 +353,23 @@ class TestSerializers:
             series.to_csv(out)
             assert_same_text(out.getvalue(), reference_csv(series))
         assert_same_text(series.to_json(), json.dumps(reference_as_dict(series)))
+
+    @pytest.mark.parametrize(
+        "levels, samples, last_repeats",
+        [
+            (1, _JSON_BLOCK + 1, False),          # one level longer than a block
+            (_JSON_BLOCK + 1, 1, False),          # a block of levels and one more
+            (7, 3, True),
+            (_JSON_BLOCK // 3 + 1, 3, True),      # the last block is that level
+        ],
+    )
+    def test_json_has_no_level_seams(self, rng, levels, samples, last_repeats):
+        series = hand_built_series(rng, levels, samples)
+        if last_repeats:  # every cell of the last level is the first cell's re
+            series.values[-1] = series.values[0, 0].real * (1 + 1j)
+        text = series.to_json()
+        assert_same_text(text, json.dumps(series.as_dict()))
+        assert json.loads(text) == series.as_dict()
 
     def test_series_cell_bound(self):
         # the bound is checked before any (levels, T) array is made, so a

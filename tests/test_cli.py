@@ -323,6 +323,14 @@ class TestParser:
         # at most the one tree (7 parsers), if no earlier call built it
         assert len(built) <= 7, built
 
+    @pytest.mark.parametrize("argv", [("--help",), ("compute", "--help")], ids=" ".join)
+    def test_help_on_stdout(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(list(argv))
+        out, err = capsys.readouterr()
+        assert (excinfo.value.code, err) == (0, "")
+        assert out.startswith(" ".join(("usage: ctqw", *argv[:-1], "[-h]")))
+
     def test_defaults_do_not_leak_between_calls(self, capsys):
         # K4's spectrum is {3, -1}, so z = 1 is no pole
         code, out, _ = run(capsys, "stieltjes", "--graph", "complete:4", "--eval=1")
@@ -410,14 +418,17 @@ class TestExitCodes:
         assert err.endswith("' is neither a known family nor an existing file\n")
 
 
-# every subcommand, each writing its stdout in its own way; the compute
-# outputs (1.8 MB of CSV, 1.0 MB of JSON) outgrow a pipe's buffer
+# every subcommand, each writing its stdout in its own way, and argparse's
+# help; the compute outputs (1.8 MB of CSV, 1.0 MB of JSON) outgrow a pipe's
+# buffer
 STDOUT_ARGVS = [
     ("compute", "--graph", "path:100"),
     ("compute", "--graph", "path:100", "--format", "json"),
     ("verify", "--graph", "petersen"),
     ("stieltjes", "--graph", "petersen", "--eval", "4"),
     ("catalog",),
+    ("--help",),
+    ("compute", "--help"),
 ]
 
 
