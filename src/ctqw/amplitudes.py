@@ -10,11 +10,15 @@ tabulated s-domain expressions; it is never inverted numerically.
 
 ``AmplitudeSeries.to_csv`` formats its rows at ``%.17g`` in blocks of whole
 samples, one ``%`` operation per block, and writes each block to its stream;
-the bytes are those of formatting each cell on its own.
-``AmplitudeSeries.to_json`` gives the bytes of ``json.dumps(as_dict())``, but
-renders each distinct float bit pattern of the values once and joins the text
-one level at a time. ``MAX_SERIES_CELLS`` bounds the strata x samples of one
-series.
+the bytes are those of formatting each cell on its own. When at most
+``_CSV_TABLE_SHARE`` (1/3) of a series' re/im cells are distinct bit
+patterns, as past a walk's wavefront, where levels repeat rounding noise,
+it renders each distinct value once and gathers that text into the rows;
+otherwise it formats the floats in the rows. ``AmplitudeSeries.to_json``
+gives the bytes of ``json.dumps(as_dict())``, but always renders each
+distinct float bit pattern of the values once and joins the text one level
+at a time. Both take that table from ``_distinct_text``.
+``MAX_SERIES_CELLS`` bounds the strata x samples of one series.
 """
 
 from __future__ import annotations
@@ -38,6 +42,22 @@ MAX_SERIES_CELLS = 2**24
 # the argument tuple and the row text held per block
 _CSV_BLOCK = 1 << 14
 
+# to_csv renders a series' re/im cells through the table of distinct values
+# when at most this share of them is distinct. Against formatting each cell
+# in its row (~1.1 us at %.17g), the table costs np.unique and a gather per
+# cell, plus one render per distinct value (~1.1-1.3 us); the gather slows
+# as the table outgrows the CPU caches. Measured in-process, the break-even
+# share is ~0.5 with 242,315 distinct values (tchebichef2:400,1 x 1001
+# samples) but ~0.3 with 1,143,948 (path:1000 x 2001, share 0.29: even
+# within the noise), and path:2000 x 1001 (2.2M distinct, share 0.55) took
+# 25% longer through the table. Below 1/3 the table was no slower at any
+# size measured.
+_CSV_TABLE_SHARE = 1 / 3
+
+# distinct values rendered per call; bounds the float list, format string and
+# text made at once on top of the table
+_RENDER_BLOCK = 1 << 14
+
 # JSON value cells gathered per block (whole levels, at least one); bounds the
 # object array of cell text held per block
 _JSON_BLOCK = 1 << 14
@@ -52,6 +72,37 @@ def as_times(t) -> np.ndarray:
     if not np.isfinite(t).all():
         raise InvalidParams("time must be finite")
     return t
+
+
+def _render_g17(xs: list[float]) -> list[str]:
+    """``xs`` at ``%.17g``, in one ``%`` operation; no such token holds ','."""
+    return ("%.17g," * len(xs) % tuple(xs)).split(",")[:-1]
+
+
+def _render_json(xs: list[float]) -> list[str]:
+    """``xs`` as ``json.dumps`` writes them, ``NaN``, ``Infinity`` and
+    ``-0.0`` included; no float token holds ', '."""
+    return json.dumps(xs)[1:-1].split(", ")
+
+
+def _distinct_text(cells: np.ndarray, render, max_share: float = 1.0):
+    """The re/im parts of the complex ``cells`` rendered once per distinct
+    bit pattern, so that -0.0 and NaN payloads stay apart: ``(text,
+    inverse)``, with ``text`` an object array and ``text[inverse]`` the text
+    of each part, ``inverse`` shaped ``cells.shape + (2,)`` (re, im). None,
+    with nothing rendered, when more than ``max_share`` of the parts are
+    distinct."""
+    bits = np.ascontiguousarray(cells, dtype=np.complex128).view(np.int64).ravel()
+    if max_share < 1:  # counted on a plain sort, several times cheaper than np.unique
+        ordered = np.sort(bits)
+        if 1 + np.count_nonzero(ordered[1:] != ordered[:-1]) > max_share * bits.size:
+            return None
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    floats = distinct.view(np.float64)
+    text = np.empty(floats.size, dtype=object)
+    for k in range(0, floats.size, _RENDER_BLOCK):
+        text[k : k + _RENDER_BLOCK] = render(floats[k : k + _RENDER_BLOCK].tolist())
+    return text, inverse.reshape(*cells.shape, 2)  # its shape varies across numpy releases
 
 
 @dataclass(frozen=True)
@@ -96,11 +147,16 @@ class AmplitudeSeries:
     def to_csv(self, out: TextIO) -> None:
         """Write the header and one row ``t,stratum,re,im,prob`` per
         (sample, stratum) to ``out``, sample-major, floats at ``%.17g``;
-        each block goes out as soon as it is formatted."""
+        each block goes out as soon as it is formatted. The re/im cells come
+        from the table of distinct values when at most ``_CSV_TABLE_SHARE``
+        of them are distinct, else straight from the floats; the bytes are
+        the same."""
         levels = self.levels
         rows = self.values.T.ravel()  # (t_0, 0), (t_0, 1), ..., (t_1, 0), ...
         re, im = rows.real, rows.imag
         prob = re * re + im * im
+        table = _distinct_text(rows, _render_g17, _CSV_TABLE_SHARE)
+        row = "%s%.17g,%.17g,%.17g\n" if table is None else "%s%s,%s,%.17g\n"
         l_cells = ["%d," % l for l in range(levels)]
         times = self.times.tolist()
         step = max(1, _CSV_BLOCK // levels)  # whole samples per block
@@ -110,10 +166,15 @@ class AmplitudeSeries:
             a, b = s0 * levels, (s0 + len(t_cells)) * levels
             cells = [None] * (4 * (b - a))
             cells[0::4] = [t + l for t in t_cells for l in l_cells]
-            cells[1::4] = re[a:b].tolist()
-            cells[2::4] = im[a:b].tolist()
+            if table is None:
+                cells[1::4] = re[a:b].tolist()
+                cells[2::4] = im[a:b].tolist()
+            else:
+                text, inverse = table
+                cells[1::4] = text[inverse[a:b, 0]].tolist()
+                cells[2::4] = text[inverse[a:b, 1]].tolist()
             cells[3::4] = prob[a:b].tolist()
-            out.write("%s%.17g,%.17g,%.17g\n" * (b - a) % tuple(cells))
+            out.write(row * (b - a) % tuple(cells))
 
     def as_dict(self) -> dict:
         return {
@@ -128,13 +189,8 @@ class AmplitudeSeries:
         float bit pattern of ``values`` rendered once; the cells of whole levels
         are gathered in blocks and each level's text is joined on its own."""
         levels, samples = self.values.shape
-        # re, im interleaved per cell; bit patterns keep -0.0 and NaN payloads apart
-        bits = np.ascontiguousarray(self.values, dtype=np.complex128).view(np.int64).ravel()
-        distinct, inverse = np.unique(bits, return_inverse=True)
-        inverse = inverse.reshape(levels, 2 * samples)  # its shape varies across numpy releases
-        # json renders nan, inf, -0.0 and repr itself; no float token holds ", "
-        text = json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", ")
-        text = np.array(text, dtype=object)
+        text, inverse = _distinct_text(self.values, _render_json)
+        inverse = inverse.reshape(levels, 2 * samples)  # re, im interleaved per cell
         step = max(1, _JSON_BLOCK // samples)  # whole levels per block
         cells = np.empty((min(step, levels), 4 * samples + 1), dtype=object)
         # a level is "[[" re ", " im "], [" re ", " im ... "]]"

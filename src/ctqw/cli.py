@@ -195,26 +195,54 @@ def _configure_logging() -> None:
     logging.getLogger().setLevel(level)
 
 
-def _join_eval_values(argv: list[str]) -> list[str]:
-    """Rewrite ``--eval Z`` as ``--eval=Z``.
+def _eval_value(token: str) -> str | None:
+    """Z of ``--eval=Z`` or of an abbreviation such as ``--ev=Z``, which the
+    stieltjes parser alone resolves to ``--eval``; else None."""
+    name, eq, value = token.partition("=")
+    return value if eq and len(name) > 2 and "--eval".startswith(name) else None
+
+
+def _join_eval_values(argv: list[str]) -> tuple[list[str], bool]:
+    """Rewrite ``--eval Z`` as ``--eval=Z``, then, in a NUL-free ``stieltjes``
+    argv, each run of adjacent ``--eval=Z`` tokens before any ``--`` as one
+    ``--eval=`` token whose values are NUL-separated; the flag says whether
+    the values are to be split on NUL after parsing.
 
     argparse takes a separate value that starts with '-' and is not a plain
     negative number, such as -2.5+0.5j or -1e-3, for an option and rejects it.
+    It also scans every option string again for each option, so n separate
+    ``--eval`` options take O(n^2) to parse. A run stands where its first
+    token stood, so every other option meets the same neighbours.
     """
     out = []
     tokens = iter(argv)
     for token in tokens:
         value = next(tokens, None) if token == "--eval" else None
         out.append(token if value is None else f"{token}={value}")
-    return out
+    if out[:1] != ["stieltjes"] or any("\0" in token for token in out):
+        return out, False
+    end = out.index("--") if "--" in out else len(out)
+    packed = []  # a token, or the values of a run
+    for token in out[:end]:
+        value = _eval_value(token)
+        if value is None:
+            packed.append(token)
+        elif packed and isinstance(packed[-1], list):
+            packed[-1].append(value)
+        else:
+            packed.append([value])
+    packed = ["--eval=" + "\0".join(t) if isinstance(t, list) else t for t in packed]
+    return packed + out[end:], True
 
 
 def main(argv=None) -> int:
     _configure_logging()
-    argv = _join_eval_values(sys.argv[1:] if argv is None else list(argv))
+    argv, packed = _join_eval_values(sys.argv[1:] if argv is None else list(argv))
     try:
         # --help raises UnwritableOutput here when stdout fails
         args = _build_parser().parse_args(argv)
+        if packed:
+            args.eval = [z for token in args.eval for z in token.split("\0")]
         # looked up on each call, not bound into the parser built once, so a
         # cmd_* function rebound on this module since then is the one that runs
         return globals()[f"cmd_{args.command}"](args)

@@ -6,9 +6,12 @@ import pytest
 from scipy.special import jv
 
 from ctqw import make_entry, stratify
+from ctqw import amplitudes
 from ctqw.amplitudes import (
     _CSV_BLOCK,
+    _CSV_TABLE_SHARE,
     _JSON_BLOCK,
+    _RENDER_BLOCK,
     MAX_SERIES_CELLS,
     AmplitudeSeries,
     ExponentialSum,
@@ -301,8 +304,10 @@ POOL_FLOATS = np.concatenate([
 
 def hand_built_series(rng, levels, samples, special=False):
     """Random cells spread over 300 decades; ``special`` True plants
-    SPECIAL_FLOATS, "pool" draws every cell from POOL_FLOATS and "single"
-    gives every cell the one value 5e-324."""
+    SPECIAL_FLOATS, "pool" draws every cell from POOL_FLOATS, "single"
+    gives every cell the one value 5e-324, and "under" / "over" make the
+    count of distinct re/im parts the most that _CSV_TABLE_SHARE lets through
+    the table / one more."""
     times = np.sort(rng.uniform(0.0, 50.0, size=samples))
     scale = 10.0 ** rng.integers(-150, 150, size=(2, levels, samples))
     parts = rng.standard_normal((2, levels, samples)) * scale
@@ -311,6 +316,11 @@ def hand_built_series(rng, levels, samples, special=False):
         parts = rng.choice(POOL_FLOATS, size=parts.shape)
     elif special == "single":
         parts = np.full(parts.shape, 5e-324)
+    elif special in ("under", "over"):
+        k = int(_CSV_TABLE_SHARE * parts.size) + (special == "over")
+        distinct = parts.ravel()[:k]
+        parts = rng.permutation(np.concatenate([distinct, rng.choice(distinct, parts.size - k)]))
+        parts = parts.reshape(2, levels, samples)
     elif special:
         times[: len(SPECIAL_FLOATS)] = SPECIAL_FLOATS[:samples]
         flat = parts.reshape(2, -1)
@@ -344,6 +354,9 @@ class TestSerializers:
             (6, 30, "pool"),                      # mostly duplicates
             (1, 50, "pool"),
             (4, 10, "single"),                    # one distinct value
+            (6, 30, "under"),                     # re/im from the table of distinct values
+            (6, 30, "over"),                      # re/im formatted in the rows
+            (3, _CSV_BLOCK // 2 + 1, "under"),    # two blocks of rows, three of renders
         ],
     )
     def test_matches_per_cell_reference(self, rng, levels, samples, special):
@@ -353,6 +366,26 @@ class TestSerializers:
             series.to_csv(out)
             assert_same_text(out.getvalue(), reference_csv(series))
         assert_same_text(series.to_json(), json.dumps(reference_as_dict(series)))
+
+    @pytest.mark.parametrize(
+        "special, table", [("under", True), ("over", False), ("pool", True)]
+    )
+    def test_csv_renders_each_distinct_part_once(self, rng, monkeypatch, special, table):
+        series = hand_built_series(rng, 6, 30, special)
+        rendered = []
+        render = amplitudes._render_g17
+
+        def recording(xs):
+            rendered.extend(xs)
+            return render(xs)
+
+        monkeypatch.setattr(amplitudes, "_render_g17", recording)
+        with np.errstate(over="ignore"):  # prob of 1e300
+            series.to_csv(io.StringIO())
+        parts = np.stack([series.values.real, series.values.imag]).view(np.int64)
+        want = np.unique(parts) if table else np.empty(0, dtype=np.int64)
+        got = np.sort(np.array(rendered, dtype=np.float64).view(np.int64))
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize(
         "levels, samples, last_repeats",

@@ -285,6 +285,57 @@ class TestStieltjes:
         assert [line.split()[0] for line in lines] == [f"z={z}" for z in points]
         assert all(" G_cf=" in line and " G_poles=" in line for line in lines)
 
+    def test_eval_forms_keep_argv_order(self, capsys):
+        code, out, _ = run(
+            capsys, "stieltjes", "--eval=4", "--ev=2+1j", "--graph", "petersen",
+            "--eval", "-2.5+0.5j", "--e=-0.75", "--eva", "0.5j",
+        )
+        assert code == 0
+        lines = out.splitlines()[1:]
+        assert [line.split()[0] for line in lines] == [
+            "z=4", "z=2+1j", "z=-2.5+0.5j", "z=-0.75", "z=0.5j"
+        ]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("stieltjes", "--graph", "petersen", "--eval=4", "--eval"),
+             "argument --eval: expected one argument"),
+            (("stieltjes", "--graph", "--eval=4", "--eval=2", "petersen"),
+             "argument --graph: expected one argument"),
+        ],
+    )
+    def test_eval_usage_errors(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(list(argv))
+        out, err = capsys.readouterr()
+        assert (excinfo.value.code, out) == (2, "")
+        assert err.rstrip().endswith(message)
+
+    def test_eval_points_reach_argparse_as_one_option(self, capsys, monkeypatch):
+        import argparse
+
+        seen = []
+        parse = argparse.ArgumentParser.parse_known_args
+
+        def counting(self, args=None, namespace=None):
+            seen.append(sum(token.startswith("-") for token in args))
+            return parse(self, args, namespace)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+        counts = {}
+        for n in (10, 1000):
+            points = [f"{x:.4f}+0.5j" for x in np.linspace(-2.5, 2.5, n)]
+            seen.clear()
+            code, out, _ = run(
+                capsys, "stieltjes", "--graph", "petersen", *(f"--eval={z}" for z in points)
+            )
+            assert code == 0
+            assert [line.split()[0] for line in out.splitlines()[1:]] == [f"z={z}" for z in points]
+            counts[n] = list(seen)
+        # the option strings each parser meets do not grow with the points
+        assert counts[10] == counts[1000]
+
     def test_pole_adjacent_point(self, capsys):
         code, _, err = run(capsys, "stieltjes", "--graph", "petersen", "--eval", "3")
         assert code == 2
@@ -373,6 +424,7 @@ class TestExitCodes:
         "argv",
         [
             ("compute", "--tol", "1e-3"),
+            ("compute", "--eval=1"),
             ("stieltjes", "--t-max", "3"),
             ("stieltjes", "--samples", "5"),
             ("stieltjes", "--tol", "1e-3"),
