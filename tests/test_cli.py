@@ -618,6 +618,7 @@ def _limit_address_space():
 # (unchecked, both print nan and exit 0)
 BAD_ARGVS = [
     ("compute", "--graph", "petersen", "--t-max", "1e308", "--samples", "3"),
+    ("verify", "--graph", "petersen", "--t-max", "1e5"),
     ("verify", "--graph", "petersen", "--t-max", "1e6"),
     ("verify", "--graph", "petersen", "--t-max", "1e20"),
     ("verify", "--graph", "petersen", "--t-max", "1e308"),
@@ -689,6 +690,26 @@ def test_emit_series_payloads_match_pinned_digests(capsys, monkeypatch, tmp_path
         code, out, _ = run(capsys, *call.argv)
         assert code == 0, call.label
         assert hashlib.sha256(out.encode()).hexdigest() == pinned[call.label], call.label
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("petersen",), ("appendix:icosahedron",), ("path:7", "--origin", "1"), ("hamming:3,4",)],
+    ids=" ".join,
+)
+def test_passing_verify_writes_nothing_to_stderr(argv):
+    # a child process, so that warnings (shown once each by -W default) and
+    # anything printed at exit reach the captured stream
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "ctqw.cli", "verify", "--graph", *argv],
+        env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout.endswith("VERIFY PASS\n")
 
 
 def test_readme_example_runs():

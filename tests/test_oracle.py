@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,9 +7,11 @@ from hypothesis import strategies as st
 
 from conftest import connected_graphs
 from ctqw import build_graph, entry_from_spec
+from ctqw.amplitudes import MAX_SERIES_CELLS
 from ctqw.errors import InvalidParams
 from ctqw.jacobi import JacobiCoefficients
-from ctqw.oracle import _coefficients, oracle_amplitudes
+from ctqw.graphs import Graph
+from ctqw.oracle import _coefficients, _terms, oracle_amplitudes
 from ctqw.verify import CheckResult, Pipeline, check_oracle
 
 
@@ -19,6 +23,101 @@ def expm_reference(g, origin, times):
     state = np.zeros(g.n)
     state[origin] = 1.0
     return np.stack([expm_multiply(-1j * t * g.adjacency, state) for t in times], axis=1)
+
+
+def stated_terms(x):
+    """The stated term count, by a plain upward scan: the first integer K > x
+    at which 2 B_K / (1 - rho) <= 1e-16, with B_K = [z e^s / (1 + s)]^K
+    Kapteyn's bound on |J_K(x)|, z = x / K, s = sqrt(1 - z^2) and
+    rho = z / (1 + s)."""
+    if x == 0:
+        return 1
+    k = math.floor(x) + 1
+    while True:
+        z = x / k
+        s = math.sqrt(1 - z * z)
+        rho = z / (1 + s)
+        if rho < 1 and 2 * (z * math.exp(s) / (1 + s)) ** k / (1 - rho) <= 1e-16:
+            return k
+        k += 1
+
+
+class CountingAdjacency:
+    """The adjacency as the oracle reads it (shape, row sums, products with
+    a vector), counting the products."""
+
+    def __init__(self, a):
+        self.a = a
+        self.shape = a.shape
+        self.matvecs = 0
+
+    def sum(self, axis):
+        return self.a.sum(axis=axis)
+
+    def __matmul__(self, v):
+        self.matvecs += 1
+        return self.a @ v
+
+
+class TestTermCount:
+    @pytest.mark.parametrize(
+        "spec, grid",
+        [
+            ("petersen", np.linspace(0.0, 10.0, 201)),  # R t = 30
+            ("hamming:3,4", np.linspace(0.0, 10.0, 201)),  # R t = 90
+            ("johnson:10,3", np.array([7.0, -3.0, 0.0])),  # R t = 147
+            ("petersen", np.array([1e-10, -3e-10, 0.0])),  # all Taylor
+            ("petersen", np.array([0.0])),
+        ],
+        ids=["petersen", "hamming:3,4", "johnson:10,3", "all-taylor", "t=0"],
+    )
+    def test_matvecs_follow_the_stated_rule(self, spec, grid):
+        # one matvec per term after T_0, for K of the stated rule alone
+        g = entry_from_spec(spec).build()
+        counting = CountingAdjacency(g.adjacency)
+        got = oracle_amplitudes(Graph(adjacency=counting), 1, grid)
+        radius = float(g.adjacency.sum(axis=1).max())
+        assert counting.matvecs == stated_terms(radius * np.abs(grid).max()) - 1
+        assert np.array_equal(got, oracle_amplitudes(g, 1, grid))
+        assert np.abs(got - expm_reference(g, 1, grid)).max() < 1e-12
+
+    @pytest.mark.parametrize("x", [0.0, 1e-9, 1.0, 30.0, 210.0, 2950.0, 19990.0])
+    def test_terms_meet_the_tail_target(self, x):
+        from scipy.special import jv
+
+        k = _terms(x)
+        assert k == stated_terms(x) and k > x
+        # 2 sum_{j>=K} |J_j(x)|, the truncation error of a unit state, from
+        # scipy; |J_j(x)| falls faster than geometrically past the table
+        order = np.arange(k + 200)
+        tails = 2.0 * np.cumsum(np.abs(jv(order, x))[::-1])[::-1]
+        assert tails[k] <= 1e-16
+        need = int(np.flatnonzero(tails > 1e-16).max(initial=-1)) + 1
+        # Kapteyn's bound is loosest near the turning point k = x, over a
+        # width that grows like x^(1/3)
+        assert need <= k <= need + 8 + np.cbrt(x)
+        # the recurrence started that close to the turning point still
+        # gives every coefficient, at the largest sample and below it; the
+        # rounding grows with the ~x terms of the normalization sum
+        y = x * np.array([1.0, -0.5, 1.0 / 7.0, 0.0])
+        j = order[:k, None]
+        want = (2 - (j == 0)) * (-1j) ** (j % 4) * jv(j, y)
+        want = np.where(j % 2 == 0, want.real, want.imag)
+        assert np.abs(_coefficients(y, k) - want).max() <= max(1e-15, 3e-15 * np.sqrt(x))
+
+    @pytest.mark.parametrize("t_max", [1e5, 1e20, 1e308])
+    def test_oversized_table_refused(self, petersen, t_max):
+        with pytest.raises(InvalidParams, match="oracle table too large"):
+            oracle_amplitudes(petersen, 0, np.linspace(0.0, t_max, 201))
+
+    def test_refusal_names_the_stated_term_count(self, petersen):
+        # R t = 3000: one sample more than a table of K rows may hold
+        k = stated_terms(3000.0)
+        samples = MAX_SERIES_CELLS // k + 1
+        with pytest.raises(
+            InvalidParams, match=rf"\({k} terms x {samples} samples > {MAX_SERIES_CELLS} cells\)"
+        ):
+            oracle_amplitudes(petersen, 0, np.full(samples, 1000.0))
 
 
 class TestOracleAmplitudes:
