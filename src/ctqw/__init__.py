@@ -19,7 +19,6 @@ from .errors import CtqwError
 from .graphs import (
     Graph,
     IntersectionArray,
-    QDClassification,
     build_graph,
     classify_qd,
     read_edge_list,
@@ -50,7 +49,6 @@ __all__ = [
     "Graph",
     "IntersectionArray",
     "JacobiCoefficients",
-    "QDClassification",
     "SpectralMeasure",
     "amplitude_series",
     "build_graph",

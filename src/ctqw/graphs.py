@@ -100,24 +100,6 @@ class IntersectionArray:
         return tuple(sizes)
 
 
-@dataclass(frozen=True)
-class QDClassification:
-    """Outcome of the stratification-invariance test.
-
-    A non-QD stratification has a ``witness``,
-    ``(shell, direction, vertex_a, count_a, vertex_b, count_b)``.
-    """
-
-    witness: tuple | None = None
-
-    @property
-    def qd(self) -> bool:
-        return self.witness is None
-
-    def __bool__(self) -> bool:
-        return self.qd
-
-
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a validated graph from an edge list; duplicates collapse.
 
@@ -253,8 +235,10 @@ def intersection_numbers(g: Graph) -> IntersectionArray:
     return IntersectionArray.from_bc(b, c)
 
 
-def classify_qd(g: Graph, shell_of: np.ndarray) -> QDClassification:
-    """Test whether the stratification space is invariant under the level split.
+def classify_qd(g: Graph, shell_of: np.ndarray) -> tuple | None:
+    """Test whether the stratification space is invariant under the level
+    split: None when it is (QD type), else a witness
+    ``(shell, direction, vertex_a, count_a, vertex_b, count_b)``.
 
     Equivalent condition: within each shell, every vertex has the same number
     of neighbors one shell down, in its own shell, and one shell up. The
@@ -279,15 +263,14 @@ def classify_qd(g: Graph, shell_of: np.ndarray) -> QDClassification:
     varies = lo != hi
     failing = np.flatnonzero(varies.any(axis=0))
     if failing.size == 0:
-        return QDClassification()
+        return None
     k = int(failing[0])
     d = int(np.argmax(varies[:, k]))
     verts = np.flatnonzero(shell_of == k)
     vals = counts[d, verts]
     ia, ib = int(np.argmin(vals)), int(np.argmax(vals))
     pair = (verts[ia], vals[ia], verts[ib], vals[ib])
-    witness = (k, ("down", "within", "up")[d], *(int(x) for x in pair))
-    return QDClassification(witness)
+    return (k, ("down", "within", "up")[d], *(int(x) for x in pair))
 
 
 def parse_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:

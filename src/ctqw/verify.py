@@ -75,21 +75,22 @@ class Pipeline:
 
     def krylov(self) -> tuple[JacobiCoefficients, np.ndarray]:
         """Lanczos from the origin's vertex state: the coefficients and the
-        (n, dim) orthonormal Krylov basis. Not kept: the basis is n x dim."""
-        return lanczos(self.graph, vertex_state(self.graph.n, self.origin))
+        (n, dim) orthonormal Krylov basis. The basis is not kept; on a graph
+        walk the coefficients are, as ``jc``, so one run serves both."""
+        jc, basis = lanczos(self.graph, vertex_state(self.graph.n, self.origin))
+        # the slot cached_property fills, so jc never runs Lanczos again
+        if self.coefficients is None and self.__dict__.setdefault("jc", jc) is jc:
+            if logger.isEnabledFor(logging.INFO):
+                logger.info(
+                    "origin %d: Lanczos dimension %d, %s stratification",
+                    self.origin, jc.dim, "non-QD" if self.kappa is None else "QD",
+                )
+        return jc, basis
 
     @cached_property
     def jc(self) -> JacobiCoefficients:
         """The stated coefficients, else those of Lanczos on the graph."""
-        if self.coefficients is not None:
-            return self.coefficients
-        jc = self.krylov()[0]
-        if logger.isEnabledFor(logging.INFO):
-            logger.info(
-                "origin %d: Lanczos dimension %d, %s stratification",
-                self.origin, jc.dim, "non-QD" if self.kappa is None else "QD",
-            )
-        return jc
+        return self.coefficients if self.coefficients is not None else self.krylov()[0]
 
     @cached_property
     def measure(self) -> SpectralMeasure:
@@ -98,14 +99,15 @@ class Pipeline:
     @cached_property
     def kappa(self) -> tuple[int, ...] | None:
         """The stated shell sizes, else the graph's BFS shell sizes when
-        ``classify_qd`` (the paper's diagnostic) says they are QD type, else
+        ``classify_qd`` (the paper's diagnostic) finds them QD type, else
         None: the levels are then Krylov levels, not shells."""
         if self.shell_sizes is not None:
             return self.shell_sizes
         if self.graph is None:
             return None
         shell_of = stratify(self.graph, self.origin)
-        return tuple(np.bincount(shell_of).tolist()) if classify_qd(self.graph, shell_of) else None
+        qd = classify_qd(self.graph, shell_of) is None
+        return tuple(np.bincount(shell_of).tolist()) if qd else None
 
     def series(self, times) -> AmplitudeSeries:
         return amplitude_series(self.measure, self.jc, times, kappa=self.kappa)
@@ -176,24 +178,22 @@ def check_conservation(series: AmplitudeSeries) -> CheckResult:
 def check_oracle(
     pipeline: Pipeline,
     series: AmplitudeSeries,
+    basis: np.ndarray,
     *,
     tol: float = DEFAULT_ORACLE_TOL,
 ) -> CheckResult:
     """Every vertex's amplitude in ``series``, the pipeline's series, against
     the oracle's propagator column at the same samples.
 
-    The level amplitudes are mapped to vertices through the orthonormal
-    Krylov basis of the origin's vertex state; the error is the largest
-    deviation over all vertices and samples. A walk whose level count
+    The level amplitudes are mapped to vertices through ``basis``, the
+    orthonormal Krylov basis of ``pipeline.krylov()``; the error is the
+    largest deviation over all vertices and samples. A walk whose level count
     differs from the Krylov dimension fails without a comparison. Requires
     the pipeline to carry a graph.
     """
     if pipeline.graph is None:
         raise InvalidParams("oracle comparison needs an explicit graph")
     g = pipeline.graph
-    # a second Lanczos run on a graph walk: a basis kept on the pipeline from
-    # the first would stay resident through the measure and the output
-    _, basis = pipeline.krylov()
     name = "oracle vertices"
     if basis.shape[1] != pipeline.jc.dim:
         detail = f"Krylov dimension {basis.shape[1]}, walk has {pipeline.jc.dim} levels"
@@ -237,8 +237,11 @@ def entry_status(
     ``paper-typo-suspect``, an oracle confirmation ``verified``, and a walk
     no oracle could check stays ``unverified-array-only``.
     """
+    # one Lanczos run gives a graph walk its coefficients and the oracle its
+    # basis; the basis is dropped when the oracle returns
+    basis = None if pipeline.graph is None else pipeline.krylov()[1]
     series = pipeline.series(times)
-    oracle = None if pipeline.graph is None else check_oracle(pipeline, series, tol=oracle_tol)
+    oracle = None if basis is None else check_oracle(pipeline, series, basis, tol=oracle_tol)
     conservation = check_conservation(series)
     closed = check_closed_form(pipeline, series, tol=closed_tol)
     checks = tuple(c for c in (oracle, conservation, closed) if c is not None)

@@ -1,12 +1,14 @@
 import itertools
 
+import networkx as nx
 import numpy as np
 import pytest
 
-from ctqw import build_graph, list_entries, make_entry, pipeline_for_entry
+from ctqw import build_graph, list_entries, make_entry, oracle_amplitudes, pipeline_for_entry
 from ctqw.catalog import _APPENDIX_INDEX, _johnson, entry_from_spec, parse_spec
 from ctqw.errors import InvalidParams, UnknownFamily
 from ctqw.graphs import intersection_numbers
+from ctqw.verify import DEFAULT_ORACLE_TOL
 
 CONSTRUCTIBLE_WITH_ARRAY = [
     ("complete", (6,)),
@@ -128,6 +130,46 @@ class TestArrayRoundTrip:
         if entry.intersection_array is None:
             pytest.skip("entry stores coefficients directly")
         assert intersection_numbers(entry.build()) == entry.intersection_array
+
+
+def networkx_graph(h):
+    """``h`` as a Graph, its vertices numbered in node order."""
+    index = {v: i for i, v in enumerate(h)}
+    return build_graph(len(index), [(index[u], index[v]) for u, v in h.edges()])
+
+
+class TestAppendixAgainstNetworkx:
+    """Rows the package cannot build, built by networkx: the stated array
+    against ``nx.intersection_array``, and the return amplitude the engine
+    derives from the stated array against the oracle on the built graph.
+    Odd(4) states the array of L(Petersen), not that of the odd graph
+    O_4 = K(7,3) on 35 vertices; the row stays verbatim and is pinned here."""
+
+    GRID = np.linspace(0.0, 10.0, 101)
+    GRAPHS = {
+        "l-petersen": lambda: nx.line_graph(nx.petersen_graph()),
+        "gh21": lambda: nx.line_graph(nx.heawood_graph()),
+        "odd4": lambda: nx.kneser_graph(7, 3),
+    }
+    # row -> the array of the graph its name says
+    MISMATCHED = {"odd4": ((4, 3, 3), (1, 1, 2))}
+
+    @pytest.mark.parametrize("row_id", sorted(GRAPHS))
+    def test_stated_array_against_built_graph(self, row_id):
+        h = self.GRAPHS[row_id]()
+        entry = make_entry("appendix", (row_id,))
+        stated = (entry.intersection_array.b, entry.intersection_array.c)
+        built = tuple(tuple(x) for x in nx.intersection_array(h))
+        q0 = pipeline_for_entry(entry).series(self.GRID).values[0]
+        # distance-regular: every vertex has the same return amplitude
+        err = np.abs(q0 - oracle_amplitudes(networkx_graph(h), 0, self.GRID)[0]).max()
+        if row_id in self.MISMATCHED:
+            assert built == self.MISMATCHED[row_id] != stated
+            assert h.number_of_nodes() == 35 != sum(entry.intersection_array.shell_sizes())
+            assert err > 0.5
+        else:
+            assert built == stated
+            assert err < DEFAULT_ORACLE_TOL
 
 
 def johnson_pair_loop(n, d):

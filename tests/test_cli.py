@@ -566,8 +566,9 @@ class TestGraphBuilds:
         assert builds == []
 
 
-@pytest.mark.parametrize("command", [("compute", "--samples", "5"), ("stieltjes",)], ids=" ".join)
-def test_edge_list_walk_runs_lanczos_once(capsys, monkeypatch, tmp_path, command):
+@pytest.fixture
+def lanczos_calls(monkeypatch):
+    """The vertex count of each graph ``lanczos`` runs on."""
     import ctqw.verify
 
     calls = []
@@ -578,11 +579,51 @@ def test_edge_list_walk_runs_lanczos_once(capsys, monkeypatch, tmp_path, command
         return real(g, reference)
 
     monkeypatch.setattr(ctqw.verify, "lanczos", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("compute", "--samples", "5"), ("stieltjes",), ("verify", "--samples", "5")],
+    ids=" ".join,
+)
+def test_edge_list_walk_runs_lanczos_once(capsys, lanczos_calls, tmp_path, command):
     path = tmp_path / "random-20-3.edges"
     write_random_edge_list(path, 20, seed=3)
     code, _, _ = run(capsys, command[0], "--graph", str(path), *command[1:])
+    # verify reaches a verdict, but fails on this graph until ROADMAP item 2
+    # lands (test_verify_passes_on_random_edge_list)
+    assert code in ((0, 1) if command[0] == "verify" else (0,))
+    assert lanczos_calls == [20]
+
+
+# an --origin walk runs Lanczos once; a stated walk only for verify's oracle
+@pytest.mark.parametrize(
+    "argv, calls",
+    [
+        (("verify", "--graph", "path:64", "--origin", "5"), [64]),
+        (("compute", "--graph", "petersen"), []),
+        (("stieltjes", "--graph", "petersen"), []),
+        (("verify", "--graph", "petersen"), [10]),
+    ],
+    ids=["verify path:64 --origin 5", "compute petersen", "stieltjes petersen", "verify petersen"],
+)
+def test_catalog_walk_lanczos_runs(capsys, lanczos_calls, argv, calls):
+    code, _, _ = run(capsys, *argv)
     assert code == 0
-    assert calls == [20]
+    assert lanczos_calls == calls
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: the orthonormal-polynomial recursion of the series "
+    "loses 5.3e-6 of probability on the 20 Krylov levels of this non-QD origin",
+)
+def test_verify_passes_on_random_edge_list(capsys, tmp_path):
+    path = tmp_path / "random-20-3.edges"
+    write_random_edge_list(path, 20, seed=3)
+    code, out, _ = run(capsys, "verify", "--graph", str(path), "--samples", "5")
+    assert code == 0, out
 
 
 # each is out of range, of the wrong kind, or larger than MAX_VERTICES; at

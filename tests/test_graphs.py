@@ -361,21 +361,18 @@ class TestIntersectionNumbers:
 class TestClassifyQD:
     def test_petersen_all_origins(self, petersen):
         for origin in range(10):
-            cls = classify_qd(petersen, stratify(petersen, origin))
-            assert cls
-            assert cls.witness is None
+            assert classify_qd(petersen, stratify(petersen, origin)) is None
 
     def test_path_from_second_vertex_non_qd(self):
         g = build_graph(5, [(i, i + 1) for i in range(4)])
-        cls = classify_qd(g, stratify(g, 1))
-        assert not cls
-        assert cls.witness is not None
-        shell, direction, va, ca, vb, cb = cls.witness
+        witness = classify_qd(g, stratify(g, 1))
+        assert witness is not None
+        shell, direction, va, ca, vb, cb = witness
         assert ca != cb
 
     def test_star_from_center(self):
         g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-        assert classify_qd(g, stratify(g, 0))
+        assert classify_qd(g, stratify(g, 0)) is None
 
     @pytest.mark.parametrize("depth, width", [(2, 3), (5, 8), (11, 18)])
     def test_qd_counts_match_networkx(self, rng, depth, width):
@@ -386,7 +383,7 @@ class TestClassifyQD:
 
         n, edges = random_qd_edges(rng, depth, width)
         g = build_graph(n, edges)
-        assert classify_qd(g, stratify(g, 0))
+        assert classify_qd(g, stratify(g, 0)) is None
         pipe = pipeline_for_graph(g, 0)
         kappa = [0] * (depth + 1)
         per_shell = [set() for _ in range(depth + 1)]
@@ -406,9 +403,9 @@ class TestClassifyQD:
         g = build_graph(n, edges)
         h = nx.Graph(edges)
         for origin in rng.choice(n, size=4, replace=False):
-            cls = classify_qd(g, stratify(g, int(origin)))
-            assert not cls
-            shell, direction, va, ca, vb, cb = cls.witness
+            witness = classify_qd(g, stratify(g, int(origin)))
+            assert witness is not None
+            shell, direction, va, ca, vb, cb = witness
             step = {"down": -1, "within": 0, "up": 1}[direction]
             assert ca != cb
             want = neighbor_counts_by_distance(h, int(origin))
@@ -422,11 +419,11 @@ class TestClassifyQD:
         g = build_graph(2000, [(i, i + 1) for i in range(1999)])
         tracemalloc.start()
         try:
-            cls = classify_qd(g, stratify(g, 1))
+            witness = classify_qd(g, stratify(g, 1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert not cls
+        assert witness is not None
         assert peak < 4e6
 
     @settings(derandomize=True, deadline=None, max_examples=60)
@@ -437,7 +434,7 @@ class TestClassifyQD:
         h = nx.Graph(edges)
         for origin in range(n):
             shell_of = stratify(g, origin)
-            cls = classify_qd(g, shell_of)
+            witness = classify_qd(g, shell_of)
             want = neighbor_counts_by_distance(h, origin)
             depth = max(k for k, _ in want.values())
             kappa = [0] * (depth + 1)
@@ -446,9 +443,9 @@ class TestClassifyQD:
                 kappa[k] += 1
                 per_shell[k].add((counts.get(k - 1, 0), counts.get(k, 0), counts.get(k + 1, 0)))
             assert tuple(np.bincount(shell_of).tolist()) == tuple(kappa)
-            assert cls.qd == all(len(c) == 1 for c in per_shell)
-            if not cls:
-                shell, direction, va, ca, vb, cb = cls.witness
+            assert (witness is None) == all(len(c) == 1 for c in per_shell)
+            if witness is not None:
+                shell, direction, va, ca, vb, cb = witness
                 step = {"down": -1, "within": 0, "up": 1}[direction]
                 assert ca != cb
                 for v, count in ((va, ca), (vb, cb)):
@@ -464,7 +461,7 @@ class TestClassifyQD:
             g = entry.build()
             intersection_numbers(g)  # raises if not DRG
             for origin in range(0, g.n, max(1, g.n // 3)):
-                assert classify_qd(g, stratify(g, origin))
+                assert classify_qd(g, stratify(g, origin)) is None
 
 
 class TestEdgeListFormat:

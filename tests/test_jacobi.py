@@ -189,7 +189,7 @@ class TestLanczos:
         edges = [(int(rng.integers(0, v)), v) for v in range(1, n)]
         edges += [(int(u), int(v)) for u, v in rng.integers(0, n, size=(n, 2)) if u != v]
         g = build_graph(n, edges)
-        origin = next(o for o in range(n) if not classify_qd(g, stratify(g, o)))
+        origin = next(o for o in range(n) if classify_qd(g, stratify(g, o)) is not None)
         jc, basis = lanczos(g, vertex_state(n, origin))
         assert basis.shape == (n, jc.dim)
         assert np.abs(basis.T @ basis - np.eye(jc.dim)).max() < 1e-10

@@ -253,7 +253,7 @@ class TestCheckOracle:
     def test_level_count_mismatch_fails(self, petersen):
         # petersen from vertex 0 has Krylov dimension 3
         pipe = self.doctored(petersen, (0.0, 0.0), (3.0,))
-        result = check_oracle(pipe, pipe.series(self.GRID))
+        result = check_oracle(pipe, pipe.series(self.GRID), pipe.krylov()[1])
         assert not result.passed
         assert result.line() == (
             "oracle vertices: max err inf tol 1.0e-08 FAIL "
@@ -262,7 +262,7 @@ class TestCheckOracle:
 
     def test_wrong_coefficients_fail(self, petersen):
         pipe = self.doctored(petersen, (0.0, 0.0, 2.0), (3.0, 2.5))
-        result = check_oracle(pipe, pipe.series(self.GRID))
+        result = check_oracle(pipe, pipe.series(self.GRID), pipe.krylov()[1])
         assert not result.passed and result.max_error > 1e-3
 
 
