@@ -15,9 +15,11 @@ the bytes are those of formatting each cell on its own. When at most
 patterns, as past a walk's wavefront, where levels repeat rounding noise,
 it renders each distinct value once and gathers that text into the rows;
 otherwise it formats the floats in the rows. ``AmplitudeSeries.to_json``
-gives the bytes of ``json.dumps(as_dict())``, but always renders each
+gives the bytes of ``json.dumps(as_dict(kappa))``, but always renders each
 distinct float bit pattern of the values once and joins the text one level
-at a time. Both take that table from ``_distinct_text``.
+at a time. Both take that table from ``_distinct_text``. A series knows
+nothing of shells: the shell sizes ``kappa`` that label the JSON rows come
+from the walk and are passed to ``as_dict`` / ``to_json``.
 ``MAX_SERIES_CELLS`` bounds the strata x samples of one series.
 """
 
@@ -137,7 +139,6 @@ class AmplitudeSeries:
 
     times: np.ndarray                 # shape (T,), in the caller's order
     values: np.ndarray                # complex, shape (levels, T)
-    kappa: tuple[int, ...] | None     # shell sizes, when a graph stratification exists
     conservation_defect: np.ndarray   # |sum_l |q_l|^2 - 1| per sample, shape (T,)
 
     @property
@@ -176,16 +177,17 @@ class AmplitudeSeries:
             cells[3::4] = prob[a:b].tolist()
             out.write(row * (b - a) % tuple(cells))
 
-    def as_dict(self) -> dict:
+    def as_dict(self, kappa: Sequence[int] | None = None) -> dict:
+        """The JSON fields, with the walk's shell sizes ``kappa``, if any."""
         return {
             "times": self.times.tolist(),
-            "kappa": list(self.kappa) if self.kappa is not None else None,
+            "kappa": list(kappa) if kappa is not None else None,
             "values": np.stack([self.values.real, self.values.imag], -1).tolist(),
             "conservation_defect": self.conservation_defect.tolist(),
         }
 
-    def to_json(self) -> str:
-        """The bytes of ``json.dumps(self.as_dict())``, with each distinct
+    def to_json(self, kappa: Sequence[int] | None = None) -> str:
+        """The bytes of ``json.dumps(self.as_dict(kappa))``, with each distinct
         float bit pattern of ``values`` rendered once; the cells of whole levels
         are gathered in blocks and each level's text is joined on its own."""
         levels, samples = self.values.shape
@@ -202,7 +204,7 @@ class AmplitudeSeries:
             rows.extend(map("".join, block.tolist()))
         return "".join((
             '{"times": ', json.dumps(self.times.tolist()),
-            ', "kappa": ', json.dumps(self.kappa),
+            ', "kappa": ', json.dumps(kappa),
             ', "values": [', ", ".join(rows),
             '], "conservation_defect": ', json.dumps(self.conservation_defect.tolist()), "}",
         ))
@@ -213,19 +215,12 @@ def laplace_return_amplitude(measure: SpectralMeasure, s: complex) -> complex:
     return 1j * stieltjes_pole_sum(measure, 1j * s)
 
 
-def amplitude_series(
-    measure: SpectralMeasure,
-    jc: JacobiCoefficients,
-    times,
-    *,
-    kappa: Sequence[int] | None = None,
-) -> AmplitudeSeries:
+def amplitude_series(measure: SpectralMeasure, jc: JacobiCoefficients, times) -> AmplitudeSeries:
     """All stratum amplitudes q_l(t) = sum_i A_i p_l(x_i) exp(-i x_i t), with
     orthonormal p_l, over a time grid (``as_times``; a scalar is one sample).
 
     Every sample is evaluated independently (one matrix product per grid),
-    so a reordered grid gives its columns reordered. ``kappa`` carries shell
-    sizes when the coefficients came from an actual graph stratification.
+    so a reordered grid gives its columns reordered.
     """
     times = as_times(times).reshape(-1)
     if jc.dim * times.size > MAX_SERIES_CELLS:
@@ -237,12 +232,6 @@ def amplitude_series(
     # a product of Python floats overflows to inf with no warning
     if not math.isfinite(float(np.abs(nodes).max()) * float(np.abs(times).max())):
         raise InvalidParams("phases overflow: max|node| x max|t| is not finite")
-    if kappa is not None:
-        kappa = tuple(int(k) for k in kappa)
-        if len(kappa) != jc.dim:
-            raise InvalidParams(
-                f"kappa has {len(kappa)} entries for {jc.dim} strata"
-            )
 
     weighted = orthonormal_values(jc, nodes) * measure.weights_array()[None, :]
     phases = np.exp(-1j * np.outer(nodes, times))
@@ -252,6 +241,4 @@ def amplitude_series(
     times.setflags(write=False)
     values.setflags(write=False)
     defect.setflags(write=False)
-    return AmplitudeSeries(
-        times=times, values=values, kappa=kappa, conservation_defect=defect
-    )
+    return AmplitudeSeries(times=times, values=values, conservation_defect=defect)

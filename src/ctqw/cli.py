@@ -88,11 +88,12 @@ def _emit(write: Callable[[TextIO], object], output: str = "-") -> None:
 
 def cmd_compute(args: argparse.Namespace) -> int:
     times = _time_grid(args.t_max, args.samples)
-    series = _resolve_pipeline(args).series(times)
+    pipeline = _resolve_pipeline(args)
+    series = pipeline.series(times)
     if args.format == "csv":
         _emit(series.to_csv, args.output)
     else:
-        _emit(lambda out: out.writelines((series.to_json(), "\n")), args.output)
+        _emit(lambda out: out.writelines((series.to_json(pipeline.kappa), "\n")), args.output)
     print(
         f"max conservation defect: {series.conservation_defect.max():.3e}",
         file=sys.stderr,

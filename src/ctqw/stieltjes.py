@@ -112,7 +112,8 @@ def spectral_measure(jc: JacobiCoefficients) -> SpectralMeasure:
     Nodes are the eigenvalues; weights are squared first components of the
     normalized eigenvectors. Weights are renormalized to unit mass and the
     defect is kept on the result. Nodes closer than ``MERGE_TOL`` times the
-    spectral width are merged with their weights summed.
+    spectral width are merged with their weights summed, and a merged node of
+    mass exactly 0.0 is dropped.
     """
     import scipy.linalg  # imported here: it would slow every CLI start
 
@@ -137,6 +138,9 @@ def spectral_measure(jc: JacobiCoefficients) -> SpectralMeasure:
     mass, moment = (
         np.add.reduceat(np.insert(v, starts, 0.0), at) for v in (weights, vals * weights)
     )
+    # a group whose weights all underflow to 0.0 lies outside the support and
+    # adds nothing to G
+    mass, moment = mass[mass > 0.0], moment[mass > 0.0]
     return SpectralMeasure(tuple((moment / mass).tolist()), tuple(mass.tolist()), defect)
 
 

@@ -16,8 +16,9 @@ other two when their input exists:
   (a catalog entry walked from vertex 0): row 0 of the series against it.
 
 A ``Pipeline`` holds only what a walk is given and derives its graph,
-coefficients, measure and shell sizes on first read. Each check reads the
-pipeline and its series, never the catalog entry.
+coefficients, measure and shell sizes on first read; only the JSON of
+``ctqw compute`` reads the shell sizes. Each check reads the pipeline and
+its series, never the catalog entry.
 ``entry_status`` is the one place that runs them and decides the outcome:
 both ``ctqw verify`` (which prints its lines and exits 0 or 1 on ``ok``)
 and the acceptance suite call it. A walk that fails the oracle or the
@@ -110,7 +111,7 @@ class Pipeline:
         return tuple(np.bincount(shell_of).tolist()) if qd else None
 
     def series(self, times) -> AmplitudeSeries:
-        return amplitude_series(self.measure, self.jc, times, kappa=self.kappa)
+        return amplitude_series(self.measure, self.jc, times)
 
 
 def pipeline_for_graph(g: Graph, origin: int) -> Pipeline:

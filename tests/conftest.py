@@ -40,3 +40,10 @@ def connected_graphs(draw, max_n):
     chords = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
     edges = [(p % v, v) for v, p in enumerate(parents, start=1)]
     return n, edges + [(u, v) for u, v in chords if u != v]
+
+
+def grid_edges(a, b):
+    """Edges of the grid P_a □ P_b, with vertex (x, y) numbered b x + y."""
+    return [(b * x + y, b * x + y + 1) for x in range(a) for y in range(b - 1)] + [
+        (b * x + y, b * (x + 1) + y) for x in range(a - 1) for y in range(b)
+    ]

@@ -192,11 +192,11 @@ class TestAmplitudeSeries:
     def test_petersen_table(self):
         m = petersen_measure()
         times = np.array([0.0, 0.5, 1.0])
-        series = amplitude_series(m, PETERSEN_JC, times, kappa=(1, 3, 6))
+        series = amplitude_series(m, PETERSEN_JC, times)
         refs = [petersen_q0, petersen_q1, petersen_q2]
         for level, ref in enumerate(refs):
             assert np.abs(series.values[level] - ref(times)).max() < 1e-13
-        assert series.kappa == (1, 3, 6)
+        assert series.as_dict((1, 3, 6))["kappa"] == [1, 3, 6]
         assert series.conservation_defect.max() < 1e-12
 
     def test_initial_sample_is_origin_indicator(self):
@@ -225,16 +225,11 @@ class TestAmplitudeSeries:
     def test_descending_grid_reorders_columns(self):
         m = petersen_measure()
         grid = np.array([9.5, 4.0, 3.75, 0.0])  # descending and uneven
-        series = amplitude_series(m, PETERSEN_JC, grid, kappa=(1, 3, 6))
-        ascending = amplitude_series(m, PETERSEN_JC, grid[::-1], kappa=(1, 3, 6))
+        series = amplitude_series(m, PETERSEN_JC, grid)
+        ascending = amplitude_series(m, PETERSEN_JC, grid[::-1])
         assert np.array_equal(series.times, grid)
         assert np.array_equal(series.values, ascending.values[:, ::-1])
         assert np.array_equal(series.conservation_defect, ascending.conservation_defect[::-1])
-
-    def test_kappa_length_checked(self):
-        m = petersen_measure()
-        with pytest.raises(InvalidParams):
-            amplitude_series(m, PETERSEN_JC, np.array([0.0, 1.0]), kappa=(1, 3))
 
     def test_conservation_randomized(self, rng):
         specs = [
@@ -266,11 +261,11 @@ def reference_csv(series):
     return "\n".join(lines) + "\n"
 
 
-def reference_as_dict(series):
+def reference_as_dict(series, kappa):
     """Per-element float() lists: the builder as_dict replaced."""
     return {
         "times": [float(t) for t in series.times],
-        "kappa": list(series.kappa) if series.kappa is not None else None,
+        "kappa": list(kappa) if kappa is not None else None,
         "values": [
             [[float(v.real), float(v.imag)] for v in row] for row in series.values
         ],
@@ -330,13 +325,13 @@ def hand_built_series(rng, levels, samples, special=False):
         defect[: len(SPECIAL_FLOATS)] = SPECIAL_FLOATS[:samples]
     values = np.empty((levels, samples), dtype=np.complex128)
     values.real, values.imag = parts  # re + 1j * im would turn an infinite im into a nan re
-    kappa = tuple(range(1, levels + 1)) if levels > 1 else None
-    return AmplitudeSeries(
-        times=times,
-        values=values,
-        kappa=kappa,
-        conservation_defect=defect,
-    )
+    return AmplitudeSeries(times=times, values=values, conservation_defect=defect)
+
+
+def hand_built_kappa(series):
+    """Shell sizes 1..levels for a series of several levels, else None, so
+    that the JSON tests write both forms of ``kappa``."""
+    return tuple(range(1, series.levels + 1)) if series.levels > 1 else None
 
 
 class TestSerializers:
@@ -365,7 +360,8 @@ class TestSerializers:
         with np.errstate(over="ignore"):  # prob of 1e300 overflows in both
             series.to_csv(out)
             assert_same_text(out.getvalue(), reference_csv(series))
-        assert_same_text(series.to_json(), json.dumps(reference_as_dict(series)))
+        kappa = hand_built_kappa(series)
+        assert_same_text(series.to_json(kappa), json.dumps(reference_as_dict(series, kappa)))
 
     @pytest.mark.parametrize(
         "special, table", [("under", True), ("over", False), ("pool", True)]
@@ -400,9 +396,10 @@ class TestSerializers:
         series = hand_built_series(rng, levels, samples)
         if last_repeats:  # every cell of the last level is the first cell's re
             series.values[-1] = series.values[0, 0].real * (1 + 1j)
-        text = series.to_json()
-        assert_same_text(text, json.dumps(series.as_dict()))
-        assert json.loads(text) == series.as_dict()
+        kappa = hand_built_kappa(series)
+        text = series.to_json(kappa)
+        assert_same_text(text, json.dumps(series.as_dict(kappa)))
+        assert json.loads(text) == series.as_dict(kappa)
 
     def test_series_cell_bound(self):
         # the bound is checked before any (levels, T) array is made, so a

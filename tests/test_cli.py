@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import grid_edges
 from ctqw.cli import main
 
 
@@ -612,6 +613,88 @@ def test_catalog_walk_lanczos_runs(capsys, lanczos_calls, argv, calls):
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert lanczos_calls == calls
+
+
+@pytest.fixture
+def shell_calls(monkeypatch):
+    """Calls of ``stratify`` and ``classify_qd``, as ``ctqw.verify`` binds
+    them, and of ``build_graph``, as ``ctqw.catalog`` binds it."""
+    import ctqw.catalog
+    import ctqw.verify
+
+    calls = {"stratify": 0, "classify_qd": 0, "build_graph": 0}
+    for module, name in [
+        (ctqw.verify, "stratify"), (ctqw.verify, "classify_qd"), (ctqw.catalog, "build_graph"),
+    ]:
+        def counting(*args, _name=name, _real=getattr(module, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+# only the JSON of compute prints the shell sizes, so only it computes them
+@pytest.mark.parametrize(
+    "argv, counts",
+    [
+        (("compute", "--graph", "glued_trees:9"), (0, 0, 0)),
+        (("compute", "--graph", "glued_trees:9", "--format", "json"), (1, 1, 1)),
+        (("verify", "--graph", "{edges}", "--samples", "5"), (0, 0, 0)),
+        (("verify", "--graph", "path:64", "--origin", "5"), (0, 0, 1)),
+    ],
+    ids=["compute csv", "compute json", "verify edge list", "verify path:64 --origin 5"],
+)
+def test_only_json_computes_shells(capsys, shell_calls, tmp_path, argv, counts):
+    path = tmp_path / "random-20-3.edges"
+    write_random_edge_list(path, 20, seed=3)
+    code, _, _ = run(capsys, *(a.format(edges=path) for a in argv))
+    # verify fails on the edge list until ROADMAP item 2 lands
+    assert code in ((0, 1) if "{edges}" in argv else (0,))
+    assert tuple(shell_calls.values()) == counts
+
+
+@pytest.fixture(scope="module")
+def grid_5x6(tmp_path_factory):
+    """The edge list of the grid P5 □ P6, with its adjacency matrix."""
+    import scipy.sparse
+
+    edges = grid_edges(5, 6)
+    path = tmp_path_factory.mktemp("grid") / "grid-5x6.edges"
+    path.write_text(f"30 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    u, v = np.array(edges).T
+    adjacency = scipy.sparse.coo_array((np.ones(2 * len(edges)), (np.r_[u, v], np.r_[v, u])))
+    return path, adjacency.tocsc()
+
+
+# from 14 of the 30 origins, eigenvector first components that underflow to
+# 0.0 once made the measure's weights 0/0
+@pytest.mark.parametrize("origin", range(30))
+def test_stieltjes_on_grid_from_every_origin(capsys, grid_5x6, origin):
+    import scipy.sparse
+    import scipy.sparse.linalg
+
+    path, adjacency = grid_5x6
+    z = 0.3 + 0.5j
+    code, out, err = run(
+        capsys, "stieltjes", "--graph", str(path), "--origin", str(origin), "--eval", "0.3+0.5j"
+    )
+    assert (code, err) == (0, "")
+    e_o = np.zeros(30, dtype=complex)
+    e_o[origin] = 1.0
+    shifted = (z * scipy.sparse.identity(30, format="csc") - adjacency).astype(complex)
+    want = scipy.sparse.linalg.spsolve(shifted, e_o)[origin]
+    found = re.search(r"G_cf=(\S+) G_poles=(\S+)", out.splitlines()[-1])
+    for g in found.groups():
+        assert abs(complex(g) - want) < 1e-9 * abs(want)
+
+
+@pytest.mark.parametrize("origin", range(30))
+def test_verify_on_grid_reaches_a_verdict(capsys, grid_5x6, origin):
+    # a failure, not a usage error: the series is wrong from every origin
+    # until ROADMAP item 2 lands (tests/test_jacobi.py::test_product_rule_on_grids)
+    code, out, _ = run(capsys, "verify", "--graph", str(grid_5x6[0]), "--origin", str(origin))
+    assert code == 1 and out.endswith("VERIFY FAIL\n")
 
 
 @pytest.mark.xfail(

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from conftest import grid_edges
 from ctqw import (
     build_graph,
     classify_qd,
@@ -275,3 +276,36 @@ class TestLanczos:
         assert found, line
         assert 0 <= int(found[1]) <= dim
         assert 0 <= float(found[2]) <= DEFLATION_TOL * 2
+
+
+def vertex_walk(g, origin, times):
+    """The engine's per-vertex walk: level amplitudes through the Krylov basis."""
+    pipe = pipeline_for_graph(g, origin)
+    return pipe.krylov()[1] @ pipe.series(times).values
+
+
+# e^{-i(A (x) I + I (x) B)t} = e^{-iAt} (x) e^{-iBt}: the walk on P_a □ P_b from
+# (u, v) is the outer product of the walks on P_a from u and on P_b from v
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (3, 4),
+        (4, 4),
+        (4, 5),
+        pytest.param(5, 6, marks=pytest.mark.xfail(
+            strict=True,
+            reason="ROADMAP item 2: from vertex 6 Lanczos runs past the 24-dimensional "
+            "Krylov space (beta_24 = 6.5e-12) and the polynomial recursion of the "
+            "series blows up on the noise levels; every origin fails",
+        )),
+    ],
+)
+def test_product_rule_on_grids(a, b):
+    times = np.linspace(0.0, 10.0, 41)
+    grid = build_graph(a * b, grid_edges(a, b))
+    for u in range(a):
+        walk_u = vertex_walk(path_graph(a), u, times)
+        for v in range(b):
+            want = walk_u[:, None, :] * vertex_walk(path_graph(b), v, times)[None, :, :]
+            got = vertex_walk(grid, b * u + v, times)
+            assert np.abs(got - want.reshape(a * b, -1)).max() < 1e-8, (u, v)

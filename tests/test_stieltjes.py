@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import networkx as nx
 import numpy as np
@@ -271,6 +272,16 @@ class TestSpectralMeasure:
         jc = JacobiCoefficients(alpha=(0.0,) * 3, omega=(1.0, 1.0))
         nodes, _, _ = reference_measure(jc)
         assert bits(spectral_measure(jc).nodes) == bits(nodes) == bits([-1.0, 0.0, 1.0])
+
+    def test_massless_nodes_are_dropped(self):
+        # the first components of the (5, 5) block's eigenvectors square to
+        # 0.0 across the 1e-100 coupling: those nodes lie outside the support
+        jc = JacobiCoefficients(alpha=(0.0, 0.0, 5.0, 5.0), omega=(1.0, 1e-200, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = spectral_measure(jc)
+        assert m.nodes == pytest.approx((-1.0, 1.0), abs=1e-12)
+        assert m.weights == pytest.approx((0.5, 0.5), abs=1e-12)
 
     def test_interlacing(self):
         for jc in property_jcs():
