@@ -8,23 +8,22 @@ sum_i A_i exp(-i x_i t); ``ExponentialSum`` holds a tabulated closed form to
 compare with it. The Laplace-domain form exists only for validation against
 tabulated s-domain expressions; it is never inverted numerically.
 
-``AmplitudeSeries.to_csv`` formats its rows at ``%.17g`` in blocks of whole
-samples, one ``%`` operation per block, and writes each block to its stream;
-the bytes are those of formatting each cell on its own. When at most
-``_CSV_TABLE_SHARE`` (1/3) of a series' re/im cells are distinct bit
-patterns, as past a walk's wavefront, where levels repeat rounding noise,
-it renders each distinct value once and gathers that text into the rows;
-otherwise it formats the floats in the rows. ``AmplitudeSeries.to_json``
-gives the bytes of ``json.dumps(as_dict(kappa))``, but always renders each
-distinct float bit pattern of the values once and joins the text one level
-at a time. Both take that table from ``_distinct_text``. A series knows
-nothing of shells: the shell sizes ``kappa`` that label the JSON rows come
-from the walk and are passed to ``as_dict`` / ``to_json``.
+``AmplitudeSeries.to_csv`` writes blocks of whole samples, each cell from
+``_g17``: a NumPy kernel that gives the bytes of ``'%.17g' % v`` for every
+float64, from one double-double product with a power of ten per value; only
+a few values (|v| outside [1e-300, 1e300], near-ties) go to Python's own
+formatter, one at a time. ``AmplitudeSeries.to_json`` gives the bytes of
+``json.dumps(as_dict(kappa))``, but renders each distinct float bit pattern
+of the values once (``_distinct_text``) and joins the text one level at a
+time. A series knows nothing of shells: the shell sizes ``kappa`` that label
+the JSON rows come from the walk and are passed to ``as_dict`` /
+``to_json``.
 ``MAX_SERIES_CELLS`` bounds the strata x samples of one series.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -40,21 +39,18 @@ from .stieltjes import SpectralMeasure, orthonormal_values, stieltjes_pole_sum
 # table, so that a huge grid is refused before either is allocated
 MAX_SERIES_CELLS = 2**24
 
-# CSV rows formatted by one % operation (whole samples, at least one); bounds
-# the argument tuple and the row text held per block
+# CSV rows formatted per block (whole samples, at least one); bounds the row
+# text and the arrays of the float kernel held per block
 _CSV_BLOCK = 1 << 14
 
-# to_csv renders a series' re/im cells through the table of distinct values
-# when at most this share of them is distinct. Against formatting each cell
-# in its row (~1.1 us at %.17g), the table costs np.unique and a gather per
-# cell, plus one render per distinct value (~1.1-1.3 us); the gather slows
-# as the table outgrows the CPU caches. Measured in-process, the break-even
-# share is ~0.5 with 242,315 distinct values (tchebichef2:400,1 x 1001
-# samples) but ~0.3 with 1,143,948 (path:1000 x 2001, share 0.29: even
-# within the noise), and path:2000 x 1001 (2.2M distinct, share 0.55) took
-# 25% longer through the table. Below 1/3 the table was no slower at any
-# size measured.
-_CSV_TABLE_SHARE = 1 / 3
+# Dekker's splitter: c = _SPLIT * v, c - (c - v) is v's upper 26 bits
+_SPLIT = 2.0**27 + 1
+
+# _scaled is within 2**-45 of exact: a fraction closer to 1/2 may be a tie
+_TIE_MARGIN = 2.0**-40
+
+# a value _g17 leaves to Python's own dtoa
+_g17_fallback = b"%.17g".__mod__
 
 # distinct values rendered per call; bounds the float list, format string and
 # text made at once on top of the table
@@ -76,35 +72,132 @@ def as_times(t) -> np.ndarray:
     return t
 
 
-def _render_g17(xs: list[float]) -> list[str]:
-    """``xs`` at ``%.17g``, in one ``%`` operation; no such token holds ','."""
-    return ("%.17g," * len(xs) % tuple(xs)).split(",")[:-1]
-
-
 def _render_json(xs: list[float]) -> list[str]:
     """``xs`` as ``json.dumps`` writes them, ``NaN``, ``Infinity`` and
     ``-0.0`` included; no float token holds ', '."""
     return json.dumps(xs)[1:-1].split(", ")
 
 
-def _distinct_text(cells: np.ndarray, render, max_share: float = 1.0):
+def _distinct_text(cells: np.ndarray, render):
     """The re/im parts of the complex ``cells`` rendered once per distinct
     bit pattern, so that -0.0 and NaN payloads stay apart: ``(text,
     inverse)``, with ``text`` an object array and ``text[inverse]`` the text
-    of each part, ``inverse`` shaped ``cells.shape + (2,)`` (re, im). None,
-    with nothing rendered, when more than ``max_share`` of the parts are
-    distinct."""
+    of each part, ``inverse`` shaped ``cells.shape + (2,)`` (re, im)."""
     bits = np.ascontiguousarray(cells, dtype=np.complex128).view(np.int64).ravel()
-    if max_share < 1:  # counted on a plain sort, several times cheaper than np.unique
-        ordered = np.sort(bits)
-        if 1 + np.count_nonzero(ordered[1:] != ordered[:-1]) > max_share * bits.size:
-            return None
     distinct, inverse = np.unique(bits, return_inverse=True)
     floats = distinct.view(np.float64)
     text = np.empty(floats.size, dtype=object)
     for k in range(0, floats.size, _RENDER_BLOCK):
         text[k : k + _RENDER_BLOCK] = render(floats[k : k + _RENDER_BLOCK].tolist())
     return text, inverse.reshape(*cells.shape, 2)  # its shape varies across numpy releases
+
+
+@functools.cache
+def _pow10(k: int) -> tuple[float, ...]:
+    """10**k = (fh + fl) 2**g to 104 bits, 1 <= fh < 2, from exact integers:
+    ``(fh, fh_hi, fh_lo, fl, g)``, with fh = fh_hi + fh_lo split by Dekker."""
+    num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+    g = num.bit_length() - den.bit_length()
+    g -= (num << max(0, -g)) < (den << max(0, g))
+    q = (num << (104 - g)) // den if g <= 104 else num >> (g - 104)  # floor(10**k 2**(104-g))
+    fh = float(q >> 52) / 2**52
+    c = _SPLIT * fh
+    return fh, c - (c - fh), fh - (c - (c - fh)), float(q & (2**52 - 1)) / 2**104, float(g)
+
+
+@functools.cache
+def _text_tables() -> tuple[np.ndarray, ...]:
+    """``(groups, zeros, low, prefix)``: 0000..9999 as '<u4' text and their
+    trailing zeros; ``low[k, c]``, word k of the 24-byte mask of the first c
+    bytes; the text before the digits, by 6 * sign + zeros: '', ..., '-0.000'."""
+    text = [b"%04d" % n for n in range(10000)]
+    groups = np.frombuffer(b"".join(text), dtype="<u4").astype(np.uint64)
+    zeros = np.array([4 - len(t.rstrip(b"0")) for t in text])
+    low = np.frombuffer(b"".join(b"\xff" * c + bytes(24 - c) for c in range(25)), dtype="<u8")
+    prefix = [b"-" * s + (b"0." + b"0" * (z - 2) if z else b"") for s in (0, 1) for z in range(6)]
+    prefix = np.array([int.from_bytes(t, "little") for t in prefix], dtype=np.uint64)
+    return groups, zeros, low.reshape(25, 3).T.copy(), prefix
+
+
+def _scaled(m: np.ndarray, e: np.ndarray, k: np.ndarray):
+    """m 2**e 10**k, m in [1/2, 1), as a double-double ``(hi, lo)``: Dekker's
+    exact product of m with 10**k's leading part, plus m times its trailing
+    part. Exact for k in [0, 22]; else within 2**-45 while below 2**57."""
+    k0 = int(k.min())
+    table = np.zeros((5, int(k.max()) - k0 + 1))
+    for j in np.flatnonzero(np.bincount(k - k0)):
+        table[:, j] = _pow10(k0 + int(j))
+    fh, fh_hi, fh_lo, fl, g = (np.take(row, k - k0) for row in table)
+    m_hi = _SPLIT * m - (_SPLIT * m - m)
+    m_lo = m - m_hi
+    ph = m * fh
+    pl = (m_hi * fh_hi - ph) + m_hi * fh_lo + m_lo * fh_hi + m_lo * fh_lo + m * fl
+    hi = ph + pl
+    scale = e + g.astype(np.int32)
+    return np.ldexp(hi, scale), np.ldexp(pl - (hi - ph), scale)
+
+
+def _g17(x: np.ndarray) -> np.ndarray:
+    """The bytes of ``'%.17g' % v`` for each float64 v of ``x``, NUL-padded to
+    24: shaped ``x.shape + (24,)``, uint8. The 17 digits D round Y = |v|
+    10**(16 - p), p = floor(log10 |v|), half to even; Y is a double-double
+    (``_scaled``) whose high part is an even integer, so D = hi + rint(lo).
+    The layout is C's: fixed point for -4 <= p < 17, else d.ddde+XX, with no
+    trailing zeros or bare point. Zero, inf and nan have fixed text ('nan'
+    for any sign or payload); |v| outside [1e-300, 1e300], and ties within
+    ``_TIE_MARGIN`` where 10**(16 - p) is inexact, go to ``_g17_fallback``."""
+    groups, group_zeros, low, prefix = _text_tables()
+    shape = np.shape(x)
+    x = np.ravel(np.asarray(x, dtype=np.float64))
+    a = np.abs(x)
+    zero, fast = a == 0, (a >= 1e-300) & (a <= 1e300)
+    a = np.where(fast, a, 1.0)
+    m, e = np.frexp(a)
+    p = np.floor(np.log10(a)).astype(np.int64)
+    hi, lo = _scaled(m, e, 16 - p)
+    # where log10 missed the decade, Y is outside [1e16, 1e17): move p by one
+    step = ((hi > 1e17) | (hi == 1e17) & (lo >= 0)).astype(np.int64)
+    step -= (hi < 1e16) | (hi == 1e16) & (lo < 0)
+    if (moved := np.flatnonzero(step)).size:
+        p[moved] += step[moved]
+        hi[moved], lo[moved] = _scaled(m[moved], e[moved], 16 - p[moved])
+    r = np.rint(lo)
+    d = hi.astype(np.int64) + r.astype(np.int64)
+    tie = ((p < -6) | (p > 16)) & (np.abs(np.abs(lo - r) - 0.5) < _TIE_MARGIN)
+    slow = fast & ((d < 10**16) | (d > 10**17) | tie)
+    p += (carry := d == 10**17)  # 9.99...95 rounds up into the next decade
+    d[carry] = 10**16
+    d[zero] = 0
+    digits = [d // 10**16] + [d // 10**j - d // 10 ** (j + 4) * 10**4 for j in (12, 8, 4, 0)]
+    # less the zeros that end the 16 digits after the first, a group at a time
+    nsig = 17 - functools.reduce(lambda n, g: np.take(group_zeros, g) + (g == 0) * n, digits[1:], 0)
+    sign, fixed = np.signbit(x), (p >= -4) & (p <= 16)
+    zeros = np.where(fixed & (p < 0), 1 - p, 0)  # '0.' and -p - 1 zeros before the digits
+    shown = np.where(fixed, np.maximum(nsig, p + 1), nsig)  # digits written
+    point = np.where(fixed, p + 1, 1)  # digits before the point
+    point[(zeros > 0) | (shown <= point)] = 24  # no point
+    # 'e', the exponent's sign and its 2 or 3 digits, written after the digits
+    exponent = np.take(groups, np.abs(p)) >> np.where(np.abs(p) < 100, 16, 8).astype(np.uint64)
+    suffix = np.where(fixed, 0, np.where(p < 0, 0x2D65, 0x2B65).astype(np.uint64) | exponent << 16)
+    # the 17 digits at bytes 0..16, then shifted as 192-bit numbers, a word at a time
+    g = [np.take(groups, g) for g in digits]
+    s = [g[0] >> 24 | g[1] << 8 | g[2] << 40, g[2] >> 24 | g[3] << 8 | g[4] << 40, g[4] >> 24]
+    bits, point_bits, shift = ((8 * v).view(np.uint64) for v in (shown, point, sign + zeros))
+    text = np.empty((x.size, 3), dtype="<u8")
+    spill = before = np.uint64(0)
+    for k, at in enumerate(np.array([0, 64, 128], dtype=np.uint64)):
+        word = s[k] & np.take(low[k], shown) | suffix << (bits - at) | suffix >> (at - bits)
+        keep = np.take(low[k], point)
+        after = word & ~keep  # the digits after the point move up one byte
+        word = word & keep | after << 8 | spill >> 56 | np.uint64(0x2E) << (point_bits - at)
+        text[:, k] = word << shift | before >> (64 - shift)
+        spill, before = after, word
+    text[:, 0] |= np.take(prefix, 6 * sign + zeros)
+    for i in np.flatnonzero(~(fast | zero) | slow):
+        v = float(x[i])
+        t = b"nan" if v != v else {math.inf: b"inf", -math.inf: b"-inf"}.get(v) or _g17_fallback(v)
+        text[i] = np.frombuffer(t.ljust(24, b"\0"), dtype="<u8")
+    return text.view(np.uint8).reshape(shape + (24,))
 
 
 @dataclass(frozen=True)
@@ -147,35 +240,22 @@ class AmplitudeSeries:
 
     def to_csv(self, out: TextIO) -> None:
         """Write the header and one row ``t,stratum,re,im,prob`` per
-        (sample, stratum) to ``out``, sample-major, floats at ``%.17g``;
-        each block goes out as soon as it is formatted. The re/im cells come
-        from the table of distinct values when at most ``_CSV_TABLE_SHARE``
-        of them are distinct, else straight from the floats; the bytes are
-        the same."""
-        levels = self.levels
-        rows = self.values.T.ravel()  # (t_0, 0), (t_0, 1), ..., (t_1, 0), ...
-        re, im = rows.real, rows.imag
-        prob = re * re + im * im
-        table = _distinct_text(rows, _render_g17, _CSV_TABLE_SHARE)
-        row = "%s%.17g,%.17g,%.17g\n" if table is None else "%s%s,%s,%.17g\n"
-        l_cells = ["%d," % l for l in range(levels)]
-        times = self.times.tolist()
-        step = max(1, _CSV_BLOCK // levels)  # whole samples per block
+        (sample, stratum) to ``out``, sample-major, every cell as
+        ``'%.17g' % v`` writes it (``_g17``); each block of whole samples goes
+        out as soon as it is formatted."""
+        step = max(1, _CSV_BLOCK // self.levels)  # whole samples per block
+        strata = _g17(np.arange(self.levels, dtype=np.float64))
         out.write("t,stratum,re,im,prob\n")
-        for s0 in range(0, len(times), step):
-            t_cells = ["%.17g," % t for t in times[s0 : s0 + step]]
-            a, b = s0 * levels, (s0 + len(t_cells)) * levels
-            cells = [None] * (4 * (b - a))
-            cells[0::4] = [t + l for t in t_cells for l in l_cells]
-            if table is None:
-                cells[1::4] = re[a:b].tolist()
-                cells[2::4] = im[a:b].tolist()
-            else:
-                text, inverse = table
-                cells[1::4] = text[inverse[a:b, 0]].tolist()
-                cells[2::4] = text[inverse[a:b, 1]].tolist()
-            cells[3::4] = prob[a:b].tolist()
-            out.write(row * (b - a) % tuple(cells))
+        for s0 in range(0, self.times.size, step):
+            cells = self.values[:, s0 : s0 + step].T  # (samples, levels)
+            re, im = cells.real, cells.imag
+            # each cell NUL-padded to 24 bytes and followed by ',' or '\n'
+            rows = np.zeros(cells.shape + (5, 25), dtype=np.uint8)
+            t = _g17(self.times[s0 : s0 + step, None])
+            for i, cell in enumerate((t, strata, _g17(re), _g17(im), _g17(re * re + im * im))):
+                rows[..., i, :24] = cell
+            rows[..., 24] = np.frombuffer(b",,,,\n", dtype=np.uint8)
+            out.write(rows[rows != 0].tobytes().decode("ascii"))
 
     def as_dict(self, kappa: Sequence[int] | None = None) -> dict:
         """The JSON fields, with the walk's shell sizes ``kappa``, if any."""

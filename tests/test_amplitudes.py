@@ -1,15 +1,22 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import jv
 
 from ctqw import make_entry, stratify
 from ctqw import amplitudes
 from ctqw.amplitudes import (
     _CSV_BLOCK,
-    _CSV_TABLE_SHARE,
+    _g17,
     _JSON_BLOCK,
     _RENDER_BLOCK,
     MAX_SERIES_CELLS,
@@ -300,9 +307,8 @@ POOL_FLOATS = np.concatenate([
 def hand_built_series(rng, levels, samples, special=False):
     """Random cells spread over 300 decades; ``special`` True plants
     SPECIAL_FLOATS, "pool" draws every cell from POOL_FLOATS, "single"
-    gives every cell the one value 5e-324, and "under" / "over" make the
-    count of distinct re/im parts the most that _CSV_TABLE_SHARE lets through
-    the table / one more."""
+    gives every cell the one value 5e-324, and "under" / "over" make a third
+    of the re/im parts distinct / one more."""
     times = np.sort(rng.uniform(0.0, 50.0, size=samples))
     scale = 10.0 ** rng.integers(-150, 150, size=(2, levels, samples))
     parts = rng.standard_normal((2, levels, samples)) * scale
@@ -312,7 +318,7 @@ def hand_built_series(rng, levels, samples, special=False):
     elif special == "single":
         parts = np.full(parts.shape, 5e-324)
     elif special in ("under", "over"):
-        k = int(_CSV_TABLE_SHARE * parts.size) + (special == "over")
+        k = parts.size // 3 + (special == "over")
         distinct = parts.ravel()[:k]
         parts = rng.permutation(np.concatenate([distinct, rng.choice(distinct, parts.size - k)]))
         parts = parts.reshape(2, levels, samples)
@@ -349,8 +355,8 @@ class TestSerializers:
             (6, 30, "pool"),                      # mostly duplicates
             (1, 50, "pool"),
             (4, 10, "single"),                    # one distinct value
-            (6, 30, "under"),                     # re/im from the table of distinct values
-            (6, 30, "over"),                      # re/im formatted in the rows
+            (6, 30, "under"),                     # a third of the re/im parts distinct
+            (6, 30, "over"),                      # one more
             (3, _CSV_BLOCK // 2 + 1, "under"),    # two blocks of rows, three of renders
         ],
     )
@@ -362,26 +368,6 @@ class TestSerializers:
             assert_same_text(out.getvalue(), reference_csv(series))
         kappa = hand_built_kappa(series)
         assert_same_text(series.to_json(kappa), json.dumps(reference_as_dict(series, kappa)))
-
-    @pytest.mark.parametrize(
-        "special, table", [("under", True), ("over", False), ("pool", True)]
-    )
-    def test_csv_renders_each_distinct_part_once(self, rng, monkeypatch, special, table):
-        series = hand_built_series(rng, 6, 30, special)
-        rendered = []
-        render = amplitudes._render_g17
-
-        def recording(xs):
-            rendered.extend(xs)
-            return render(xs)
-
-        monkeypatch.setattr(amplitudes, "_render_g17", recording)
-        with np.errstate(over="ignore"):  # prob of 1e300
-            series.to_csv(io.StringIO())
-        parts = np.stack([series.values.real, series.values.imag]).view(np.int64)
-        want = np.unique(parts) if table else np.empty(0, dtype=np.int64)
-        got = np.sort(np.array(rendered, dtype=np.float64).view(np.int64))
-        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize(
         "levels, samples, last_repeats",
@@ -407,6 +393,115 @@ class TestSerializers:
         times = np.broadcast_to(0.0, (MAX_SERIES_CELLS // PETERSEN_JC.dim + 1,))
         with pytest.raises(InvalidParams, match="series too large"):
             amplitude_series(petersen_measure(), PETERSEN_JC, times)
+
+
+def g17_text(values):
+    """``_g17``'s text of each value, its NUL padding dropped."""
+    rows = _g17(np.asarray(values, dtype=np.float64)).reshape(-1, 24)
+    return [bytes(row).rstrip(b"\0").decode("ascii") for row in rows]
+
+
+def g17_reference(values):
+    return ["%.17g" % v for v in np.ravel(np.asarray(values, dtype=np.float64)).tolist()]
+
+
+def sweep_floats():
+    """Every decade 10**k from 1e-323 to 1e308 with both neighbours; the
+    subnormal and normal floor and the ends of the kernel's own range one ulp
+    either side; exact ties at 17 digits, where 10**(16 - p) is exact
+    (186714551458061.875) and where it is not (2**-25, 3 * 2**-24); values
+    that round up into the next decade (1e-14, 1e98 and 1e129 are each just
+    below their power of ten); zeros, infinities and NaNs of either sign."""
+    decades = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    edges = np.array([1e300, 1e-300])
+    edges = np.concatenate([edges, -edges])
+    return np.concatenate([
+        decades, np.nextafter(decades, 0), np.nextafter(decades, np.inf),
+        [5e-324, -5e-324, 2.2250738585072014e-308, np.nextafter(2.2250738585072014e-308, 0)],
+        edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+        [186714551458061.875, 2.0**-25, 3 * 2.0**-24, 5 * 2.0**-24, 0.5, 2.5, 1e16 + 2],
+        [1e-14, 1e98, 1e129, 0.99999999999999989, 9.9999999999999995e-5],
+        [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan],
+    ])
+
+
+class TestG17:
+    """The CSV float kernel writes exactly the bytes of ``'%.17g' % v``. No
+    ``np.errstate`` wraps it: a floating-point warning fails the test."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    def test_any_bit_pattern(self, bits):
+        # NaN payloads, the sign bit and subnormals included
+        x = np.array(bits, dtype=np.uint64).view(np.float64)
+        assert g17_text(x) == g17_reference(x)
+
+    def test_sweep(self):
+        x = sweep_floats()
+        assert g17_text(x) == g17_reference(x)
+
+    def test_log_uniform(self, rng):
+        x = np.exp(rng.uniform(-700, 700, 20000)) * rng.choice([-1.0, 1.0], 20000)
+        assert g17_text(x) == g17_reference(x)
+
+    def test_powers_of_ten_to_104_bits(self):
+        # 10**k = (fh + fl) 2**g with 1 <= fh < 2, split exactly into Dekker halves
+        for k in range(-330, 330, 7):
+            fh, fh_hi, fh_lo, fl, g = amplitudes._pow10(k)
+            assert 1 <= fh < 2 and fh_hi + fh_lo == fh and 0 <= fl < 2.0**-52
+            error = Fraction(10) ** k / Fraction(2) ** int(g) - Fraction(fh) - Fraction(fl)
+            assert 0 <= error < Fraction(1, 2**104)
+
+    def test_fallback_only_where_needed(self, monkeypatch):
+        seen = []
+        fallback = amplitudes._g17_fallback
+
+        def counting(v):
+            seen.append(v)
+            return fallback(v)
+
+        monkeypatch.setattr(amplitudes, "_g17_fallback", counting)
+        # the pinned emit_series walk: 1001 samples of 400 levels
+        series = pipeline_for_entry(make_entry("tchebichef2", (400, 1))).series(
+            np.linspace(0.0, 10.0, 1001)
+        )
+        series.to_csv(io.StringIO())
+        assert seen == []
+        # a subnormal, and a tie where 10**(16 - p) is inexact
+        assert g17_text([5e-324, 2.0**-25]) == ["4.9406564584124654e-324", "2.9802322387695312e-08"]
+        assert seen == [5e-324, 2.0**-25]
+        # zero, inf and nan have fixed text
+        assert g17_text([0.0, -0.0, np.inf, -np.inf, -np.nan]) == ["0", "-0", "inf", "-inf", "nan"]
+        assert len(seen) == 2
+
+
+def test_power_table_built_on_first_write():
+    """Importing the CLI builds none of the kernel's tables; one petersen CSV
+    caches 10**k for exactly the k = 16 - floor(log10 |v|) of its cells."""
+    script = """
+import contextlib, decimal, io, json
+import ctqw.cli
+from ctqw import amplitudes
+before = amplitudes._pow10.cache_info().currsize, amplitudes._text_tables.cache_info().currsize
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = ctqw.cli.main(["compute", "--graph", "petersen"])
+cells = [float(c) for row in out.getvalue().splitlines()[1:] for c in row.split(",")]
+used = {16 - decimal.Decimal(v).adjusted() for v in cells if v != 0}
+after = amplitudes._pow10.cache_info().currsize
+for k in used:
+    amplitudes._pow10(k)
+print(json.dumps([code, before, after, len(used), amplitudes._pow10.cache_info().currsize]))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, before, after, used, probed = json.loads(proc.stdout)
+    assert code == 0
+    assert before == [0, 0]
+    assert after == used == probed  # every used k was cached, and nothing else
 
 
 @pytest.mark.parametrize(
