@@ -8,16 +8,17 @@ sum_i A_i exp(-i x_i t); ``ExponentialSum`` holds a tabulated closed form to
 compare with it. The Laplace-domain form exists only for validation against
 tabulated s-domain expressions; it is never inverted numerically.
 
-``AmplitudeSeries.to_csv`` writes blocks of whole samples, each cell from
-``_g17``: a NumPy kernel that gives the bytes of ``'%.17g' % v`` for every
-float64, from one double-double product with a power of ten per value; only
-a few values (|v| outside [1e-300, 1e300], near-ties) go to Python's own
-formatter, one at a time. ``AmplitudeSeries.to_json`` gives the bytes of
-``json.dumps(as_dict(kappa))``, but renders each distinct float bit pattern
-of the values once (``_distinct_text``) and joins the text one level at a
-time. A series knows nothing of shells: the shell sizes ``kappa`` that label
-the JSON rows come from the walk and are passed to ``as_dict`` /
-``to_json``.
+Both writers stream a series in blocks of ``_BLOCK`` floats through one row
+assembler, ``_join``: NUL-padded 24-byte cells, each followed by its
+separator, the NULs dropped. ``AmplitudeSeries.to_csv`` formats each block
+of whole samples in one ``_g17`` call: a NumPy kernel that gives the bytes
+of ``'%.17g' % v`` for every float64 from one double-double product with a
+power of ten; only a few values (|v| outside [1e-300, 1e300], near-ties) go
+to Python's own formatter. ``AmplitudeSeries.to_json`` writes the bytes of
+``json.dumps(as_dict(kappa))`` and a newline in blocks of whole levels,
+gathered from ``_json_table``: the ``json.dumps`` token of each distinct
+float bit pattern, once. A series knows nothing of shells: the shell sizes
+``kappa`` that label the JSON rows come from the walk.
 ``MAX_SERIES_CELLS`` bounds the strata x samples of one series.
 """
 
@@ -39,9 +40,11 @@ from .stieltjes import SpectralMeasure, orthonormal_values, stieltjes_pole_sum
 # table, so that a huge grid is refused before either is allocated
 MAX_SERIES_CELLS = 2**24
 
-# CSV rows formatted per block (whole samples, at least one); bounds the row
-# text and the arrays of the float kernel held per block
-_CSV_BLOCK = 1 << 14
+# floats per block: re, im, prob of CSV rows of whole samples or re, im of
+# JSON levels (at least one sample or level), and distinct floats per
+# json.dumps call; bounds the text and the arrays held per block. A larger
+# block outgrows the CPU caches: at 3 x 16k floats the CSV ran ~1.5x slower
+_BLOCK = 1 << 14
 
 # Dekker's splitter: c = _SPLIT * v, c - (c - v) is v's upper 26 bits
 _SPLIT = 2.0**27 + 1
@@ -51,14 +54,6 @@ _TIE_MARGIN = 2.0**-40
 
 # a value _g17 leaves to Python's own dtoa
 _g17_fallback = b"%.17g".__mod__
-
-# distinct values rendered per call; bounds the float list, format string and
-# text made at once on top of the table
-_RENDER_BLOCK = 1 << 14
-
-# JSON value cells gathered per block (whole levels, at least one); bounds the
-# object array of cell text held per block
-_JSON_BLOCK = 1 << 14
 
 
 def as_times(t) -> np.ndarray:
@@ -72,24 +67,29 @@ def as_times(t) -> np.ndarray:
     return t
 
 
-def _render_json(xs: list[float]) -> list[str]:
-    """``xs`` as ``json.dumps`` writes them, ``NaN``, ``Infinity`` and
-    ``-0.0`` included; no float token holds ', '."""
-    return json.dumps(xs)[1:-1].split(", ")
+def _join(cells: np.ndarray, ends: np.ndarray) -> str:
+    """The text of NUL-padded 24-byte ``cells`` (..., k, 24), uint8, each
+    followed by its NUL-padded end ``ends[i]`` (k, w), with every NUL
+    dropped: the row assembler of both writers."""
+    rows = np.empty(cells.shape[:-1] + (24 + ends.shape[-1],), dtype=np.uint8)
+    rows[..., :24], rows[..., 24:] = cells, ends
+    return rows[rows != 0].tobytes().decode("ascii")
 
 
-def _distinct_text(cells: np.ndarray, render):
-    """The re/im parts of the complex ``cells`` rendered once per distinct
-    bit pattern, so that -0.0 and NaN payloads stay apart: ``(text,
-    inverse)``, with ``text`` an object array and ``text[inverse]`` the text
-    of each part, ``inverse`` shaped ``cells.shape + (2,)`` (re, im)."""
+def _json_table(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The re/im parts of the complex ``cells`` as ``json.dumps`` writes them
+    (``NaN``, ``Infinity``, ``-0.0``), once per distinct bit pattern:
+    ``(table, inverse)``, ``table`` the NUL-padded 24-byte tokens, uint8, and
+    ``table[inverse]`` the cells, shaped ``cells.shape + (2, 24)`` (re, im).
+    No token is longer than 24 bytes (``-2.2250738585072014e-308``)."""
     bits = np.ascontiguousarray(cells, dtype=np.complex128).view(np.int64).ravel()
     distinct, inverse = np.unique(bits, return_inverse=True)
     floats = distinct.view(np.float64)
-    text = np.empty(floats.size, dtype=object)
-    for k in range(0, floats.size, _RENDER_BLOCK):
-        text[k : k + _RENDER_BLOCK] = render(floats[k : k + _RENDER_BLOCK].tolist())
-    return text, inverse.reshape(*cells.shape, 2)  # its shape varies across numpy releases
+    table = np.empty(floats.size, dtype="S24")
+    for k in range(0, floats.size, _BLOCK):
+        table[k : k + _BLOCK] = json.dumps(floats[k : k + _BLOCK].tolist())[1:-1].split(", ")
+    # inverse's shape varies across numpy releases
+    return table.view(np.uint8).reshape(-1, 24), inverse.reshape(*cells.shape, 2)
 
 
 @functools.cache
@@ -241,21 +241,24 @@ class AmplitudeSeries:
     def to_csv(self, out: TextIO) -> None:
         """Write the header and one row ``t,stratum,re,im,prob`` per
         (sample, stratum) to ``out``, sample-major, every cell as
-        ``'%.17g' % v`` writes it (``_g17``); each block of whole samples goes
-        out as soon as it is formatted."""
-        step = max(1, _CSV_BLOCK // self.levels)  # whole samples per block
-        strata = _g17(np.arange(self.levels, dtype=np.float64))
+        ``'%.17g' % v`` writes it (``_g17``); each block of whole samples is
+        formatted in one ``_g17`` call and goes out as soon as it is."""
+        step = max(1, _BLOCK // (3 * self.levels))  # whole samples per block
+        strata = np.arange(self.levels, dtype=np.float64)
+        ends = np.frombuffer(b",,,,\n", dtype=np.uint8).reshape(5, 1)
         out.write("t,stratum,re,im,prob\n")
         for s0 in range(0, self.times.size, step):
-            cells = self.values[:, s0 : s0 + step].T  # (samples, levels)
-            re, im = cells.real, cells.imag
-            # each cell NUL-padded to 24 bytes and followed by ',' or '\n'
-            rows = np.zeros(cells.shape + (5, 25), dtype=np.uint8)
-            t = _g17(self.times[s0 : s0 + step, None])
-            for i, cell in enumerate((t, strata, _g17(re), _g17(im), _g17(re * re + im * im))):
-                rows[..., i, :24] = cell
-            rows[..., 24] = np.frombuffer(b",,,,\n", dtype=np.uint8)
-            out.write(rows[rows != 0].tobytes().decode("ascii"))
+            t = self.times[s0 : s0 + step]
+            values = self.values[:, s0 : s0 + step].T  # (samples, levels)
+            re, im = values.real, values.imag
+            parts = np.stack((re, im, re * re + im * im), -1)  # (samples, levels, 3)
+            # each time and stratum is formatted once per block, then copied to its rows
+            text = _g17(np.concatenate((t, strata, parts.ravel())))
+            cells = np.empty(values.shape + (5, 24), dtype=np.uint8)
+            cells[:, :, 0] = text[: t.size, None]
+            cells[:, :, 1] = text[t.size : t.size + strata.size]
+            cells[:, :, 2:] = text[t.size + strata.size :].reshape(parts.shape + (24,))
+            out.write(_join(cells, ends))
 
     def as_dict(self, kappa: Sequence[int] | None = None) -> dict:
         """The JSON fields, with the walk's shell sizes ``kappa``, if any."""
@@ -266,28 +269,25 @@ class AmplitudeSeries:
             "conservation_defect": self.conservation_defect.tolist(),
         }
 
-    def to_json(self, kappa: Sequence[int] | None = None) -> str:
-        """The bytes of ``json.dumps(self.as_dict(kappa))``, with each distinct
-        float bit pattern of ``values`` rendered once; the cells of whole levels
-        are gathered in blocks and each level's text is joined on its own."""
+    def to_json(self, out: TextIO, kappa: Sequence[int] | None = None) -> None:
+        """Write the bytes of ``json.dumps(self.as_dict(kappa))`` and a newline
+        to ``out``; the cells of ``values`` are gathered from ``_json_table``,
+        and each block of whole levels goes out as soon as it is joined."""
         levels, samples = self.values.shape
-        text, inverse = _distinct_text(self.values, _render_json)
-        inverse = inverse.reshape(levels, 2 * samples)  # re, im interleaved per cell
-        step = max(1, _JSON_BLOCK // samples)  # whole levels per block
-        cells = np.empty((min(step, levels), 4 * samples + 1), dtype=object)
-        # a level is "[[" re ", " im "], [" re ", " im ... "]]"
-        cells[:, 0], cells[:, 2::4], cells[:, 4::4], cells[:, -1] = "[[", ", ", "], [", "]]"
-        rows = []
+        table, inverse = _json_table(self.values)
+        inverse = inverse.reshape(levels, 2 * samples)  # re, im interleaved per sample
+        # after the opening "[[[", a level is re ", " im "], [" ... im "]], [["
+        at = np.tile([0, 1], samples)
+        at[-1] = 2
+        ends = np.array([b", ", b"], [", b"]], [["]).view(np.uint8).reshape(3, 6)[at]
+        step = max(1, _BLOCK // (2 * samples))  # whole levels per block
+        times, defect = (json.dumps(x.tolist()) for x in (self.times, self.conservation_defect))
+        out.write(f'{{"times": {times}, "kappa": {json.dumps(kappa)}, "values": [[[')
         for l0 in range(0, levels, step):
-            block = cells[: min(step, levels - l0)]
-            block[:, 1::2] = text[inverse[l0 : l0 + step]]
-            rows.extend(map("".join, block.tolist()))
-        return "".join((
-            '{"times": ', json.dumps(self.times.tolist()),
-            ', "kappa": ', json.dumps(kappa),
-            ', "values": [', ", ".join(rows),
-            '], "conservation_defect": ', json.dumps(self.conservation_defect.tolist()), "}",
-        ))
+            text = _join(table[inverse[l0 : l0 + step]], ends)
+            # the last level closes with "]]", not "]], [["
+            out.write(text if l0 + step < levels else text.removesuffix(", [["))
+        out.write(f'], "conservation_defect": {defect}}}\n')
 
 
 def laplace_return_amplitude(measure: SpectralMeasure, s: complex) -> complex:

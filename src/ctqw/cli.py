@@ -93,7 +93,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     if args.format == "csv":
         _emit(series.to_csv, args.output)
     else:
-        _emit(lambda out: out.writelines((series.to_json(pipeline.kappa), "\n")), args.output)
+        _emit(lambda out: series.to_json(out, pipeline.kappa), args.output)
     print(
         f"max conservation defect: {series.conservation_defect.max():.3e}",
         file=sys.stderr,

@@ -34,7 +34,6 @@ class SpectralMeasure:
 
     nodes: tuple[float, ...]
     weights: tuple[float, ...]
-    renormalization_defect: float = 0.0
 
     def __post_init__(self):
         if len(self.nodes) != len(self.weights) or not self.nodes:
@@ -110,10 +109,10 @@ def spectral_measure(jc: JacobiCoefficients) -> SpectralMeasure:
     """Nodes and weights of the measure attached to the tridiagonal operator.
 
     Nodes are the eigenvalues; weights are squared first components of the
-    normalized eigenvectors. Weights are renormalized to unit mass and the
-    defect is kept on the result. Nodes closer than ``MERGE_TOL`` times the
-    spectral width are merged with their weights summed, and a merged node of
-    mass exactly 0.0 is dropped.
+    normalized eigenvectors. Weights are renormalized to unit mass, and a
+    mass defect above 1e-8 is logged as a warning. Nodes closer than
+    ``MERGE_TOL`` times the spectral width are merged with their weights
+    summed, and a merged node of mass exactly 0.0 is dropped.
     """
     import scipy.linalg  # imported here: it would slow every CLI start
 
@@ -141,7 +140,7 @@ def spectral_measure(jc: JacobiCoefficients) -> SpectralMeasure:
     # a group whose weights all underflow to 0.0 lies outside the support and
     # adds nothing to G
     mass, moment = mass[mass > 0.0], moment[mass > 0.0]
-    return SpectralMeasure(tuple((moment / mass).tolist()), tuple(mass.tolist()), defect)
+    return SpectralMeasure(tuple((moment / mass).tolist()), tuple(mass.tolist()))
 
 
 def orthonormal_values(jc: JacobiCoefficients, xs: np.ndarray) -> np.ndarray:

@@ -15,10 +15,8 @@ from scipy.special import jv
 from ctqw import make_entry, stratify
 from ctqw import amplitudes
 from ctqw.amplitudes import (
-    _CSV_BLOCK,
+    _BLOCK,
     _g17,
-    _JSON_BLOCK,
-    _RENDER_BLOCK,
     MAX_SERIES_CELLS,
     AmplitudeSeries,
     ExponentialSum,
@@ -291,7 +289,10 @@ def assert_same_text(got, want):
         )
 
 
-SPECIAL_FLOATS = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, -1e300, 0.1, 1.0]
+# zeros, NaN, infinities, a subnormal, huge and plain values, and the two
+# longest float texts: 24 bytes both in json.dumps and in '%.17g'
+SPECIAL_FLOATS = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, -1e300, 0.1, 1.0,
+                  -2.2250738585072014e-308, -1.7976931348623157e308]
 
 # few values, several of them alike to json: both zeros, and quiet NaNs with
 # different payloads and signs
@@ -307,8 +308,9 @@ POOL_FLOATS = np.concatenate([
 def hand_built_series(rng, levels, samples, special=False):
     """Random cells spread over 300 decades; ``special`` True plants
     SPECIAL_FLOATS, "pool" draws every cell from POOL_FLOATS, "single"
-    gives every cell the one value 5e-324, and "under" / "over" make a third
-    of the re/im parts distinct / one more."""
+    gives every cell the one value 5e-324, and "under" / "over" draw the
+    re/im parts from a third of them / one more, so that the JSON table
+    holds each repeated value once and gathers it many times."""
     times = np.sort(rng.uniform(0.0, 50.0, size=samples))
     scale = 10.0 ** rng.integers(-150, 150, size=(2, levels, samples))
     parts = rng.standard_normal((2, levels, samples)) * scale
@@ -344,20 +346,26 @@ class TestSerializers:
     @pytest.mark.parametrize(
         "levels, samples, special",
         [
-            (4, _CSV_BLOCK // 4, False),          # exactly one block of rows
-            (1, _CSV_BLOCK + 1, False),           # one row into a second block
-            (3, _CSV_BLOCK - 1, False),           # 3 * _CSV_BLOCK - 1 rows
-            (_CSV_BLOCK + 1, 2, False),           # more strata than rows per block
+            # a CSV block is _BLOCK // 3 rows (re, im and prob per row) of
+            # whole samples, a JSON block _BLOCK // 2 pairs of whole levels
+            (4, _BLOCK // 12, False),             # exactly one block of rows
+            (1, _BLOCK // 3 + 1, False),          # one row into a second block
+            (4, _BLOCK // 4, False),              # three blocks and one sample
+            (1, _BLOCK + 1, False),               # three blocks and two rows
+            (3, _BLOCK - 1, False),               # nine blocks and three samples
+            (_BLOCK + 1, 2, False),               # more strata than floats per block
             (1, 1, False),                        # one level, one sample
             (5, 1, False),
             (1, 40, False),
-            (3, 20, True),                        # -0, nan, +-inf, subnormal, huge
+            (3, 20, True),                        # -0, nan, +-inf, subnormal, huge, longest
             (6, 30, "pool"),                      # mostly duplicates
             (1, 50, "pool"),
             (4, 10, "single"),                    # one distinct value
-            (6, 30, "under"),                     # a third of the re/im parts distinct
-            (6, 30, "over"),                      # one more
-            (3, _CSV_BLOCK // 2 + 1, "under"),    # two blocks of rows, three of renders
+            (6, 30, "under"),                     # parts drawn from a third of them
+            (6, 30, "over"),                      # from a third and one
+            # five blocks of CSV rows, three of JSON levels, and 16,386
+            # distinct parts: two json.dumps calls fill the table
+            (3, _BLOCK // 2 + 1, "under"),
         ],
     )
     def test_matches_per_cell_reference(self, rng, levels, samples, special):
@@ -367,15 +375,18 @@ class TestSerializers:
             series.to_csv(out)
             assert_same_text(out.getvalue(), reference_csv(series))
         kappa = hand_built_kappa(series)
-        assert_same_text(series.to_json(kappa), json.dumps(reference_as_dict(series, kappa)))
+        out = io.StringIO()
+        series.to_json(out, kappa)
+        assert_same_text(out.getvalue(), json.dumps(reference_as_dict(series, kappa)) + "\n")
 
     @pytest.mark.parametrize(
         "levels, samples, last_repeats",
         [
-            (1, _JSON_BLOCK + 1, False),          # one level longer than a block
-            (_JSON_BLOCK + 1, 1, False),          # a block of levels and one more
+            (1, _BLOCK + 1, False),               # one level longer than a block
+            (_BLOCK + 1, 1, False),               # two blocks of levels and one more
             (7, 3, True),
-            (_JSON_BLOCK // 3 + 1, 3, True),      # the last block is that level
+            (_BLOCK // 6 + 1, 3, True),           # the last block is that level
+            (_BLOCK // 3 + 1, 3, True),           # that level and one more
         ],
     )
     def test_json_has_no_level_seams(self, rng, levels, samples, last_repeats):
@@ -383,9 +394,33 @@ class TestSerializers:
         if last_repeats:  # every cell of the last level is the first cell's re
             series.values[-1] = series.values[0, 0].real * (1 + 1j)
         kappa = hand_built_kappa(series)
-        text = series.to_json(kappa)
-        assert_same_text(text, json.dumps(series.as_dict(kappa)))
-        assert json.loads(text) == series.as_dict(kappa)
+        out = io.StringIO()
+        series.to_json(out, kappa)
+        assert_same_text(out.getvalue(), json.dumps(series.as_dict(kappa)) + "\n")
+        assert json.loads(out.getvalue()) == series.as_dict(kappa)
+
+    def test_writes_stream_one_block_at_a_time(self, rng):
+        # 9 levels of _BLOCK // 4 samples: five JSON blocks of two levels
+        # and seven CSV blocks of _BLOCK // 27 samples; either payload is
+        # longer than a block
+        series = hand_built_series(rng, 9, _BLOCK // 4)
+        kappa = hand_built_kappa(series)
+        longest = "-2.2250738585072014e-308"
+        # the most text a CSV row of 3 floats or a JSON pair of 2 can take
+        csv_row, json_pair = ",".join([longest] * 5) + "\n", f"{longest}, {longest}]], [["
+        cases = (
+            ("to_csv", (), reference_csv(series), 1 + 7, _BLOCK // 3 * len(csv_row)),
+            ("to_json", (kappa,), json.dumps(series.as_dict(kappa)) + "\n", 1 + 5 + 1,
+             _BLOCK // 2 * len(json_pair)),
+        )
+        for writer, args, want, count, block in cases:
+            writes = []
+            out = io.StringIO()
+            out.write = writes.append
+            getattr(series, writer)(out, *args)
+            assert_same_text("".join(writes), want)
+            assert len(writes) == count  # the head, the blocks and any tail
+            assert len(want) > block >= max(map(len, writes))
 
     def test_series_cell_bound(self):
         # the bound is checked before any (levels, T) array is made, so a
