@@ -10,15 +10,19 @@ tabulated s-domain expressions; it is never inverted numerically.
 
 Both writers stream a series in blocks of ``_BLOCK`` floats through one row
 assembler, ``_join``: NUL-padded 24-byte cells, each followed by its
-separator, the NULs dropped. ``AmplitudeSeries.to_csv`` formats each block
-of whole samples in one ``_g17`` call: a NumPy kernel that gives the bytes
-of ``'%.17g' % v`` for every float64 from one double-double product with a
-power of ten; only a few values (|v| outside [1e-300, 1e300], near-ties) go
-to Python's own formatter. ``AmplitudeSeries.to_json`` writes the bytes of
-``json.dumps(as_dict(kappa))`` and a newline in blocks of whole levels,
-gathered from ``_json_table``: the ``json.dumps`` token of each distinct
-float bit pattern, once. A series knows nothing of shells: the shell sizes
-``kappa`` that label the JSON rows come from the walk.
+separator, the NULs dropped. Their text comes from two NumPy kernels that
+share a digit stage and a layout stage: Y = |v| 10**(16 - p), p the decimal
+exponent, as one double-double product with a power of ten (``_decades``),
+and the bytes laid out from Y's chosen digits (``_layout``).
+``AmplitudeSeries.to_csv`` formats each block of whole samples in one
+``_g17`` call, the bytes of ``'%.17g' % v``: the 17 digits nearest Y.
+``AmplitudeSeries.to_json`` writes the bytes of ``json.dumps(as_dict(kappa))``
+and a newline in blocks of whole levels, gathered from ``_json_table``: the
+``_shortest`` token of each distinct float bit pattern, once, the bytes of
+``float.__repr__``: the fewest digits that read back as v. In both kernels
+only a few values (|v| outside [1e-300, 1e300], near-ties) go to Python's
+own formatter. A series knows nothing of shells: the shell sizes ``kappa``
+that label the JSON rows come from the walk.
 ``MAX_SERIES_CELLS`` bounds the strata x samples of one series.
 """
 
@@ -42,18 +46,20 @@ MAX_SERIES_CELLS = 2**24
 
 # floats per block: re, im, prob of CSV rows of whole samples or re, im of
 # JSON levels (at least one sample or level), and distinct floats per
-# json.dumps call; bounds the text and the arrays held per block. A larger
+# _shortest call; bounds the text and the arrays held per block. A larger
 # block outgrows the CPU caches: at 3 x 16k floats the CSV ran ~1.5x slower
 _BLOCK = 1 << 14
 
 # Dekker's splitter: c = _SPLIT * v, c - (c - v) is v's upper 26 bits
 _SPLIT = 2.0**27 + 1
 
-# _scaled is within 2**-45 of exact: a fraction closer to 1/2 may be a tie
+# _scaled is within 2**-45 of exact: a fraction closer to 1/2 may be a tie,
+# and a candidate closer to a bound of v's rounding interval may be on it
 _TIE_MARGIN = 2.0**-40
 
-# a value _g17 leaves to Python's own dtoa
+# a value _g17 or _shortest leaves to Python's own dtoa
 _g17_fallback = b"%.17g".__mod__
+_repr_fallback = b"%r".__mod__
 
 
 def as_times(t) -> np.ndarray:
@@ -76,20 +82,17 @@ def _join(cells: np.ndarray, ends: np.ndarray) -> str:
     return rows[rows != 0].tobytes().decode("ascii")
 
 
-def _json_table(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The re/im parts of the complex ``cells`` as ``json.dumps`` writes them
-    (``NaN``, ``Infinity``, ``-0.0``), once per distinct bit pattern:
-    ``(table, inverse)``, ``table`` the NUL-padded 24-byte tokens, uint8, and
-    ``table[inverse]`` the cells, shaped ``cells.shape + (2, 24)`` (re, im).
-    No token is longer than 24 bytes (``-2.2250738585072014e-308``)."""
-    bits = np.ascontiguousarray(cells, dtype=np.complex128).view(np.int64).ravel()
-    distinct, inverse = np.unique(bits, return_inverse=True)
+def _json_table(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The float64s ``x`` as ``json.dumps`` writes them, once per distinct
+    bit pattern: ``(table, inverse)``, ``table`` the NUL-padded 24-byte
+    tokens, uint8, from one ``_shortest`` call per ``_BLOCK`` of distinct
+    values, and ``table[inverse]`` the tokens of ``x``, in order."""
+    distinct, inverse = np.unique(x.view(np.int64), return_inverse=True)
     floats = distinct.view(np.float64)
-    table = np.empty(floats.size, dtype="S24")
+    table = np.empty((floats.size, 24), dtype=np.uint8)
     for k in range(0, floats.size, _BLOCK):
-        table[k : k + _BLOCK] = json.dumps(floats[k : k + _BLOCK].tolist())[1:-1].split(", ")
-    # inverse's shape varies across numpy releases
-    return table.view(np.uint8).reshape(-1, 24), inverse.reshape(*cells.shape, 2)
+        table[k : k + _BLOCK] = _shortest(floats[k : k + _BLOCK])
+    return table, inverse.reshape(-1)  # inverse's shape varies across numpy releases
 
 
 @functools.cache
@@ -137,20 +140,15 @@ def _scaled(m: np.ndarray, e: np.ndarray, k: np.ndarray):
     return np.ldexp(hi, scale), np.ldexp(pl - (hi - ph), scale)
 
 
-def _g17(x: np.ndarray) -> np.ndarray:
-    """The bytes of ``'%.17g' % v`` for each float64 v of ``x``, NUL-padded to
-    24: shaped ``x.shape + (24,)``, uint8. The 17 digits D round Y = |v|
-    10**(16 - p), p = floor(log10 |v|), half to even; Y is a double-double
-    (``_scaled``) whose high part is an even integer, so D = hi + rint(lo).
-    The layout is C's: fixed point for -4 <= p < 17, else d.ddde+XX, with no
-    trailing zeros or bare point. Zero, inf and nan have fixed text ('nan'
-    for any sign or payload); |v| outside [1e-300, 1e300], and ties within
-    ``_TIE_MARGIN`` where 10**(16 - p) is inexact, go to ``_g17_fallback``."""
-    groups, group_zeros, low, prefix = _text_tables()
-    shape = np.shape(x)
-    x = np.ravel(np.asarray(x, dtype=np.float64))
+def _decades(x: np.ndarray):
+    """The digit stage of both kernels, for the flat float64 ``x``: ``(p,
+    hi, lo, m, fast)``. For each v, p = floor(log10 |v|) and Y = |v|
+    10**(16 - p), in [1e16, 1e17], is the double-double ``hi + lo``
+    (``_scaled``), whose high part is an even integer; m is frexp's
+    mantissa of |v|. Only values with ``fast``, 1e-300 <= |v| <= 1e300,
+    are scaled; the others get the Y of 1.0."""
     a = np.abs(x)
-    zero, fast = a == 0, (a >= 1e-300) & (a <= 1e300)
+    fast = (a >= 1e-300) & (a <= 1e300)
     a = np.where(fast, a, 1.0)
     m, e = np.frexp(a)
     p = np.floor(np.log10(a)).astype(np.int64)
@@ -161,19 +159,32 @@ def _g17(x: np.ndarray) -> np.ndarray:
     if (moved := np.flatnonzero(step)).size:
         p[moved] += step[moved]
         hi[moved], lo[moved] = _scaled(m[moved], e[moved], 16 - p[moved])
-    r = np.rint(lo)
-    d = hi.astype(np.int64) + r.astype(np.int64)
-    tie = ((p < -6) | (p > 16)) & (np.abs(np.abs(lo - r) - 0.5) < _TIE_MARGIN)
-    slow = fast & ((d < 10**16) | (d > 10**17) | tie)
-    p += (carry := d == 10**17)  # 9.99...95 rounds up into the next decade
-    d[carry] = 10**16
-    d[zero] = 0
+    return p, hi, lo, m, fast
+
+
+def _layout(x: np.ndarray, d: np.ndarray, p: np.ndarray, exact: np.ndarray, shortest: bool):
+    """The layout stage of both kernels: the text of each v of the flat
+    float64 ``x`` from its digits d, an integer in [1e16, 1e17], and its
+    decimal exponent p, NUL-padded to 24 bytes, shaped ``x.shape + (24,)``,
+    uint8. Without ``shortest`` the layout is C's ``%.17g``: fixed point for
+    -4 <= p < 17, else d.ddde+XX, with no trailing zeros or bare point; with
+    it, Python's ``repr``: fixed point for -4 <= p < 16 with '.0' after an
+    integral value. Zero is laid out as any value is; inf and nan have fixed
+    text (``nan`` or ``NaN`` for any sign or payload, with ``shortest`` JSON's
+    ``Infinity``); any other value not marked ``exact`` goes to
+    ``_g17_fallback``, or to ``_repr_fallback`` with ``shortest``."""
+    groups, group_zeros, low, prefix = _text_tables()
+    zero = x == 0
+    slow = ~(exact | zero) | (d < 10**16) | (d > 10**17)
+    p = p + (carry := d == 10**17)  # 9.99...95 rounds up into the next decade
+    d = np.where(carry, 10**16, np.where(zero, 0, d))
     digits = [d // 10**16] + [d // 10**j - d // 10 ** (j + 4) * 10**4 for j in (12, 8, 4, 0)]
     # less the zeros that end the 16 digits after the first, a group at a time
     nsig = 17 - functools.reduce(lambda n, g: np.take(group_zeros, g) + (g == 0) * n, digits[1:], 0)
-    sign, fixed = np.signbit(x), (p >= -4) & (p <= 16)
+    sign, fixed = np.signbit(x), (p >= -4) & (p <= 16 - shortest)
     zeros = np.where(fixed & (p < 0), 1 - p, 0)  # '0.' and -p - 1 zeros before the digits
-    shown = np.where(fixed, np.maximum(nsig, p + 1), nsig)  # digits written
+    # digits written: in fixed point, up to the point, and one zero after it for repr
+    shown = np.where(fixed, np.maximum(nsig, p + 1 + shortest), nsig)
     point = np.where(fixed, p + 1, 1)  # digits before the point
     point[(zeros > 0) | (shown <= point)] = 24  # no point
     # 'e', the exponent's sign and its 2 or 3 digits, written after the digits
@@ -193,11 +204,69 @@ def _g17(x: np.ndarray) -> np.ndarray:
         text[:, k] = word << shift | before >> (64 - shift)
         spill, before = after, word
     text[:, 0] |= np.take(prefix, 6 * sign + zeros)
-    for i in np.flatnonzero(~(fast | zero) | slow):
+    if shortest:
+        fallback, nan, inf = _repr_fallback, b"NaN", b"Infinity"
+    else:
+        fallback, nan, inf = _g17_fallback, b"nan", b"inf"
+    for i in np.flatnonzero(slow):
         v = float(x[i])
-        t = b"nan" if v != v else {math.inf: b"inf", -math.inf: b"-inf"}.get(v) or _g17_fallback(v)
+        t = nan if v != v else b"-" * (v < 0) + inf if math.isinf(v) else fallback(v)
         text[i] = np.frombuffer(t.ljust(24, b"\0"), dtype="<u8")
-    return text.view(np.uint8).reshape(shape + (24,))
+    return text.view(np.uint8).reshape(x.shape + (24,))
+
+
+def _g17(x: np.ndarray) -> np.ndarray:
+    """The bytes of ``'%.17g' % v`` for each float64 v of ``x``, NUL-padded to
+    24: shaped ``x.shape + (24,)``, uint8. The 17 digits D round Y = |v|
+    10**(16 - p) (``_decades``) half to even: D = hi + rint(lo). Ties within
+    ``_TIE_MARGIN`` where 10**(16 - p) is inexact go to ``_g17_fallback``,
+    as ``_layout`` sends |v| outside [1e-300, 1e300]."""
+    shape = np.shape(x)
+    x = np.ravel(np.asarray(x, dtype=np.float64))
+    p, hi, lo, _, fast = _decades(x)
+    r = np.rint(lo)
+    tie = ((p < -6) | (p > 16)) & (np.abs(np.abs(lo - r) - 0.5) < _TIE_MARGIN)
+    d = hi.astype(np.int64) + r.astype(np.int64)
+    return _layout(x, d, p, fast & ~tie, False).reshape(shape + (24,))
+
+
+def _shortest(x: np.ndarray) -> np.ndarray:
+    """The bytes of ``float.__repr__(v)``, as ``json.dumps`` writes them
+    (``NaN``, ``Infinity``, ``-Infinity``), for each v of the 1-d float64
+    ``x``, NUL-padded to 24: shaped ``x.shape + (24,)``, uint8. The digits
+    are the shortest that read back as v (Steele & White; Gay 1990): of the
+    multiples of 10**j within half the gap to v's neighbours of Y = |v|
+    10**(16 - p) (``_decades``), those of the largest j, and of these the
+    one nearest Y. A value whose choice the double-double's error
+    (``_TIE_MARGIN``) could change goes to ``_repr_fallback``, as ``_layout``
+    sends |v| outside [1e-300, 1e300]."""
+    p, hi, lo, m, fast = _decades(x)
+    r = np.rint(lo)
+    y, f = hi.astype(np.int64) + r.astype(np.int64), lo - r  # Y = y + f, |f| <= 1/2
+    # half the gap to v's neighbours in units of the 17th digit; below a
+    # power of two (m = 1/2) the gap is half as wide
+    above_gap = hi / (m * 2.0**54)
+    below_gap = np.where(m == 0.5, above_gap / 2, above_gap)
+    # each bound moved out (row 0) and in (row 1) by the double-double's error
+    slack = np.array([[_TIE_MARGIN], [-_TIE_MARGIN]])
+    d, exact = y.copy(), fast.copy()
+    live = np.flatnonzero(fast)  # the values with a candidate at 10**(j - 1)
+    for unit in 10 ** np.arange(1, 17):
+        rest = y[live] % unit
+        below = rest + f[live]  # Y less y's multiple of 10**j at or below it
+        above = (unit - rest) - f[live]  # the next multiple less Y
+        down, up = below <= below_gap[live] + slack, above <= above_gap[live] + slack
+        tie = down[0] & up[0] & (np.abs(above - np.abs(below)) < _TIE_MARGIN)
+        up &= ~down | (above < np.abs(below))  # the nearer, when both are in
+        keep = down | up
+        # a choice that the error could change goes to Python
+        exact[live[tie | (keep[0] != keep[1]) | (up[0] != up[1])]] = False
+        keep, up = keep[0], up[0]
+        live = live[keep]
+        if not live.size:
+            break
+        d[live] = y[live] - rest[keep] + unit * up[keep]
+    return _layout(x, d, p, exact, True)
 
 
 @dataclass(frozen=True)
@@ -271,23 +340,27 @@ class AmplitudeSeries:
 
     def to_json(self, out: TextIO, kappa: Sequence[int] | None = None) -> None:
         """Write the bytes of ``json.dumps(self.as_dict(kappa))`` and a newline
-        to ``out``; the cells of ``values`` are gathered from ``_json_table``,
-        and each block of whole levels goes out as soon as it is joined."""
+        to ``out``; every float is gathered from one ``_json_table``, and each
+        block of whole levels of ``values`` goes out as soon as it is joined."""
         levels, samples = self.values.shape
-        table, inverse = _json_table(self.values)
-        inverse = inverse.reshape(levels, 2 * samples)  # re, im interleaved per sample
+        parts = np.ascontiguousarray(self.values, dtype=np.complex128).view(np.float64)
+        table, inverse = _json_table(
+            np.concatenate((self.times, self.conservation_defect, parts.ravel()))
+        )
+        comma = np.frombuffer(b", ", dtype=np.uint8).reshape(1, 2)
+        times, defect = (_join(table[k], comma)[:-2] for k in np.split(inverse[: 2 * samples], 2))
+        inverse = inverse[2 * samples :].reshape(levels, 2 * samples)  # re, im per sample
         # after the opening "[[[", a level is re ", " im "], [" ... im "]], [["
         at = np.tile([0, 1], samples)
         at[-1] = 2
         ends = np.array([b", ", b"], [", b"]], [["]).view(np.uint8).reshape(3, 6)[at]
         step = max(1, _BLOCK // (2 * samples))  # whole levels per block
-        times, defect = (json.dumps(x.tolist()) for x in (self.times, self.conservation_defect))
-        out.write(f'{{"times": {times}, "kappa": {json.dumps(kappa)}, "values": [[[')
+        out.write(f'{{"times": [{times}], "kappa": {json.dumps(kappa)}, "values": [[[')
         for l0 in range(0, levels, step):
             text = _join(table[inverse[l0 : l0 + step]], ends)
             # the last level closes with "]]", not "]], [["
             out.write(text if l0 + step < levels else text.removesuffix(", [["))
-        out.write(f'], "conservation_defect": {defect}}}\n')
+        out.write(f'], "conservation_defect": [{defect}]}}\n')
 
 
 def laplace_return_amplitude(measure: SpectralMeasure, s: complex) -> complex:

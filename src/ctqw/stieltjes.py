@@ -26,6 +26,8 @@ logger = logging.getLogger(__name__)
 # probability measure that puts z within about POLE_TOL of a node
 POLE_TOL = 1e-9
 MERGE_TOL = 1e-9            # near-degenerate nodes closer than this x width merge
+# points x nodes per block of stieltjes_pole_sum: bounds its (points, nodes) arrays
+_POLE_TERMS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -88,21 +90,35 @@ def stieltjes_continued_fraction(jc: JacobiCoefficients, z: complex) -> complex:
     return 1.0 / v
 
 
-def stieltjes_pole_sum(measure: SpectralMeasure, z: complex) -> complex:
-    """Partial-fraction form: sum of weight/(z - node).
+def stieltjes_pole_sum(measure: SpectralMeasure, z):
+    """Partial-fraction form: sum of weight/(z - node), at a point (a
+    complex result) or at each of a 1-d array of points (an array, one row
+    sum per point, bit-identical to a sum at each point), in blocks of
+    about ``_POLE_TERMS`` terms.
 
-    Raises PoleProximity when z is a node, and under the continued
-    fraction's rule |1/G| < POLE_TOL (1 + |z|).
+    Raises, at the first point that fails: InvalidParams when it is not
+    finite, PoleProximity when it is a node, and PoleProximity under the
+    continued fraction's rule |1/G| < POLE_TOL (1 + |z|).
     """
-    z = _finite_point(z)
-    nodes = measure.nodes_array()
-    if (nodes == z).any():
-        raise PoleProximity(f"z={z} is a spectral node")
-    g = complex(np.sum(measure.weights_array() / (z - nodes)))
-    # the rule multiplied through by |G|, so that a vanishing G needs no division
-    if abs(g) * POLE_TOL * (1.0 + abs(z)) > 1.0:
-        raise PoleProximity(f"z={z} is too close to a spectral node")
-    return g
+    z = np.asarray(z, dtype=np.complex128)
+    points, nodes, weights = z.reshape(-1), measure.nodes_array(), measure.weights_array()
+    g, at_node = np.empty_like(points), np.empty(points.size, dtype=bool)
+    step = max(1, _POLE_TERMS // nodes.size)  # points per block
+    with np.errstate(divide="ignore", invalid="ignore"):  # at a node or non-finite point
+        for k in range(0, points.size, step):
+            block = points[k : k + step, None]
+            at_node[k : k + step] = (block == nodes).any(axis=1)
+            g[k : k + step] = (weights / (block - nodes)).sum(axis=1)
+        # the rule multiplied through by |G|, so that a vanishing G needs no division
+        near = np.abs(g) * POLE_TOL * (1.0 + np.abs(points)) > 1.0
+    for i in np.flatnonzero(~np.isfinite(points) | at_node | near)[:1]:
+        point = _finite_point(points[i])
+        raise PoleProximity(
+            f"z={point} is a spectral node"
+            if at_node[i]
+            else f"z={point} is too close to a spectral node"
+        )
+    return complex(g[0]) if z.ndim == 0 else g
 
 
 def spectral_measure(jc: JacobiCoefficients) -> SpectralMeasure:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from ctqw import amplitudes
 from ctqw.amplitudes import (
     _BLOCK,
     _g17,
+    _shortest,
     MAX_SERIES_CELLS,
     AmplitudeSeries,
     ExponentialSum,
@@ -364,7 +366,8 @@ class TestSerializers:
             (6, 30, "under"),                     # parts drawn from a third of them
             (6, 30, "over"),                      # from a third and one
             # five blocks of CSV rows, three of JSON levels, and 16,386
-            # distinct parts: two json.dumps calls fill the table
+            # distinct parts, 32,772 distinct floats with the times and
+            # defects: three kernel calls fill the table
             (3, _BLOCK // 2 + 1, "under"),
         ],
     )
@@ -507,6 +510,104 @@ class TestG17:
         assert seen == [5e-324, 2.0**-25]
         # zero, inf and nan have fixed text
         assert g17_text([0.0, -0.0, np.inf, -np.inf, -np.nan]) == ["0", "-0", "inf", "-inf", "nan"]
+        assert len(seen) == 2
+
+
+def shortest_text(values):
+    """``_shortest``'s text of each value, its NUL padding dropped."""
+    rows = _shortest(np.ravel(np.asarray(values, dtype=np.float64)))
+    return [bytes(row).rstrip(b"\0").decode("ascii") for row in rows]
+
+
+def json_reference(values):
+    return [json.dumps(v) for v in np.ravel(np.asarray(values, dtype=np.float64)).tolist()]
+
+
+def with_neighbours(x):
+    x = np.asarray(x, dtype=np.float64)
+    return np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
+
+
+def half_gap_pairs():
+    """``(centres, pairs)``: decimals c that lie half a gap from both their
+    neighbouring doubles and have fewer digits than either, and the doubles
+    c - h, c + h, one with an even mantissa and one with an odd one. Where
+    10**(16 - p) is exact, c = 2**54 + 6 + 20 j and h = 2 (gap 4); where it
+    is not, c = D 10**6 in [2**59, 2**60) with D odd and h = 64 (gap 128)."""
+    centres = [2**54 + 6 + 20 * j for j in range(100)]
+    centres += [(576460752305 + 2 * j) * 10**6 for j in range(100)]
+    halves = [2] * 100 + [64] * 100
+    return centres, np.array([(c - h, c + h) for c, h in zip(centres, halves)], dtype=np.float64)
+
+
+class TestShortest:
+    """The JSON float kernel writes exactly the bytes of ``json.dumps(v)``,
+    that is ``float.__repr__`` and ``NaN``, ``Infinity``, ``-Infinity``. No
+    ``np.errstate`` wraps it: a floating-point warning fails the test."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    def test_any_bit_pattern(self, bits):
+        # NaN payloads, the sign bit and subnormals included
+        x = np.array(bits, dtype=np.uint64).view(np.float64)
+        assert shortest_text(x) == json_reference(x)
+
+    def test_sweep(self):
+        x = sweep_floats()
+        assert shortest_text(x) == json_reference(x)
+
+    def test_log_uniform(self, rng):
+        x = np.exp(rng.uniform(-700, 700, 20000)) * rng.choice([-1.0, 1.0], 20000)
+        assert shortest_text(x) == json_reference(x)
+
+    def test_powers_of_two_and_ten(self):
+        # below a power of two the gap to the lower neighbour is half as wide
+        twos = np.ldexp(1.0, np.arange(-1074, 1024))
+        tens = np.array([float(f"1e{k}") for k in range(-330, 331)])
+        x = with_neighbours(np.concatenate([twos, tens]))
+        assert shortest_text(x) == json_reference(x)
+
+    def test_integers_layout_and_rounded_decimals(self, rng):
+        integers = np.concatenate([
+            np.arange(-3000, 3000), 10**15 + np.arange(-300, 300), 2**53 + np.arange(-300, 300),
+            10**16 + np.arange(-300, 300), 10**17 + 16 * np.arange(-300, 300),
+        ]).astype(np.float64)
+        # fixed point from 1e-4 up to, not including, 1e16
+        switches = with_neighbours([1e-4, 1e-5, 1e15, 1e16, 9.9999e-5, 999999999999999.9])
+        x = rng.uniform(-1.0, 1.0, 1000) * 10.0 ** rng.integers(-25, 25, 1000)
+        rounded = [float(f"%.{k}g" % v) for k in range(1, 18) for v in x.tolist()]
+        for values in (integers, switches, rounded):
+            assert shortest_text(values) == json_reference(values)
+
+    def test_half_gap_bounds(self):
+        # a bound is a candidate for an even mantissa only: of each pair,
+        # exactly one double is written as the shorter decimal between them
+        centres, pairs = half_gap_pairs()
+        text = shortest_text(pairs)
+        assert text == json_reference(pairs)
+        for c, low, high in zip(centres, text[::2], text[1::2]):
+            assert (Decimal(low) == c) != (Decimal(high) == c)
+
+    def test_fallback_only_where_needed(self, monkeypatch):
+        seen = []
+        fallback = amplitudes._repr_fallback
+
+        def counting(v):
+            seen.append(v)
+            return fallback(v)
+
+        monkeypatch.setattr(amplitudes, "_repr_fallback", counting)
+        # the pinned emit_series JSON walk: 501 samples of 600 levels
+        series = pipeline_for_entry(make_entry("path", (600,))).series(np.linspace(0.0, 10.0, 501))
+        series.to_json(io.StringIO())
+        assert seen == []
+        # a subnormal, and a double half its gap below a shorter decimal
+        assert shortest_text([5e-324, 2.0**54 + 24]) == ["5e-324", "1.801439850948201e+16"]
+        assert seen == [5e-324, 2.0**54 + 24]
+        # zero, inf and nan have fixed text
+        assert shortest_text([0.0, -0.0, np.inf, -np.inf, -np.nan]) == [
+            "0.0", "-0.0", "Infinity", "-Infinity", "NaN"
+        ]
         assert len(seen) == 2
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import grid_edges
+from ctqw import cli
 from ctqw.cli import main
 
 
@@ -342,6 +343,27 @@ class TestStieltjes:
         assert code == 2
         assert "PoleProximity" in err
 
+    @pytest.mark.parametrize(
+        "points, only_poles, error",
+        [
+            (("4", "1.0000000000001", "abc"), False, "PoleProximity: z=(1.0000000000001+0j) is"),
+            (("4", "abc", "1.0000000000001"), False, "InvalidParams: eval point 'abc'"),
+            # a point only the pole sum refuses still comes before a later bad token
+            (("4", "-2", "abc"), True, "PoleProximity: z=(-2+0j) is a spectral node"),
+            (("4", "1.0000000000001", "abc"), True, "PoleProximity: z=(1.0000000000001+0j) is"),
+        ],
+    )
+    def test_first_refused_point_names_the_error(
+        self, capsys, monkeypatch, points, only_poles, error
+    ):
+        if only_poles:
+            monkeypatch.setattr(cli, "stieltjes_continued_fraction", lambda jc, z: 0j)
+        code, out, err = run(
+            capsys, "stieltjes", "--graph", "petersen", *(f"--eval={z}" for z in points)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {error}"), err
+
 
 class TestCatalogCommand:
     def test_listing(self, capsys):
@@ -526,6 +548,26 @@ def test_stdout_closed_early_exits_2(argv, buffered):
         proc.kill()
         proc.wait()
     assert (proc.returncode, err) == (2, STDOUT_ERROR.format("Broken pipe"))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_in_memory_stdout_gets_the_text_in_pieces(capsys, monkeypatch, fmt):
+    """An io.StringIO stdout gets the text any other stdout gets, in pieces
+    of at least _PIECE_CHARS characters but the last."""
+    argv = ["compute", "--graph", "path:100", "--samples", "1001", "--format", fmt]
+    code, want, _ = run(capsys, *argv)  # capsys's stdout is no io.StringIO
+    assert code == 0 and len(want) > 2 * cli._PIECE_CHARS
+
+    class Recording(io.StringIO):
+        def write(self, text):
+            sizes.append(len(text))
+            return super().write(text)
+
+    sizes, out = [], Recording()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(argv) == 0
+    assert out.getvalue() == want
+    assert len(sizes) > 2 and min(sizes[:-1]) >= cli._PIECE_CHARS
 
 
 class TestGraphBuilds:

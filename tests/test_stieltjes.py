@@ -358,6 +358,36 @@ class TestPoleSum:
             stieltjes_pole_sum(m, m.nodes[1] + 1e-14)
 
 
+    def test_array_matches_each_point(self, rng):
+        # the emit_series points on its walk, and off-axis points on random measures
+        emit = [complex(f"{x:.6f}+0.25j") for x in np.linspace(-2.5, 2.5, 801)]
+        jc = make_entry("tchebichef2", (400, 1)).jacobi_coefficients()
+        cases = [(spectral_measure(jc), emit)]
+        for size in (1, 2, 7, 64, 300):
+            nodes = np.unique(rng.uniform(-5.0, 5.0, size))
+            weights = rng.uniform(0.1, 1.0, nodes.size)
+            m = SpectralMeasure(tuple(nodes.tolist()), tuple((weights / weights.sum()).tolist()))
+            points = rng.uniform(-6.0, 6.0, 100) + 1j * rng.uniform(-2.0, 2.0, 100)
+            cases.append((m, points.tolist()))
+        for m, points in cases:
+            # the per-point sum the CLI made before it summed all points at once
+            want = [complex(np.sum(m.weights_array() / (z - m.nodes_array()))) for z in points]
+            got = stieltjes_pole_sum(m, np.array(points)).tolist()
+            assert bits([g.real for g in got]) == bits([w.real for w in want])
+            assert bits([g.imag for g in got]) == bits([w.imag for w in want])
+            assert [stieltjes_pole_sum(m, z) for z in points] == got
+
+    def test_array_refuses_its_first_bad_point(self):
+        m = spectral_measure(PETERSEN_JC)
+        node = m.nodes[1]
+        with pytest.raises(PoleProximity, match="is a spectral node"):
+            stieltjes_pole_sum(m, [4.0, node, np.nan, node + 1e-14])
+        with pytest.raises(InvalidParams, match="is not finite"):
+            stieltjes_pole_sum(m, [4.0, np.nan, node, node + 1e-14])
+        with pytest.raises(PoleProximity, match="is too close to a spectral node"):
+            stieltjes_pole_sum(m, [4.0, node + 1e-14, node, np.nan])
+
+
 def test_both_routes_share_the_pole_rule():
     # one rule for both routes, |1/G| < 1e-9 (1 + |z|): near the node at 1
     # (weight 1/2) that is a distance of about 4e-9
