@@ -30,7 +30,7 @@ import numpy as np
 from .amplitudes import ExponentialSum
 from .errors import InvalidParams, UnknownFamily
 from .graphs import MAX_VERTICES, Graph, IntersectionArray, build_graph
-from .jacobi import JacobiCoefficients, qd_from_intersection_array
+from .jacobi import JacobiCoefficients
 
 SQ = math.sqrt
 
@@ -47,13 +47,6 @@ class CatalogEntry:
         if self.builder is None:
             raise InvalidParams(f"{self.id} has no explicit construction")
         return self.builder()
-
-    def jacobi_coefficients(self) -> JacobiCoefficients:
-        """Reduction coefficients: the stored ones, else those of the
-        intersection array (every maker sets one of the two)."""
-        if self.jacobi is not None:
-            return self.jacobi
-        return qd_from_intersection_array(self.intersection_array)
 
 
 # ---------------------------------------------------------------------------

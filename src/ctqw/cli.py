@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import io
 import logging
@@ -90,13 +91,32 @@ class _Pieces:
         self.parts, self.size = [], 0
 
 
+class _Bytes:
+    """Text for the binary ``buffer`` of stdout ``out``, encoded as ``out``
+    encodes it and written again from where a write stopped: a raw buffer
+    (unbuffered stdout) may take part of a write to a closed pipe."""
+
+    def __init__(self, out: TextIO):
+        out.flush()  # the text ``out`` holds goes first
+        self.out, self.flush = out, out.flush
+
+    def write(self, text: str) -> None:
+        data = memoryview(text.encode(self.out.encoding, self.out.errors))
+        while data:
+            taken = self.out.buffer.write(data)
+            if not taken:  # 0, or None where a non-blocking stream would block
+                raise OSError(errno.EIO, "no bytes taken")
+            data = data[taken:]
+
+
 def _emit(write: Callable[[TextIO], object], output: str = "-") -> None:
-    """Call ``write`` on stdout ('-'), through ``_Pieces`` if it is an
-    ``io.StringIO``, or on the file ``output``; every command writes its
-    stdout here. A failed open, write or flush is UnwritableOutput."""
+    """Call ``write`` on stdout ('-'), via ``_Pieces`` for an ``io.StringIO``
+    or ``_Bytes`` for a binary ``buffer``, or on the file ``output``. Every
+    command writes its stdout here; an OSError is UnwritableOutput."""
     try:
         if output == "-":
             out = _Pieces(sys.stdout) if isinstance(sys.stdout, io.StringIO) else sys.stdout
+            out = _Bytes(out) if hasattr(out, "buffer") else out
             write(out)
             out.flush()  # a buffered write fails here, not at exit
         else:

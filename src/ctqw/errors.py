@@ -38,10 +38,6 @@ class NotDistanceRegular(CtqwError):
         self.witness = witness
 
 
-class ZeroReference(CtqwError):
-    """Reference vector has (numerically) zero norm."""
-
-
 class PoleProximity(CtqwError):
     """Evaluation point too close to a pole of the Stieltjes function."""
 

@@ -19,11 +19,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .errors import (
-    DisconnectedGraph,
-    InvalidEdge,
-    InvalidEdgeList,
-    InvalidParams,
-    NotDistanceRegular,
+    DisconnectedGraph, InvalidEdge, InvalidEdgeList, InvalidParams, NotDistanceRegular,
 )
 
 if TYPE_CHECKING:

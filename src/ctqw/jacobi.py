@@ -2,8 +2,8 @@
 
 Two routes produce the same object: closed-form coefficients from an
 intersection array, for catalog entries walked from vertex 0, and a
-Lanczos recursion from any reference state, for every explicit graph and
-origin; it reorthogonalizes by the DGKS test and returns the orthonormal
+Lanczos recursion from the origin's vertex state, for every explicit graph
+and origin; it reorthogonalizes by the DGKS test and returns the orthonormal
 Krylov basis with the coefficients, through which ``verify`` maps levels to
 vertices. On a QD-type origin the Krylov levels are the normalized BFS
 shells, so Lanczos reproduces the shell-count coefficients of the paper.
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, ZeroReference
-from .graphs import Graph, IntersectionArray
+from .errors import InvalidParams
+from .graphs import Graph, IntersectionArray, vertex_state
 
 logger = logging.getLogger(__name__)
 
@@ -72,10 +72,10 @@ def qd_from_intersection_array(ia: IntersectionArray) -> JacobiCoefficients:
     )
 
 
-def lanczos(g: Graph, reference: np.ndarray) -> tuple[JacobiCoefficients, np.ndarray]:
+def lanczos(g: Graph, origin: int) -> tuple[JacobiCoefficients, np.ndarray]:
     """Three-term recursion coefficients of the adjacency matrix on the
-    Krylov space generated from ``reference``, and that space's orthonormal
-    basis, an (n, dim) array with columns in generation order.
+    Krylov space started at the vertex state of ``origin``, and that space's
+    orthonormal basis, an (n, dim) array with columns in generation order.
 
     Each step is one sparse (CSR) matvec, O(edges), and writes the new basis
     vector into row k of a preallocated (n, n) array, so the basis is never
@@ -85,17 +85,9 @@ def lanczos(g: Graph, reference: np.ndarray) -> tuple[JacobiCoefficients, np.nda
     ``DEFLATION_TOL`` relative to the largest row sum of the adjacency, or
     when the space is exhausted.
     """
-    ref = np.asarray(reference, dtype=np.float64).reshape(-1)
-    if ref.shape[0] != g.n:
-        raise InvalidParams(f"reference has length {ref.shape[0]}, expected {g.n}")
-    norm = float(np.linalg.norm(ref))
-    if norm < 1e-300:
-        raise ZeroReference("reference vector has zero norm")
-    q = ref / norm
-
+    q = vertex_state(g.n, origin)
     a = g.adjacency
-    anorm = max(1.0, float(a.sum(axis=1).max()))
-    cutoff = DEFLATION_TOL * anorm
+    cutoff = DEFLATION_TOL * max(1.0, float(a.sum(axis=1).max()))
 
     # np.empty rows are not resident until written: memory follows the dimension
     basis = np.empty((g.n, g.n))

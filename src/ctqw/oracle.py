@@ -52,8 +52,6 @@ def oracle_amplitudes(g: Graph, origin: int, t):
     shape (n, T). The K x T coefficient table, K = ``_terms(R max|t|)``, is
     held to ``MAX_SERIES_CELLS`` cells, the bound of a series.
     """
-    if not (0 <= origin < g.n):
-        raise InvalidParams(f"origin {origin} out of range for n={g.n}")
     t = as_times(t)
     # Gershgorin: every eigenvalue of A lies in [-radius, radius]; radius >= 1
     # on a connected graph

@@ -104,7 +104,7 @@ def stieltjes_pole_sum(measure: SpectralMeasure, z):
     points, nodes, weights = z.reshape(-1), measure.nodes_array(), measure.weights_array()
     g, at_node = np.empty_like(points), np.empty(points.size, dtype=bool)
     step = max(1, _POLE_TERMS // nodes.size)  # points per block
-    with np.errstate(divide="ignore", invalid="ignore"):  # at a node or non-finite point
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # node, inf or huge z
         for k in range(0, points.size, step):
             block = points[k : k + step, None]
             at_node[k : k + step] = (block == nodes).any(axis=1)

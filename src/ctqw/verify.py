@@ -40,8 +40,8 @@ import numpy as np
 from .amplitudes import AmplitudeSeries, ExponentialSum, amplitude_series
 from .catalog import CatalogEntry
 from .errors import InvalidParams
-from .graphs import Graph, classify_qd, stratify, vertex_state
-from .jacobi import JacobiCoefficients, lanczos
+from .graphs import Graph, IntersectionArray, classify_qd, stratify
+from .jacobi import JacobiCoefficients, lanczos, qd_from_intersection_array
 from .oracle import oracle_amplitudes
 from .stieltjes import SpectralMeasure, spectral_measure
 
@@ -65,9 +65,9 @@ class Pipeline:
 
     origin: int
     builder: Callable[[], Graph] | None = field(default=None, repr=False)
-    coefficients: JacobiCoefficients | None = None  # stated, of a walk from vertex 0 only
-    shell_sizes: tuple[int, ...] | None = None      # of the stated intersection array
-    closed_form: ExponentialSum | None = None       # tabulated q0, of a walk from vertex 0 only
+    coefficients: JacobiCoefficients | None = None       # stated, of a walk from vertex 0 only
+    intersection_array: IntersectionArray | None = None  # stated, of a walk from vertex 0 only
+    closed_form: ExponentialSum | None = None            # tabulated q0, from vertex 0 only
 
     @cached_property
     def graph(self) -> Graph | None:
@@ -76,11 +76,12 @@ class Pipeline:
 
     def krylov(self) -> tuple[JacobiCoefficients, np.ndarray]:
         """Lanczos from the origin's vertex state: the coefficients and the
-        (n, dim) orthonormal Krylov basis. The basis is not kept; on a graph
-        walk the coefficients are, as ``jc``, so one run serves both."""
-        jc, basis = lanczos(self.graph, vertex_state(self.graph.n, self.origin))
+        (n, dim) orthonormal Krylov basis. The basis is not kept; on a walk
+        stating neither coefficients nor an array they are, as ``jc``, so one run serves both."""
+        jc, basis = lanczos(self.graph, self.origin)
         # the slot cached_property fills, so jc never runs Lanczos again
-        if self.coefficients is None and self.__dict__.setdefault("jc", jc) is jc:
+        stated = self.coefficients is not None or self.intersection_array is not None
+        if not stated and self.__dict__.setdefault("jc", jc) is jc:
             if logger.isEnabledFor(logging.INFO):
                 logger.info(
                     "origin %d: Lanczos dimension %d, %s stratification",
@@ -90,8 +91,12 @@ class Pipeline:
 
     @cached_property
     def jc(self) -> JacobiCoefficients:
-        """The stated coefficients, else those of Lanczos on the graph."""
-        return self.coefficients if self.coefficients is not None else self.krylov()[0]
+        """The stated coefficients, else the stated array's, else Lanczos's."""
+        if self.coefficients is not None:
+            return self.coefficients
+        if self.intersection_array is not None:
+            return qd_from_intersection_array(self.intersection_array)
+        return self.krylov()[0]
 
     @cached_property
     def measure(self) -> SpectralMeasure:
@@ -99,11 +104,11 @@ class Pipeline:
 
     @cached_property
     def kappa(self) -> tuple[int, ...] | None:
-        """The stated shell sizes, else the graph's BFS shell sizes when
-        ``classify_qd`` (the paper's diagnostic) finds them QD type, else
+        """The stated array's shell sizes, else the graph's BFS shell sizes
+        when ``classify_qd`` (the paper's diagnostic) finds them QD type, else
         None: the levels are then Krylov levels, not shells."""
-        if self.shell_sizes is not None:
-            return self.shell_sizes
+        if self.intersection_array is not None:
+            return self.intersection_array.shell_sizes()
         if self.graph is None:
             return None
         shell_of = stratify(self.graph, self.origin)
@@ -123,17 +128,16 @@ def pipeline_for_graph(g: Graph, origin: int) -> Pipeline:
 
 
 def pipeline_for_entry(entry: CatalogEntry, origin: int = 0) -> Pipeline:
-    """The walk on a catalog entry. From vertex 0 the entry states the
-    coefficients, the shell sizes of its intersection array, if any, and its
-    closed form; any other origin is a walk on the built graph."""
+    """The walk on a catalog entry. From vertex 0 the entry states its
+    coefficients or its intersection array, and its closed form, if any; any
+    other origin is a walk on the built graph."""
     if origin != 0:
         return pipeline_for_graph(entry.build(), origin)
-    ia = entry.intersection_array
     return Pipeline(
         origin=0,
         builder=None if entry.builder is None else entry.build,
-        coefficients=entry.jacobi_coefficients(),
-        shell_sizes=None if ia is None else ia.shell_sizes(),
+        coefficients=entry.jacobi,
+        intersection_array=entry.intersection_array,
         closed_form=entry.closed_form,
     )
 

@@ -18,7 +18,6 @@ from ctqw import (
     lanczos,
     make_entry,
     stratify,
-    vertex_state,
 )
 from ctqw.catalog import entry_from_spec
 from ctqw.oracle import oracle_amplitudes
@@ -251,12 +250,12 @@ def test_09_bessel_limits():
     tol = 1e-6
     t = np.linspace(0.0, 5.0, 101)
 
-    path_jc = make_entry("path", (200,)).jacobi_coefficients()
+    path_jc = pipeline_for_entry(make_entry("path", (200,))).jc
     q0_path = amplitude_series(spectral_measure(path_jc), path_jc, t).values[0]
     ref_path = jv(0, 2 * t) + jv(2, 2 * t)
     err_path = float(np.abs(q0_path - ref_path).max())
 
-    cycle_jc = make_entry("cycle", (400,)).jacobi_coefficients()
+    cycle_jc = pipeline_for_entry(make_entry("cycle", (400,))).jc
     q0_cycle = amplitude_series(spectral_measure(cycle_jc), cycle_jc, t).values[0]
     ref_cycle = jv(0, 2 * t)
     err_cycle = float(np.abs(q0_cycle - ref_cycle).max())
@@ -284,7 +283,7 @@ def test_10_lanczos_non_qd_path():
     patterns = {}
     for n in range(4, 21):
         g = build_graph(n, [(i, i + 1) for i in range(n - 1)])
-        jc, _ = lanczos(g, vertex_state(n, 1))
+        jc, _ = lanczos(g, 1)
         # interleaved pattern (i+1)/i at odd positions, i/(i+1) at even ones;
         # an even-length chain terminates early with 1/(n/2) instead
         count = n - 1 if n % 2 == 0 else n - 2

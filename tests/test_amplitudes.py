@@ -76,12 +76,12 @@ class TestReturnAmplitude:
 
     def test_normalization_at_zero(self):
         for spec, params in [("petersen", ()), ("complete", (9,)), ("cycle", (11,))]:
-            jc = make_entry(spec, params).jacobi_coefficients()
+            jc = pipeline_for_entry(make_entry(spec, params)).jc
             m = spectral_measure(jc)
             assert series_row(m, jc, 0, 0.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_k3_at_pi(self):
-        jc = make_entry("complete", (3,)).jacobi_coefficients()
+        jc = pipeline_for_entry(make_entry("complete", (3,))).jc
         m = spectral_measure(jc)
         assert series_row(m, jc, 0, np.pi) == pytest.approx(-1.0 / 3.0, abs=1e-13)
 
@@ -108,7 +108,7 @@ class TestLaplaceDomain:
     @pytest.mark.parametrize("s", [1.0, 2.0 + 1.0j])
     @pytest.mark.parametrize("n", [3, 5, 20])
     def test_complete_rational_form(self, n, s):
-        m = spectral_measure(make_entry("complete", (n,)).jacobi_coefficients())
+        m = spectral_measure(pipeline_for_entry(make_entry("complete", (n,))).jc)
         want = (s + 1j * (n - 2)) / (s * s + 1j * s * (n - 2) + n - 1)
         assert laplace_return_amplitude(m, s) == pytest.approx(want, abs=1e-13)
 
@@ -147,14 +147,14 @@ class TestStratumAmplitude:
 
     def test_higher_levels_vanish_at_zero(self):
         for spec, params in [("petersen", ()), ("cycle", (8,)), ("hamming", (2, 3))]:
-            jc = make_entry(spec, params).jacobi_coefficients()
+            jc = pipeline_for_entry(make_entry(spec, params)).jc
             m = spectral_measure(jc)
             for level in range(1, jc.dim):
                 assert series_row(m, jc, level, 0.0) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [2, 6, 30])
     def test_complete_q1(self, n):
-        jc = make_entry("complete", (n,)).jacobi_coefficients()
+        jc = pipeline_for_entry(make_entry("complete", (n,))).jc
         m = spectral_measure(jc)
         t = np.linspace(0, 8, 33)
         want = np.sqrt(n - 1) / n * (np.exp(-1j * (n - 1) * t) - np.exp(1j * t))
@@ -163,7 +163,7 @@ class TestStratumAmplitude:
     def test_derivative_operator_identity(self, rng):
         # q_1 = (i / beta_1) dq_0/dt, differentiated term by term
         for spec, params in [("petersen", ()), ("complete", (7,)), ("appendix", ("icosahedron",))]:
-            jc = make_entry(spec, params).jacobi_coefficients()
+            jc = pipeline_for_entry(make_entry(spec, params)).jc
             m = spectral_measure(jc)
             x = m.nodes_array()
             w = m.weights_array()
@@ -175,7 +175,7 @@ class TestStratumAmplitude:
 
     def test_unitarity_bound(self, rng):
         for spec, params in [("petersen", ()), ("glued_trees", (3,)), ("cycle", (12,))]:
-            jc = make_entry(spec, params).jacobi_coefficients()
+            jc = pipeline_for_entry(make_entry(spec, params)).jc
             m = spectral_measure(jc)
             for t in rng.uniform(0, 50, size=20):
                 for level in range(jc.dim):
@@ -207,7 +207,7 @@ class TestAmplitudeSeries:
         assert series.conservation_defect.max() < 1e-12
 
     def test_initial_sample_is_origin_indicator(self):
-        jc = make_entry("glued_trees", (3,)).jacobi_coefficients()
+        jc = pipeline_for_entry(make_entry("glued_trees", (3,))).jc
         series = amplitude_series(spectral_measure(jc), jc, np.linspace(0, 4, 9))
         assert series.values[0, 0] == pytest.approx(1.0, abs=1e-13)
         assert np.abs(series.values[1:, 0]).max() < 1e-12
@@ -250,7 +250,7 @@ class TestAmplitudeSeries:
             ("appendix", ("wells",)),
         ]
         for spec, params in specs:
-            jc = make_entry(spec, params).jacobi_coefficients()
+            jc = pipeline_for_entry(make_entry(spec, params)).jc
             m = spectral_measure(jc)
             times = np.sort(rng.uniform(0, 25, size=40))
             series = amplitude_series(m, jc, times)
@@ -690,7 +690,7 @@ class TestClosedForm:
 class TestBessel:
     def test_path_limit_preview(self):
         # moderate-size preview of the large-n endpoint-path limit
-        jc = make_entry("path", (80,)).jacobi_coefficients()
+        jc = pipeline_for_entry(make_entry("path", (80,))).jc
         m = spectral_measure(jc)
         for t in np.linspace(0.0, 4.0, 17):
             want = jv(0, 2 * t) + jv(2, 2 * t)

@@ -229,7 +229,7 @@ class TestListing:
                 entry = entry_from_spec(eid)
             else:
                 entry = make_entry(eid, defaults[eid])
-            assert entry.jacobi_coefficients().dim >= 1
+            assert pipeline_for_entry(entry).jc.dim >= 1
 
 
 class TestSpecParsing:

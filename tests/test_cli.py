@@ -276,6 +276,13 @@ class TestStieltjes:
         assert np.allclose(measure["weights"], [0.4, 0.5, 0.1], atol=1e-9)
         assert "G_cf=0.333333333333" in out
 
+    def test_eval_near_the_largest_double(self, capsys):
+        # the pole sum's division overflows here, with no warning; both routes
+        # print 0 where G is about 5e-309 (1 - i)
+        code, out, err = run(capsys, "stieltjes", "--graph", "petersen", "--eval=1e308+1e308j")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == "z=1e308+1e308j G_cf=0-0j G_poles=0+0j |diff|=0.000e+00"
+
     def test_eval_values_starting_with_minus(self, capsys):
         points = ["-2.5+0.5j", "-1e-3", "-0.75"]
         code, out, _ = run(
@@ -477,6 +484,32 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err == STDOUT_ERROR.format("Broken pipe")
 
+    @pytest.mark.parametrize("limit", [None, 5000], ids=["short writes", "then none"])
+    def test_stdout_taking_part_of_each_write(self, capsys, monkeypatch, limit):
+        """A raw stdout that takes at most 1000 bytes a write gets every byte,
+        written again from where each write stopped; one that then takes
+        none fails with UnwritableOutput instead of a cut payload."""
+
+        class Stingy(io.RawIOBase):
+            def writable(self):
+                return True
+
+            def write(self, b):
+                taken = b[: 1000 if limit is None else min(1000, limit - len(data))]
+                data.extend(taken)
+                return len(taken)
+
+        argv = ["compute", "--graph", "path:100", "--samples", "21"]
+        _, want, _ = run(capsys, *argv)
+        data = bytearray()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(Stingy(), write_through=True))
+        code = main(argv)
+        err = capsys.readouterr().err
+        if limit is None:
+            assert (code, data.decode()) == (0, want)
+        else:
+            assert (code, len(data), err) == (2, limit, STDOUT_ERROR.format("no bytes taken"))
+
     @pytest.mark.parametrize("command", ["compute", "verify", "stieltjes"])
     def test_edge_list_not_utf8(self, capsys, tmp_path, command):
         path = tmp_path / "bad.edges"
@@ -534,13 +567,26 @@ def test_full_stdout_exits_2_with_named_error(argv, buffered):
 
 
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("argv", STDOUT_ARGVS[:2], ids=" ".join)
-def test_stdout_closed_early_exits_2(argv, buffered):
+@pytest.mark.parametrize(
+    "argv, unread",
+    [pytest.param(argv, None, id=" ".join(argv)) for argv in STDOUT_ARGVS[:2]]
+    + [pytest.param(STDOUT_ARGVS[0], 200_000, id="compute --graph path:100 200000 unread")],
+)
+def test_stdout_closed_early_exits_2(capsys, argv, unread, buffered):
     """A reader that closes the pipe after the first 4 KB (the CSV header and
-    some rows, or the start of the one JSON line), as ``| head`` does."""
+    some rows, or the start of the one JSON line), as ``| head`` does, or
+    ``unread`` characters before the end, during the last block: more than
+    a pipe holds, so the last writes cannot all be taken."""
+    if unread is not None:
+        _, out, _ = run(capsys, *argv)
     proc = _cli_child(argv, subprocess.PIPE, buffered)
     try:
-        proc.stdout.read(4096)
+        if unread is None:
+            proc.stdout.read(4096)
+        else:  # exactly len(out) - unread bytes: no read-ahead
+            left = len(out) - unread
+            while left and (chunk := os.read(proc.stdout.fileno(), min(left, 1 << 16))):
+                left -= len(chunk)
         proc.stdout.close()
         err = proc.stderr.read()
         proc.wait(timeout=60)
@@ -660,13 +706,16 @@ def test_catalog_walk_lanczos_runs(capsys, lanczos_calls, argv, calls):
 @pytest.fixture
 def shell_calls(monkeypatch):
     """Calls of ``stratify`` and ``classify_qd``, as ``ctqw.verify`` binds
-    them, and of ``build_graph``, as ``ctqw.catalog`` binds it."""
+    them, of ``build_graph``, as ``ctqw.catalog`` binds it, and of
+    ``IntersectionArray.shell_sizes``."""
     import ctqw.catalog
+    import ctqw.graphs
     import ctqw.verify
 
-    calls = {"stratify": 0, "classify_qd": 0, "build_graph": 0}
+    calls = {"stratify": 0, "classify_qd": 0, "build_graph": 0, "shell_sizes": 0}
     for module, name in [
         (ctqw.verify, "stratify"), (ctqw.verify, "classify_qd"), (ctqw.catalog, "build_graph"),
+        (ctqw.graphs.IntersectionArray, "shell_sizes"),
     ]:
         def counting(*args, _name=name, _real=getattr(module, name)):
             calls[_name] += 1
@@ -676,16 +725,24 @@ def shell_calls(monkeypatch):
     return calls
 
 
-# only the JSON of compute prints the shell sizes, so only it computes them
+# only the JSON of compute prints the shell sizes, so only it computes them,
+# from the BFS shells of a graph or from a stated intersection array
 @pytest.mark.parametrize(
     "argv, counts",
     [
-        (("compute", "--graph", "glued_trees:9"), (0, 0, 0)),
-        (("compute", "--graph", "glued_trees:9", "--format", "json"), (1, 1, 1)),
-        (("verify", "--graph", "{edges}", "--samples", "5"), (0, 0, 0)),
-        (("verify", "--graph", "path:64", "--origin", "5"), (0, 0, 1)),
+        (("compute", "--graph", "glued_trees:9"), (0, 0, 0, 0)),
+        (("compute", "--graph", "glued_trees:9", "--format", "json"), (1, 1, 1, 0)),
+        (("verify", "--graph", "{edges}", "--samples", "5"), (0, 0, 0, 0)),
+        (("verify", "--graph", "path:64", "--origin", "5"), (0, 0, 1, 0)),
+        (("compute", "--graph", "petersen"), (0, 0, 0, 0)),
+        (("compute", "--graph", "petersen", "--format", "json"), (0, 0, 0, 1)),
+        (("verify", "--graph", "petersen"), (0, 0, 1, 0)),
+        (("stieltjes", "--graph", "petersen", "--eval", "4"), (0, 0, 0, 0)),
     ],
-    ids=["compute csv", "compute json", "verify edge list", "verify path:64 --origin 5"],
+    ids=[
+        "compute csv", "compute json", "verify edge list", "verify path:64 --origin 5",
+        "compute csv petersen", "compute json petersen", "verify petersen", "stieltjes petersen",
+    ],
 )
 def test_only_json_computes_shells(capsys, shell_calls, tmp_path, argv, counts):
     path = tmp_path / "random-20-3.edges"

@@ -241,13 +241,11 @@ class TestCheckOracle:
     GRID = np.linspace(0.0, 10.0, 21)
 
     def doctored(self, graph, alpha, omega):
-        # stated coefficients that are not the graph's; one vertex per level,
-        # so the graph's own shells are never read
+        # stated coefficients that are not the graph's
         return Pipeline(
             origin=0,
             builder=lambda: graph,
             coefficients=JacobiCoefficients(alpha=alpha, omega=omega),
-            shell_sizes=(1,) * len(alpha),
         )
 
     def test_level_count_mismatch_fails(self, petersen):

@@ -16,7 +16,7 @@ from ctqw.stieltjes import (
     stieltjes_continued_fraction,
     stieltjes_pole_sum,
 )
-from ctqw.verify import pipeline_for_graph
+from ctqw.verify import pipeline_for_entry, pipeline_for_graph
 
 PETERSEN_JC = JacobiCoefficients(alpha=(0.0, 0.0, 2.0), omega=(3.0, 2.0))
 
@@ -76,7 +76,7 @@ PROPERTY_SPECS = [
 
 
 def property_jcs():
-    return [make_entry(f, p).jacobi_coefficients() for f, p in PROPERTY_SPECS]
+    return [pipeline_for_entry(make_entry(f, p)).jc for f, p in PROPERTY_SPECS]
 
 
 # two blocks coupled by a vanishing omega give eigenvalue pairs at +-1 split
@@ -169,7 +169,7 @@ class TestPolynomials:
                 assert abs(ratio - cf) < 1e-10 * (1.0 + abs(cf))
 
     def test_orthonormal_matches_scaled_monic(self):
-        jc = make_entry("appendix", ("icosahedron",)).jacobi_coefficients()
+        jc = pipeline_for_entry(make_entry("appendix", ("icosahedron",))).jc
         xs = np.array([-2.3, 0.4, 1.9])
         values = orthonormal_values(jc, xs)
         norm = 1.0
@@ -191,12 +191,12 @@ class TestPolynomials:
 
 class TestContinuedFraction:
     def test_k3_value(self):
-        jc = make_entry("complete", (3,)).jacobi_coefficients()
+        jc = pipeline_for_entry(make_entry("complete", (3,))).jc
         assert stieltjes_continued_fraction(jc, 3.0) == pytest.approx(0.5, abs=1e-14)
 
     @pytest.mark.parametrize("n", [2, 5, 12])
     def test_kn_closed_form(self, n, rng):
-        jc = make_entry("complete", (n,)).jacobi_coefficients()
+        jc = pipeline_for_entry(make_entry("complete", (n,))).jc
         for z in random_offaxis_points(rng, jc, count=10):
             want = (z - n + 2) / (z * z - (n - 2) * z - n + 1)
             assert abs(stieltjes_continued_fraction(jc, z) - want) < 1e-12 * (1 + abs(want))
@@ -227,7 +227,7 @@ class TestSpectralMeasure:
 
     @pytest.mark.parametrize("n", [2, 3, 7, 50])
     def test_complete(self, n):
-        m = spectral_measure(make_entry("complete", (n,)).jacobi_coefficients())
+        m = spectral_measure(pipeline_for_entry(make_entry("complete", (n,))).jc)
         assert np.allclose(m.nodes, (-1.0, n - 1.0), atol=1e-12)
         assert np.allclose(m.weights, ((n - 1) / n, 1 / n), atol=1e-13)
 
@@ -305,7 +305,7 @@ class TestSpectralMeasure:
     def test_residue_formula_small_depth(self):
         # A_l = R_{dim-1}(x_l) / prod_{m != l}(x_l - x_m), the algebraic limit
         for spec, params in [("petersen", ()), ("complete", (4,)), ("cycle", (6,))]:
-            jc = make_entry(spec, params).jacobi_coefficients()
+            jc = pipeline_for_entry(make_entry(spec, params)).jc
             m = spectral_measure(jc)
             nodes = m.nodes_array()
             for l, x in enumerate(nodes):
@@ -349,7 +349,7 @@ class TestPoleSum:
         assert stieltjes_pole_sum(m, 2.0) == pytest.approx(0.5)
 
     def test_k4_at_zero(self):
-        m = spectral_measure(make_entry("complete", (4,)).jacobi_coefficients())
+        m = spectral_measure(pipeline_for_entry(make_entry("complete", (4,))).jc)
         assert stieltjes_pole_sum(m, 0.0) == pytest.approx(2.0 / 3.0, abs=1e-14)
 
     def test_pole_proximity(self):
@@ -361,7 +361,7 @@ class TestPoleSum:
     def test_array_matches_each_point(self, rng):
         # the emit_series points on its walk, and off-axis points on random measures
         emit = [complex(f"{x:.6f}+0.25j") for x in np.linspace(-2.5, 2.5, 801)]
-        jc = make_entry("tchebichef2", (400, 1)).jacobi_coefficients()
+        jc = pipeline_for_entry(make_entry("tchebichef2", (400, 1))).jc
         cases = [(spectral_measure(jc), emit)]
         for size in (1, 2, 7, 64, 300):
             nodes = np.unique(rng.uniform(-5.0, 5.0, size))
