@@ -2,8 +2,9 @@
 
 A graph is stored once, as a read-only sparse CSR adjacency matrix. The
 distances (``scipy.sparse.csgraph``), the shell and distance-class counts,
-the Lanczos matvec and the oracle all run on that one matrix, so no step
-builds a dense n x n adjacency or needs a dense eigensolve. ``stratify``
+the colour refinement, the Lanczos matvec and the oracle all run on that
+one matrix. Only the Householder route of ``jacobi`` builds a dense n x n
+adjacency, when the origin's Krylov space may fill half the graph. ``stratify``
 gives the shell index of each vertex, whose ``np.bincount`` is the shell
 sizes; the QD test counts every vertex's neighbors one shell down, within
 and up in one pass, O(n + m). Everything here is immutable after
@@ -25,8 +26,9 @@ from .errors import (
 if TYPE_CHECKING:
     from scipy.sparse import csr_array
 
-# bounds the dense n x n arrays: the Lanczos basis and the all-pairs distance
-# matrix of intersection_numbers
+# bounds the dense n x n arrays: the Lanczos basis, the adjacency of the
+# Householder route (32 MB at n = 2000) and the all-pairs distance matrix of
+# intersection_numbers
 MAX_VERTICES = 2000
 
 
@@ -317,10 +319,15 @@ def read_edge_list(path: str | Path) -> Graph:
     return build_graph(n, edges)
 
 
-def vertex_state(n: int, vertex: int) -> np.ndarray:
-    """Unit vector supported on a single vertex."""
+def check_vertex(n: int, vertex: int) -> None:
+    """Raise ``InvalidParams`` unless ``vertex`` indexes one of n vertices."""
     if not (0 <= vertex < n):
         raise InvalidParams(f"vertex {vertex} out of range for n={n}")
+
+
+def vertex_state(n: int, vertex: int) -> np.ndarray:
+    """Unit vector supported on a single vertex."""
+    check_vertex(n, vertex)
     state = np.zeros(n, dtype=np.float64)
     state[vertex] = 1.0
     return state

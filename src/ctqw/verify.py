@@ -8,8 +8,10 @@ other two when their input exists:
   nothing read it before): every vertex at every sample, for every
   origin. The walk stays in the Krylov space of the origin's vertex state
   (Krovi & Brun, PRA 75, 062332, 2007), so the level amplitudes mapped
-  through that space's orthonormal basis give the whole per-vertex state;
-  on QD-type origins the basis columns are the normalized shell indicators;
+  through that space's orthonormal basis give the whole per-vertex state,
+  from ``reduce_walk``'s Lanczos or Householder route by the walk's
+  refinement count; on QD-type origins the basis columns are the
+  normalized shell indicators;
 * ``check_conservation``, always: the total probability of the series
   ``compute`` would emit stays within ``CONSERVATION_TOL`` of 1;
 * ``check_closed_form``, when the pipeline carries a tabulated closed form
@@ -41,7 +43,7 @@ from .amplitudes import AmplitudeSeries, ExponentialSum, amplitude_series
 from .catalog import CatalogEntry
 from .errors import InvalidParams
 from .graphs import Graph, IntersectionArray, classify_qd, stratify
-from .jacobi import JacobiCoefficients, lanczos, qd_from_intersection_array
+from .jacobi import JacobiCoefficients, qd_from_intersection_array, reduce_walk
 from .oracle import oracle_amplitudes
 from .stieltjes import SpectralMeasure, spectral_measure
 
@@ -75,28 +77,30 @@ class Pipeline:
         return None if self.builder is None else self.builder()
 
     def krylov(self) -> tuple[JacobiCoefficients, np.ndarray]:
-        """Lanczos from the origin's vertex state: the coefficients and the
-        (n, dim) orthonormal Krylov basis. The basis is not kept; on a walk
-        stating neither coefficients nor an array they are, as ``jc``, so one run serves both."""
-        jc, basis = lanczos(self.graph, self.origin)
-        # the slot cached_property fills, so jc never runs Lanczos again
-        stated = self.coefficients is not None or self.intersection_array is not None
-        if not stated and self.__dict__.setdefault("jc", jc) is jc:
-            if logger.isEnabledFor(logging.INFO):
-                logger.info(
-                    "origin %d: Lanczos dimension %d, %s stratification",
-                    self.origin, jc.dim, "non-QD" if self.kappa is None else "QD",
-                )
-        return jc, basis
+        """``reduce_walk`` from the origin: the coefficients and the (n, dim)
+        orthonormal Krylov basis. The basis is not kept; on a walk stating
+        neither coefficients nor an array they are, as ``jc``, so one
+        reduction serves both."""
+        return self._reduce(basis=True)
+
+    def _reduce(self, basis: bool) -> tuple[JacobiCoefficients, np.ndarray | None]:
+        route, cells, jc, q = reduce_walk(self.graph, self.origin, basis)
+        if self.coefficients is None and self.intersection_array is None:
+            # the slot cached_property fills, so jc never reduces again
+            jc = self.__dict__.setdefault("jc", jc)
+        logger.info("origin %d: %s route, %d cells, dimension %d",
+                    self.origin, route, cells, jc.dim)
+        return jc, q
 
     @cached_property
     def jc(self) -> JacobiCoefficients:
-        """The stated coefficients, else the stated array's, else Lanczos's."""
+        """The stated coefficients, else the stated array's, else those of
+        ``reduce_walk``."""
         if self.coefficients is not None:
             return self.coefficients
         if self.intersection_array is not None:
             return qd_from_intersection_array(self.intersection_array)
-        return self.krylov()[0]
+        return self._reduce(basis=False)[0]
 
     @cached_property
     def measure(self) -> SpectralMeasure:
@@ -121,7 +125,7 @@ class Pipeline:
 
 def pipeline_for_graph(g: Graph, origin: int) -> Pipeline:
     """The walk on an explicit graph from any origin; its coefficients come
-    from Lanczos on first read."""
+    from ``reduce_walk`` on first read."""
     if not (0 <= origin < g.n):
         raise InvalidParams(f"origin {origin} out of range for n={g.n}")
     return Pipeline(origin=origin, builder=lambda: g)
@@ -191,7 +195,8 @@ def check_oracle(
     the oracle's propagator column at the same samples.
 
     The level amplitudes are mapped to vertices through ``basis``, the
-    orthonormal Krylov basis of ``pipeline.krylov()``; the error is the
+    orthonormal Krylov basis of ``pipeline.krylov()`` (Lanczos or
+    Householder, by the walk's route); the error is the
     largest deviation over all vertices and samples. A walk whose level count
     differs from the Krylov dimension fails without a comparison. Requires
     the pipeline to carry a graph.
@@ -242,7 +247,7 @@ def entry_status(
     ``paper-typo-suspect``, an oracle confirmation ``verified``, and a walk
     no oracle could check stays ``unverified-array-only``.
     """
-    # one Lanczos run gives a graph walk its coefficients and the oracle its
+    # one reduction gives a graph walk its coefficients and the oracle its
     # basis; the basis is dropped when the oracle returns
     basis = None if pipeline.graph is None else pipeline.krylov()[1]
     series = pipeline.series(times)

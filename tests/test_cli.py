@@ -232,12 +232,15 @@ class TestVerify:
         assert oracle.passed and not conservation.passed
         assert (status.status, status.ok) == ("failed", False)
 
+    # one line per reduction: the route, the cell count that chose it and the
+    # reduced dimension
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (("petersen", "--origin", "3"), "origin 3: Lanczos dimension 3, QD stratification"),
-            (("path:5", "--origin", "1"), "origin 1: Lanczos dimension 4, non-QD stratification"),
+            (("petersen", "--origin", "3"), "origin 3: lanczos route, 3 cells, dimension 3"),
+            (("path:5", "--origin", "1"), "origin 1: householder route, 5 cells, dimension 4"),
         ],
+        ids=["lanczos", "householder"],
     )
     def test_walk_log_reports_route(self, capsys, caplog, monkeypatch, argv, message):
         import logging
@@ -250,7 +253,7 @@ class TestVerify:
         finally:
             root.setLevel(old)
         assert code == 0
-        assert message in [r.getMessage() for r in caplog.records if r.name == "ctqw.verify"]
+        assert [r.getMessage() for r in caplog.records if r.name == "ctqw.verify"] == [message]
 
 
 def write_random_edge_list(path, n, seed):
@@ -518,6 +521,16 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: InvalidEdgeList: cannot read {path}: 'utf-8' codec can't")
 
+    @pytest.mark.parametrize("command", ["compute", "verify", "stieltjes"])
+    def test_householder_failure(self, capsys, monkeypatch, command):
+        import scipy.linalg.lapack
+
+        # path:5 from vertex 1 takes the dense route
+        monkeypatch.setattr(scipy.linalg.lapack, "dsytrd", lambda a, **kw: (a, None, None, None, -5))
+        code, out, err = run(capsys, command, "--graph", "path:5", "--origin", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: EigensolverFailure: Householder tridiagonalization failed (LAPACK info -5)\n"
+
     def test_file_name_too_long(self, capsys):
         # os.stat raises ENAMETOOLONG rather than report a missing file
         code, out, err = run(capsys, "compute", "--graph", "x" * 5000)
@@ -656,18 +669,17 @@ class TestGraphBuilds:
 
 
 @pytest.fixture
-def lanczos_calls(monkeypatch):
-    """The vertex count of each graph ``lanczos`` runs on."""
-    import ctqw.verify
+def reductions(monkeypatch):
+    """The route and vertex count of each reduction ``reduce_walk`` runs."""
+    import ctqw.jacobi
 
     calls = []
-    real = ctqw.verify.lanczos
+    for route in ("lanczos", "householder"):
+        def counting(g, *args, _route=route, _real=getattr(ctqw.jacobi, route)):
+            calls.append((_route, g.n))
+            return _real(g, *args)
 
-    def counting(g, reference):
-        calls.append(g.n)
-        return real(g, reference)
-
-    monkeypatch.setattr(ctqw.verify, "lanczos", counting)
+        monkeypatch.setattr(ctqw.jacobi, route, counting)
     return calls
 
 
@@ -676,31 +688,37 @@ def lanczos_calls(monkeypatch):
     [("compute", "--samples", "5"), ("stieltjes",), ("verify", "--samples", "5")],
     ids=" ".join,
 )
-def test_edge_list_walk_runs_lanczos_once(capsys, lanczos_calls, tmp_path, command):
+def test_edge_list_walk_runs_lanczos_once(capsys, reductions, tmp_path, command):
     path = tmp_path / "random-20-3.edges"
     write_random_edge_list(path, 20, seed=3)
     code, _, _ = run(capsys, command[0], "--graph", str(path), *command[1:])
     # verify reaches a verdict, but fails on this graph until ROADMAP item 2
     # lands (test_verify_passes_on_random_edge_list)
     assert code in ((0, 1) if command[0] == "verify" else (0,))
-    assert lanczos_calls == [20]
+    # its Krylov space fills the graph, so it takes the dense route
+    assert reductions == [("householder", 20)]
 
 
-# an --origin walk runs Lanczos once; a stated walk only for verify's oracle
+# an --origin walk reduces once, by the route its cell count picks; a stated
+# walk only for verify's oracle
 @pytest.mark.parametrize(
     "argv, calls",
     [
-        (("verify", "--graph", "path:64", "--origin", "5"), [64]),
+        (("verify", "--graph", "path:64", "--origin", "5"), [("householder", 64)]),
+        (("verify", "--graph", "glued_trees:5", "--origin", "3"), [("lanczos", 94)]),
         (("compute", "--graph", "petersen"), []),
         (("stieltjes", "--graph", "petersen"), []),
-        (("verify", "--graph", "petersen"), [10]),
+        (("verify", "--graph", "petersen"), [("lanczos", 10)]),
     ],
-    ids=["verify path:64 --origin 5", "compute petersen", "stieltjes petersen", "verify petersen"],
+    ids=[
+        "verify path:64 --origin 5", "verify glued_trees:5 --origin 3", "compute petersen",
+        "stieltjes petersen", "verify petersen",
+    ],
 )
-def test_catalog_walk_lanczos_runs(capsys, lanczos_calls, argv, calls):
+def test_catalog_walk_lanczos_runs(capsys, reductions, argv, calls):
     code, _, _ = run(capsys, *argv)
     assert code == 0
-    assert lanczos_calls == calls
+    assert reductions == calls
 
 
 @pytest.fixture
