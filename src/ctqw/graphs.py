@@ -48,6 +48,11 @@ class Graph:
     def edge_count(self) -> int:
         return self.adjacency.nnz // 2
 
+    @property
+    def max_degree(self) -> int:
+        """Largest row sum of the 0/1 adjacency: its stored entries per row."""
+        return int(np.diff(self.adjacency.indptr).max())
+
 
 @dataclass(frozen=True)
 class IntersectionArray:

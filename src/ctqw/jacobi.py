@@ -127,7 +127,7 @@ def lanczos(g: Graph, origin: int) -> tuple[JacobiCoefficients, np.ndarray]:
 
 
 def _cutoff(g: Graph) -> float:
-    return DEFLATION_TOL * max(1.0, float(g.adjacency.sum(axis=1).max()))
+    return DEFLATION_TOL * max(1.0, float(g.max_degree))
 
 
 def householder(g: Graph, origin: int, basis: bool) -> tuple[JacobiCoefficients, np.ndarray | None]:

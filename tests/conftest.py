@@ -31,6 +31,24 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+@pytest.fixture
+def csr_products(monkeypatch):
+    """The value array of each CSR matrix-vector product, in call order:
+    scipy's compiled ``csr_matvec`` kernel, which the oracle calls directly
+    and ``a @ v`` on a csr_array calls through the same module attribute."""
+    from scipy.sparse import _sparsetools
+
+    kernel = _sparsetools.csr_matvec
+    calls = []
+
+    def counting(n_row, n_col, indptr, indices, data, x, y):
+        calls.append(data)
+        return kernel(n_row, n_col, indptr, indices, data, x, y)
+
+    monkeypatch.setattr(_sparsetools, "csr_matvec", counting)
+    return calls
+
+
 @st.composite
 def connected_graphs(draw, max_n):
     """(n, edges) of a connected graph on 2..max_n vertices: a random spanning

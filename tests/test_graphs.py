@@ -187,6 +187,10 @@ class TestBuildGraph:
         assert (a.toarray() == nx.to_numpy_array(h, nodelist=range(n))).all()
         assert g.edge_count == h.number_of_edges()
         assert np.diff(a.indptr).tolist() == [h.degree(v) for v in range(n)]
+        # the radius of the oracle and the cutoff of the reductions, bit for
+        # bit the largest row sum
+        assert g.max_degree == max(d for _, d in h.degree)
+        assert float(g.max_degree) == float(a.sum(axis=1).max())
 
 
 class TestStratify:

@@ -273,6 +273,26 @@ class TestLanczos:
         assert np.abs(np.subtract(jc.alpha, want.alpha)).max() < 1e-10
         assert np.abs(np.subtract(jc.omega, want.omega)).max() < 1e-10
 
+    @pytest.mark.parametrize(
+        "build, origin, second_passes",
+        [
+            (lambda: make_entry("glued_trees", (9,)).build(), 5, False),
+            (lambda: build_graph(30, grid_edges(5, 6)), 6, True),
+        ],
+        ids=["glued_trees:9", "grid 5x6"],
+    )
+    def test_one_matvec_per_level(self, caplog, csr_products, build, origin, second_passes):
+        # dim sparse products; a second Gram-Schmidt pass is dense work on
+        # the basis and adds none
+        g = build()
+        before = len(csr_products)
+        with caplog.at_level(logging.DEBUG, logger="ctqw.jacobi"):
+            jc, _ = lanczos(g, origin)
+        assert len(csr_products) - before == jc.dim
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "ctqw.jacobi"]
+        passes = int(re.search(r"(\d+) steps with a second", line)[1])
+        assert (passes > 0) == second_passes, line
+
     @pytest.mark.parametrize("n, dim", [(10, 10), (9, 8)], ids=["exhausts", "deflates"])
     def test_debug_line_reports_passes_and_residual(self, caplog, n, dim):
         # one line whether the space runs out (even n) or the residual

@@ -42,23 +42,6 @@ def stated_terms(x):
         k += 1
 
 
-class CountingAdjacency:
-    """The adjacency as the oracle reads it (shape, row sums, products with
-    a vector), counting the products."""
-
-    def __init__(self, a):
-        self.a = a
-        self.shape = a.shape
-        self.matvecs = 0
-
-    def sum(self, axis):
-        return self.a.sum(axis=axis)
-
-    def __matmul__(self, v):
-        self.matvecs += 1
-        return self.a @ v
-
-
 class TestTermCount:
     @pytest.mark.parametrize(
         "spec, grid",
@@ -71,13 +54,16 @@ class TestTermCount:
         ],
         ids=["petersen", "hamming:3,4", "johnson:10,3", "all-taylor", "t=0"],
     )
-    def test_matvecs_follow_the_stated_rule(self, spec, grid):
-        # one matvec per term after T_0, for K of the stated rule alone
+    def test_matvecs_follow_the_stated_rule(self, spec, grid, csr_products):
+        # one matvec per term after T_0, for K of the stated rule alone,
+        # counted at the compiled kernel; each reads the values scaled once
+        # by 2/R, none the adjacency's own (as a @ v would)
         g = entry_from_spec(spec).build()
-        counting = CountingAdjacency(g.adjacency)
-        got = oracle_amplitudes(Graph(adjacency=counting), 1, grid)
+        got = oracle_amplitudes(g, 1, grid)
+        products = list(csr_products)
         radius = float(g.adjacency.sum(axis=1).max())
-        assert counting.matvecs == stated_terms(radius * np.abs(grid).max()) - 1
+        assert len(products) == stated_terms(radius * np.abs(grid).max()) - 1
+        assert not any(data is g.adjacency.data for data in products)
         assert np.array_equal(got, oracle_amplitudes(g, 1, grid))
         assert np.abs(got - expm_reference(g, 1, grid)).max() < 1e-12
 
@@ -186,6 +172,26 @@ class TestOracleAmplitudes:
         g = entry_from_spec(spec).build()
         got = oracle_amplitudes(g, 1, np.array(grid))
         assert np.abs(got - expm_reference(g, 1, grid)).max() <= 1e-10
+
+    @pytest.mark.parametrize("spec", ["johnson:10,3", "cycle:60"])
+    def test_scaled_values_match_reference(self, spec):
+        # R = 21 (2/R not a power of two: the scaled values are rounded) and
+        # R = 2 (exact)
+        g = entry_from_spec(spec).build()
+        grid = np.linspace(0.0, 10.0, 21)
+        assert np.abs(oracle_amplitudes(g, 1, grid) - expm_reference(g, 1, grid)).max() < 1e-12
+
+    def test_int64_indices_give_the_same_bits(self):
+        from scipy.sparse import csr_array
+
+        g = entry_from_spec("johnson:10,3").build()
+        a = g.adjacency
+        wide = csr_array(
+            (a.data, a.indices.astype(np.int64), a.indptr.astype(np.int64)), shape=a.shape
+        )
+        assert wide.indices.dtype == wide.indptr.dtype == np.int64
+        grid = np.linspace(0.0, 10.0, 21)
+        assert np.array_equal(oracle_amplitudes(Graph(wide), 1, grid), oracle_amplitudes(g, 1, grid))
 
     def test_length_one_grid_matches_scalar(self, petersen):
         column = oracle_amplitudes(petersen, 0, np.array([2.5]))
