@@ -162,23 +162,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_stieltjes(args: argparse.Namespace) -> int:
     pipeline = _resolve_pipeline(args)
     lines = [pipeline.measure.to_json()]
-    points, g_cf, refused = [], [], None
+    points, refused = [], None
     for token in args.eval:
         try:
-            try:
-                z = complex(token)
-            except ValueError:
-                raise InvalidParams(f"eval point {token!r} is not a complex literal") from None
-            g_cf.append(stieltjes_continued_fraction(pipeline.jc, z))
-        except CtqwError as exc:  # raised once the points before it are summed
-            refused = exc
+            points.append(complex(token))
+        except ValueError:
+            refused = InvalidParams(f"eval point {token!r} is not a complex literal")
             break
-        points.append(z)
+    z = np.array(points, dtype=np.complex128)
+    try:
+        g_cf = stieltjes_continued_fraction(pipeline.jc, z)
+    except CtqwError as exc:  # raised once the points before it are summed
+        refused, z = exc, z[: exc.index]
     # one row sum per point; an earlier point refused here is the first error
-    g_poles = stieltjes_pole_sum(pipeline.measure, np.array(points, dtype=np.complex128))
+    g_poles = stieltjes_pole_sum(pipeline.measure, z)
     if refused is not None:
         raise refused
-    for token, cf, poles in zip(args.eval, g_cf, g_poles.tolist()):
+    for token, cf, poles in zip(args.eval, g_cf.tolist(), g_poles.tolist()):
         lines.append(
             f"z={token} G_cf={cf:.12g} G_poles={poles:.12g} |diff|={abs(cf - poles):.3e}"
         )

@@ -6,6 +6,17 @@ weights from the squared first eigenvector components, with near-degenerate
 nodes merged in one ``np.add.reduceat`` pass; evaluating the monic
 polynomial at its own roots is avoided everywhere because monic values
 overflow well before depth 30.
+
+The continued fraction runs point by point in CPython's complex arithmetic
+below ``_CF_POINTS`` points, and from there on as one recurrence over all
+points in float64 arrays. The array route does CPython's own real operations
+in CPython's order: ``z - alpha`` is ``(zr - alpha, zi - 0.0)``, ``w / v`` is
+Smith's division as CPython's ``_Py_c_quot`` writes it, its branch chosen by
+``|vr| >= |vi|``, and every modulus is C ``hypot``, which both ``abs`` and
+``np.hypot`` call. The two routes therefore give the same bits at every
+point whose value is not NaN (a NaN needs coefficients near the largest
+double). The array route costs ~12 us per level however few the points, the
+per-point route ~0.15 us per level and point.
 """
 
 from __future__ import annotations
@@ -28,6 +39,8 @@ POLE_TOL = 1e-9
 MERGE_TOL = 1e-9            # near-degenerate nodes closer than this x width merge
 # points x nodes per block of stieltjes_pole_sum: bounds its (points, nodes) arrays
 _POLE_TERMS = 1 << 16
+# from this many points on, the continued fraction runs as one array recurrence
+_CF_POINTS = 80
 
 
 @dataclass(frozen=True)
@@ -65,29 +78,100 @@ class SpectralMeasure:
         return json.dumps(self.as_dict())
 
 
-def _finite_point(z) -> complex:
-    """``z`` as a complex number; both resolvent routes refuse a non-finite one."""
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise InvalidParams(f"z={z} is not finite")
-    return z
+def _refuse(points: np.ndarray, refused: np.ndarray, at_node=None) -> None:
+    """Raise for the first refused point, if any: InvalidParams when it is
+    not finite, else PoleProximity. The error's ``index`` is its position."""
+    for i in np.flatnonzero(refused)[:1]:
+        point = complex(points[i])
+        if not cmath.isfinite(point):
+            exc = InvalidParams(f"z={point} is not finite")
+        elif at_node is not None and at_node[i]:
+            exc = PoleProximity(f"z={point} is a spectral node")
+        else:
+            exc = PoleProximity(f"z={point} is too close to a spectral node")
+        exc.index = int(i)
+        raise exc
 
 
-def stieltjes_continued_fraction(jc: JacobiCoefficients, z: complex) -> complex:
-    """Finite continued fraction 1/(z - alpha_0 - omega_1/(z - alpha_1 - ...)),
-    evaluated bottom-up for stability.
+def _modulus(v: complex) -> float:
+    """|v| by C hypot; inf where ``abs`` raises OverflowError instead."""
+    try:
+        return abs(v)
+    except OverflowError:
+        return np.inf
 
-    Raises PoleProximity when |1/G| < POLE_TOL (1 + |z|).
-    """
-    z = _finite_point(z)
-    v = z - jc.alpha[jc.dim - 1]
-    for j in range(jc.dim - 2, -1, -1):
-        if abs(v) < 1e-150:
-            v = 1e-150  # intermediate root of a trailing block; value stays finite
-        v = z - jc.alpha[j] - jc.omega[j] / v
-    if abs(v) < POLE_TOL * (1.0 + abs(z)):
-        raise PoleProximity(f"z={z} is too close to a spectral node")
+
+def _cf_point(alpha: list, omega: list, z: complex) -> complex | None:
+    """G at one finite point in CPython's complex arithmetic, or None when
+    the pole rule refuses the point."""
+    v = z - alpha[-1]
+    for a, w in zip(alpha[-2::-1], omega[::-1]):
+        try:
+            if abs(v) < 1e-150:
+                v = 1e-150  # intermediate root of a trailing block; value stays finite
+        except OverflowError:  # |v| beyond the largest double is not small
+            pass
+        v = z - a - w / v
+    if _modulus(v) < POLE_TOL * (1.0 + _modulus(z)):
+        return None
     return 1.0 / v
+
+
+def _quot(w: float, vr: np.ndarray, vi: np.ndarray, clamp: bool):
+    """(w + 0j) / (vr + i vi) as ``_Py_c_quot`` computes it, divided through
+    by the larger part of v (Smith). With a finite ratio, its ``w + 0.0 *
+    ratio`` is w and ``0.0 * ratio - w`` is -w, bit for bit. With ``clamp``,
+    a v of modulus below 1e-150 is first taken as 1e-150, as the per-point
+    route does (w / 1e-150 and a zero imaginary part)."""
+    avr, avi = np.abs(vr), np.abs(vi)
+    big = avr >= avi
+    # max(|vr|, |vi|) <= |v|: hypot runs only where a point may be clamped
+    if clamp and np.fmin.reduce(np.maximum(avr, avi)) < 1e-150:
+        small = np.hypot(vr, vi) < 1e-150
+        vr, vi, big = np.where(small, 1e-150, vr), np.where(small, 0.0, vi), big | small
+    p, s = np.where(big, vr, vi), np.where(big, vi, vr)
+    ratio = s / p
+    denom = p + s * ratio
+    wr = w * ratio
+    return np.where(big, w, wr + 0.0) / denom, np.where(big, 0.0 - wr, -w) / denom
+
+
+def stieltjes_continued_fraction(jc: JacobiCoefficients, z):
+    """Finite continued fraction 1/(z - alpha_0 - omega_1/(z - alpha_1 - ...)),
+    evaluated bottom-up for stability, at a point (a complex result) or at
+    each of a 1-d array of points (an array), with the same bits either way.
+
+    Raises, at the first point that fails: InvalidParams when it is not
+    finite, PoleProximity when |1/G| < POLE_TOL (1 + |z|). The error's
+    ``index`` is that point's position.
+    """
+    z = np.asarray(z, dtype=np.complex128)
+    points = z.reshape(-1)
+    alpha = np.asarray(jc.alpha, dtype=np.float64).tolist()
+    omega = np.asarray(jc.omega, dtype=np.float64).tolist()
+    g = np.empty_like(points)
+    if points.size < _CF_POINTS:
+        refused = np.zeros(points.size, dtype=bool)
+        for i, point in enumerate(points.tolist()):
+            value = _cf_point(alpha, omega, point) if cmath.isfinite(point) else None
+            if value is None:
+                refused[i] = True
+                break
+            g[i] = value
+    else:
+        zr, zi = points.real.copy(), points.imag.copy()
+        vr, vi = zr - alpha[-1], zi  # zi - 0.0 is zi
+        # a huge z overflows moduli and denominators to inf, as in CPython
+        with np.errstate(all="ignore"):
+            for a, w in zip(alpha[-2::-1], omega[::-1]):
+                qr, qi = _quot(w, vr, vi, clamp=True)
+                vr, vi = (zr - a) - qr, zi - qi
+            refused = ~np.isfinite(points) | (
+                np.hypot(vr, vi) < POLE_TOL * (1.0 + np.hypot(zr, zi))
+            )
+            g.real, g.imag = _quot(1.0, vr, vi, clamp=False)
+    _refuse(points, refused)
+    return complex(g[0]) if z.ndim == 0 else g
 
 
 def stieltjes_pole_sum(measure: SpectralMeasure, z):
@@ -98,7 +182,8 @@ def stieltjes_pole_sum(measure: SpectralMeasure, z):
 
     Raises, at the first point that fails: InvalidParams when it is not
     finite, PoleProximity when it is a node, and PoleProximity under the
-    continued fraction's rule |1/G| < POLE_TOL (1 + |z|).
+    continued fraction's rule |1/G| < POLE_TOL (1 + |z|). The error's
+    ``index`` is that point's position.
     """
     z = np.asarray(z, dtype=np.complex128)
     points, nodes, weights = z.reshape(-1), measure.nodes_array(), measure.weights_array()
@@ -111,13 +196,7 @@ def stieltjes_pole_sum(measure: SpectralMeasure, z):
             g[k : k + step] = (weights / (block - nodes)).sum(axis=1)
         # the rule multiplied through by |G|, so that a vanishing G needs no division
         near = np.abs(g) * POLE_TOL * (1.0 + np.abs(points)) > 1.0
-    for i in np.flatnonzero(~np.isfinite(points) | at_node | near)[:1]:
-        point = _finite_point(points[i])
-        raise PoleProximity(
-            f"z={point} is a spectral node"
-            if at_node[i]
-            else f"z={point} is too close to a spectral node"
-        )
+    _refuse(points, ~np.isfinite(points) | at_node | near, at_node)
     return complex(g[0]) if z.ndim == 0 else g
 
 

@@ -13,6 +13,8 @@ import pytest
 from conftest import grid_edges
 from ctqw import cli
 from ctqw.cli import main
+from ctqw.errors import PoleProximity
+from ctqw.stieltjes import _CF_POINTS
 
 
 # all a failed stdout leaves on stderr: no traceback, nothing at exit
@@ -268,6 +270,10 @@ def write_random_edge_list(path, n, seed):
     path.write_text(f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in sorted(edges)))
 
 
+# points off the real axis, as many as the continued fraction's array route needs
+MANY = tuple(f"{x:.3f}+0.5j" for x in np.linspace(-3.0, 3.0, _CF_POINTS))
+
+
 class TestStieltjes:
     def test_measure_and_eval(self, capsys):
         code, out, _ = run(
@@ -285,6 +291,18 @@ class TestStieltjes:
         code, out, err = run(capsys, "stieltjes", "--graph", "petersen", "--eval=1e308+1e308j")
         assert (code, err) == (0, "")
         assert out.splitlines()[1] == "z=1e308+1e308j G_cf=0-0j G_poles=0+0j |diff|=0.000e+00"
+
+    @pytest.mark.parametrize("count", [1, _CF_POINTS], ids=["per point", "array"])
+    def test_eval_beyond_the_largest_double(self, capsys, count):
+        # |z| overflows a double: the pole rule reads it as inf, on both routes
+        points = ["1.7e308+1.7e308j"] * count
+        code, out, err = run(
+            capsys, "stieltjes", "--graph", "petersen", *(f"--eval={z}" for z in points)
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == [
+            "z=1.7e308+1.7e308j G_cf=0-0j G_poles=0+0j |diff|=0.000e+00"
+        ] * count
 
     def test_eval_values_starting_with_minus(self, capsys):
         points = ["-2.5+0.5j", "-1e-3", "-0.75"]
@@ -361,18 +379,39 @@ class TestStieltjes:
             # a point only the pole sum refuses still comes before a later bad token
             (("4", "-2", "abc"), True, "PoleProximity: z=(-2+0j) is a spectral node"),
             (("4", "1.0000000000001", "abc"), True, "PoleProximity: z=(1.0000000000001+0j) is"),
+            # from _CF_POINTS points on, the continued fraction runs over all at once
+            (MANY + ("1.0000000000001", "abc"), False, "PoleProximity: z=(1.0000000000001+0j) is"),
+            (MANY + ("abc", "1.0000000000001"), False, "InvalidParams: eval point 'abc'"),
+            (MANY + ("inf", "1.0000000000001"), False, "InvalidParams: z=(inf+0j) is not finite"),
+            (("4", "1.0000000000001") + MANY, False, "PoleProximity: z=(1.0000000000001+0j) is"),
+            (MANY + ("-2", "abc"), True, "PoleProximity: z=(-2+0j) is a spectral node"),
+            (("4", "-2") + MANY + ("1.0000000000001",), True, "PoleProximity: z=(-2+0j) is a"),
         ],
     )
     def test_first_refused_point_names_the_error(
         self, capsys, monkeypatch, points, only_poles, error
     ):
         if only_poles:
-            monkeypatch.setattr(cli, "stieltjes_continued_fraction", lambda jc, z: 0j)
+            monkeypatch.setattr(cli, "stieltjes_continued_fraction", lambda jc, z: np.zeros_like(z))
         code, out, err = run(
             capsys, "stieltjes", "--graph", "petersen", *(f"--eval={z}" for z in points)
         )
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {error}"), err
+
+    def test_pole_sum_stops_before_the_refused_point(self, capsys, monkeypatch):
+        # the pole sum would refuse the node -2 after it: that error comes later
+        def refuse_second(jc, z):
+            exc = PoleProximity("z=1.5 refused")
+            exc.index = 1
+            raise exc
+
+        monkeypatch.setattr(cli, "stieltjes_continued_fraction", refuse_second)
+        code, out, err = run(
+            capsys, "stieltjes", "--graph", "petersen", "--eval=4", "--eval=1.5", "--eval=-2"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: PoleProximity: z=1.5 refused"), err
 
 
 class TestCatalogCommand:

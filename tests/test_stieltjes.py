@@ -4,11 +4,14 @@ import warnings
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ctqw import build_graph, classify_qd, make_entry, stratify
 from ctqw.errors import InvalidParams, PoleProximity
 from ctqw.jacobi import JacobiCoefficients
 from ctqw.stieltjes import (
+    _CF_POINTS,
     MERGE_TOL,
     SpectralMeasure,
     orthonormal_values,
@@ -139,6 +142,35 @@ def random_offaxis_points(rng, jc, count=100):
     return x + 1j * y
 
 
+# parts of a point: signed zeros, subnormal, tiny and huge magnitudes (the
+# largest double too), and moderate values on and off the spectrum
+POINT_PARTS = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -1e-300, 1e-150, 1e-12, -1e-12, 1e308, -1.7e308, 1.7976931348623157e308]
+    ),
+    st.floats(-60.0, 60.0),
+)
+
+
+@st.composite
+def jacobi_and_points(draw):
+    """A Jacobi matrix of dimension 1-60, some diagonals zero and some omega
+    tiny, and up to _CF_POINTS finite points."""
+    dim = draw(st.integers(1, 60))
+    alpha = draw(st.lists(st.one_of(st.just(0.0), st.floats(-20.0, 20.0)), min_size=dim, max_size=dim))
+    omega = draw(
+        st.lists(
+            st.one_of(st.sampled_from([1e-300, 1e-30, 1e-8]), st.floats(1e-3, 50.0)),
+            min_size=dim - 1,
+            max_size=dim - 1,
+        )
+    )
+    points = draw(
+        st.lists(st.builds(complex, POINT_PARTS, POINT_PARTS), min_size=1, max_size=_CF_POINTS)
+    )
+    return JacobiCoefficients(tuple(alpha), tuple(omega)), points
+
+
 class TestPolynomials:
     def test_degree_zero_and_one(self):
         for jc in property_jcs():
@@ -217,6 +249,58 @@ class TestContinuedFraction:
                 cf = stieltjes_continued_fraction(jc, z)
                 ps = stieltjes_pole_sum(measure, z)
                 assert abs(cf - ps) < 1e-10 * (1.0 + abs(cf))
+
+    def test_clamp_at_an_intermediate_root(self):
+        # path:2 at z = 0: the lower level's v = 0 - 0 is taken as 1e-150, so
+        # v = 0 - 0 - 1/1e-150 at the top and G = 1/v = -1e-150 - 0j
+        jc = JacobiCoefficients(alpha=(0.0, 0.0), omega=(1.0,))
+        got = [stieltjes_continued_fraction(jc, 0.0)]
+        got += stieltjes_continued_fraction(jc, np.zeros(_CF_POINTS)).tolist()
+        assert bits([g.real for g in got]) == bits([-1e-150] * len(got))
+        assert bits([g.imag for g in got]) == bits([-0.0] * len(got))
+
+    @pytest.mark.parametrize("size", [5, _CF_POINTS + 20], ids=["per point", "array"])
+    def test_array_refuses_its_first_bad_point(self, size):
+        points = np.full(size, 4.0 + 0j)
+        points[3], points[-1] = 1.0 + 1e-12, np.nan
+        m = spectral_measure(PETERSEN_JC)
+        for evaluate in (
+            lambda z: stieltjes_continued_fraction(PETERSEN_JC, z),
+            lambda z: stieltjes_pole_sum(m, z),
+        ):
+            with pytest.raises(PoleProximity, match="is too close") as info:
+                evaluate(points)
+            assert info.value.index == 3
+            points[2] = complex(np.inf, 0.0)
+            with pytest.raises(InvalidParams, match="is not finite") as info:
+                evaluate(points)
+            assert info.value.index == 2
+            points[2] = 4.0
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @example(drawn=(JacobiCoefficients((0.0, 0.0), (1.0,)), [0j, -0j, complex(0.0, -0.0)]))
+    @given(jacobi_and_points())
+    def test_routes_agree_bit_for_bit(self, drawn):
+        """Per point and over an array the continued fraction gives the same
+        bits, and refuses the same points."""
+        jc, points = drawn
+        kept = []
+        for z in points:
+            try:
+                kept.append((z, stieltjes_continued_fraction(jc, z)))
+            except PoleProximity:
+                with pytest.raises(PoleProximity) as info:
+                    stieltjes_continued_fraction(jc, np.full(_CF_POINTS, z))
+                assert info.value.index == 0
+        if not kept:
+            return
+        zs, want = (np.array(column) for column in zip(*kept))
+        repeats = -(-_CF_POINTS // zs.size)  # enough copies for the array route
+        for got, expected in (
+            (stieltjes_continued_fraction(jc, zs), want),
+            (stieltjes_continued_fraction(jc, np.tile(zs, repeats)), np.tile(want, repeats)),
+        ):
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 class TestSpectralMeasure:
