@@ -27,8 +27,8 @@ from .graphs import (
 )
 from .jacobi import (
     JacobiCoefficients,
-    lanczos,
     qd_from_intersection_array,
+    reduce_walk,
 )
 from .oracle import oracle_amplitudes
 from .stieltjes import (
@@ -54,7 +54,6 @@ __all__ = [
     "build_graph",
     "classify_qd",
     "entry_from_spec",
-    "lanczos",
     "laplace_return_amplitude",
     "list_entries",
     "make_entry",
@@ -63,6 +62,7 @@ __all__ = [
     "pipeline_for_graph",
     "qd_from_intersection_array",
     "read_edge_list",
+    "reduce_walk",
     "spectral_measure",
     "stieltjes_continued_fraction",
     "stieltjes_pole_sum",

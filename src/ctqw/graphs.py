@@ -2,13 +2,12 @@
 
 A graph is stored once, as a read-only sparse CSR adjacency matrix. The
 distances (``scipy.sparse.csgraph``), the shell and distance-class counts,
-the colour refinement, the Lanczos matvec and the oracle all run on that
-one matrix. Only the Householder route of ``jacobi`` builds a dense n x n
-adjacency, when the origin's Krylov space may fill half the graph. ``stratify``
-gives the shell index of each vertex, whose ``np.bincount`` is the shell
-sizes; the QD test counts every vertex's neighbors one shell down, within
-and up in one pass, O(n + m). Everything here is immutable after
-construction, stores nothing it can derive, and all operations are pure.
+the colour refinement, the quotient of ``jacobi``'s reduction and the oracle
+all run on that one matrix. ``stratify`` gives the shell index of each
+vertex, whose ``np.bincount`` is the shell sizes; the QD test counts every
+vertex's neighbors one shell down, within and up in one pass, O(n + m).
+Everything here is immutable after construction, stores nothing it can
+derive, and all operations are pure.
 """
 
 from __future__ import annotations
@@ -26,8 +25,9 @@ from .errors import (
 if TYPE_CHECKING:
     from scipy.sparse import csr_array
 
-# bounds the dense n x n arrays: the Lanczos basis, the adjacency of the
-# Householder route (32 MB at n = 2000) and the all-pairs distance matrix of
+# bounds the dense arrays: the k x k quotient of a walk with k cells (n x n,
+# 32 MB at n = 2000, when every vertex is its own cell), the int64 keys of
+# the colour refinement and the all-pairs distance matrix of
 # intersection_numbers
 MAX_VERTICES = 2000
 
@@ -181,8 +181,7 @@ def bfs_distances(g: Graph, source: int | None) -> np.ndarray:
 
 def stratify(g: Graph, origin: int) -> np.ndarray:
     """The BFS shell index of each vertex around ``origin``, read-only."""
-    if not (0 <= origin < g.n):
-        raise InvalidParams(f"origin {origin} out of range for n={g.n}")
+    check_vertex(g.n, origin)
     shell_of = bfs_distances(g, origin)
     shell_of.setflags(write=False)
     return shell_of
@@ -324,10 +323,10 @@ def read_edge_list(path: str | Path) -> Graph:
     return build_graph(n, edges)
 
 
-def check_vertex(n: int, vertex: int) -> None:
-    """Raise ``InvalidParams`` unless ``vertex`` indexes one of n vertices."""
-    if not (0 <= vertex < n):
-        raise InvalidParams(f"vertex {vertex} out of range for n={n}")
+def check_vertex(n: int, origin: int) -> None:
+    """Raise ``InvalidParams`` unless ``origin`` indexes one of n vertices."""
+    if not (0 <= origin < n):
+        raise InvalidParams(f"origin {origin} out of range for n={n}")
 
 
 def vertex_state(n: int, vertex: int) -> np.ndarray:

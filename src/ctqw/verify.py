@@ -8,9 +8,8 @@ other two when their input exists:
   nothing read it before): every vertex at every sample, for every
   origin. The walk stays in the Krylov space of the origin's vertex state
   (Krovi & Brun, PRA 75, 062332, 2007), so the level amplitudes mapped
-  through that space's orthonormal basis give the whole per-vertex state,
-  from ``reduce_walk``'s Lanczos or Householder route by the walk's
-  refinement count; on QD-type origins the basis columns are the
+  through that space's orthonormal basis, from ``reduce_walk``, give the
+  whole per-vertex state; on QD-type origins the basis columns are the
   normalized shell indicators;
 * ``check_conservation``, always: the total probability of the series
   ``compute`` would emit stays within ``CONSERVATION_TOL`` of 1;
@@ -32,7 +31,6 @@ is no oracle, the engine output is authoritative.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -42,12 +40,10 @@ import numpy as np
 from .amplitudes import AmplitudeSeries, ExponentialSum, amplitude_series
 from .catalog import CatalogEntry
 from .errors import InvalidParams
-from .graphs import Graph, IntersectionArray, classify_qd, stratify
+from .graphs import Graph, IntersectionArray, check_vertex, classify_qd, stratify
 from .jacobi import JacobiCoefficients, qd_from_intersection_array, reduce_walk
 from .oracle import oracle_amplitudes
 from .stieltjes import SpectralMeasure, spectral_measure
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_ORACLE_TOL = 1e-8
 DEFAULT_CLOSED_FORM_TOL = 1e-9
@@ -84,12 +80,10 @@ class Pipeline:
         return self._reduce(basis=True)
 
     def _reduce(self, basis: bool) -> tuple[JacobiCoefficients, np.ndarray | None]:
-        route, cells, jc, q = reduce_walk(self.graph, self.origin, basis)
+        jc, q = reduce_walk(self.graph, self.origin, basis)
         if self.coefficients is None and self.intersection_array is None:
             # the slot cached_property fills, so jc never reduces again
             jc = self.__dict__.setdefault("jc", jc)
-        logger.info("origin %d: %s route, %d cells, dimension %d",
-                    self.origin, route, cells, jc.dim)
         return jc, q
 
     @cached_property
@@ -126,8 +120,7 @@ class Pipeline:
 def pipeline_for_graph(g: Graph, origin: int) -> Pipeline:
     """The walk on an explicit graph from any origin; its coefficients come
     from ``reduce_walk`` on first read."""
-    if not (0 <= origin < g.n):
-        raise InvalidParams(f"origin {origin} out of range for n={g.n}")
+    check_vertex(g.n, origin)
     return Pipeline(origin=origin, builder=lambda: g)
 
 
@@ -195,8 +188,7 @@ def check_oracle(
     the oracle's propagator column at the same samples.
 
     The level amplitudes are mapped to vertices through ``basis``, the
-    orthonormal Krylov basis of ``pipeline.krylov()`` (Lanczos or
-    Householder, by the walk's route); the error is the
+    orthonormal Krylov basis of ``pipeline.krylov()``; the error is the
     largest deviation over all vertices and samples. A walk whose level count
     differs from the Krylov dimension fails without a comparison. Requires
     the pipeline to carry a graph.

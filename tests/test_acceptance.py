@@ -15,8 +15,8 @@ from scipy.special import jv
 from ctqw import (
     amplitude_series,
     build_graph,
-    lanczos,
     make_entry,
+    reduce_walk,
     stratify,
 )
 from ctqw.catalog import entry_from_spec
@@ -283,7 +283,7 @@ def test_10_lanczos_non_qd_path():
     patterns = {}
     for n in range(4, 21):
         g = build_graph(n, [(i, i + 1) for i in range(n - 1)])
-        jc, _ = lanczos(g, 1)
+        jc, _ = reduce_walk(g, 1, basis=False)
         # interleaved pattern (i+1)/i at odd positions, i/(i+1) at even ones;
         # an even-length chain terminates early with 1/(n/2) instead
         count = n - 1 if n % 2 == 0 else n - 2

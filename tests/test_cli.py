@@ -234,13 +234,14 @@ class TestVerify:
         assert oracle.passed and not conservation.passed
         assert (status.status, status.ok) == ("failed", False)
 
-    # one line per reduction: the route, the cell count that chose it and the
-    # reduced dimension
+    # one line per reduction: the cell count of the quotient and the reduced
+    # dimension, which the cutoff may end below it (the ids are the names of
+    # the two reductions these walks took before the quotient served both)
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (("petersen", "--origin", "3"), "origin 3: lanczos route, 3 cells, dimension 3"),
-            (("path:5", "--origin", "1"), "origin 1: householder route, 5 cells, dimension 4"),
+            (("petersen", "--origin", "3"), "origin 3: 3 cells, dimension 3"),
+            (("path:5", "--origin", "1"), "origin 1: 5 cells, dimension 4"),
         ],
         ids=["lanczos", "householder"],
     )
@@ -255,7 +256,7 @@ class TestVerify:
         finally:
             root.setLevel(old)
         assert code == 0
-        assert [r.getMessage() for r in caplog.records if r.name == "ctqw.verify"] == [message]
+        assert [r.getMessage() for r in caplog.records if r.name == "ctqw.jacobi"] == [message]
 
 
 def write_random_edge_list(path, n, seed):
@@ -564,7 +565,7 @@ class TestExitCodes:
     def test_householder_failure(self, capsys, monkeypatch, command):
         import scipy.linalg.lapack
 
-        # path:5 from vertex 1 takes the dense route
+        # every graph walk reduces by dsytrd, path:5 from vertex 1 included
         monkeypatch.setattr(scipy.linalg.lapack, "dsytrd", lambda a, **kw: (a, None, None, None, -5))
         code, out, err = run(capsys, command, "--graph", "path:5", "--origin", "1")
         assert (code, out) == (2, "")
@@ -709,16 +710,18 @@ class TestGraphBuilds:
 
 @pytest.fixture
 def reductions(monkeypatch):
-    """The route and vertex count of each reduction ``reduce_walk`` runs."""
-    import ctqw.jacobi
+    """The vertex count of each graph ``reduce_walk`` reduces, as
+    ``ctqw.verify`` binds it."""
+    import ctqw.verify
 
     calls = []
-    for route in ("lanczos", "householder"):
-        def counting(g, *args, _route=route, _real=getattr(ctqw.jacobi, route)):
-            calls.append((_route, g.n))
-            return _real(g, *args)
+    real = ctqw.verify.reduce_walk
 
-        monkeypatch.setattr(ctqw.jacobi, route, counting)
+    def counting(g, *args):
+        calls.append(g.n)
+        return real(g, *args)
+
+    monkeypatch.setattr(ctqw.verify, "reduce_walk", counting)
     return calls
 
 
@@ -727,34 +730,32 @@ def reductions(monkeypatch):
     [("compute", "--samples", "5"), ("stieltjes",), ("verify", "--samples", "5")],
     ids=" ".join,
 )
-def test_edge_list_walk_runs_lanczos_once(capsys, reductions, tmp_path, command):
+def test_edge_list_walk_reduces_once(capsys, reductions, tmp_path, command):
     path = tmp_path / "random-20-3.edges"
     write_random_edge_list(path, 20, seed=3)
     code, _, _ = run(capsys, command[0], "--graph", str(path), *command[1:])
     # verify reaches a verdict, but fails on this graph until ROADMAP item 2
     # lands (test_verify_passes_on_random_edge_list)
     assert code in ((0, 1) if command[0] == "verify" else (0,))
-    # its Krylov space fills the graph, so it takes the dense route
-    assert reductions == [("householder", 20)]
+    assert reductions == [20]
 
 
-# an --origin walk reduces once, by the route its cell count picks; a stated
-# walk only for verify's oracle
+# an --origin walk reduces once; a stated walk only for verify's oracle
 @pytest.mark.parametrize(
     "argv, calls",
     [
-        (("verify", "--graph", "path:64", "--origin", "5"), [("householder", 64)]),
-        (("verify", "--graph", "glued_trees:5", "--origin", "3"), [("lanczos", 94)]),
+        (("verify", "--graph", "path:64", "--origin", "5"), [64]),
+        (("verify", "--graph", "glued_trees:5", "--origin", "3"), [94]),
         (("compute", "--graph", "petersen"), []),
         (("stieltjes", "--graph", "petersen"), []),
-        (("verify", "--graph", "petersen"), [("lanczos", 10)]),
+        (("verify", "--graph", "petersen"), [10]),
     ],
     ids=[
         "verify path:64 --origin 5", "verify glued_trees:5 --origin 3", "compute petersen",
         "stieltjes petersen", "verify petersen",
     ],
 )
-def test_catalog_walk_lanczos_runs(capsys, reductions, argv, calls):
+def test_catalog_walk_reductions(capsys, reductions, argv, calls):
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert reductions == calls

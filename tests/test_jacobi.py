@@ -1,5 +1,5 @@
 import logging
-import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,20 +8,18 @@ from conftest import grid_edges
 from ctqw import (
     build_graph,
     classify_qd,
-    lanczos,
     make_entry,
     pipeline_for_entry,
     pipeline_for_graph,
     qd_from_intersection_array,
+    reduce_walk,
     spectral_measure,
     stratify,
     vertex_state,
 )
 from ctqw.errors import EigensolverFailure, InvalidParams
 from ctqw.graphs import Graph, IntersectionArray
-from ctqw.jacobi import (
-    DEFLATION_TOL, JacobiCoefficients, equitable_cells, householder, reduce_walk,
-)
+from ctqw.jacobi import DEFLATION_TOL, JacobiCoefficients, equitable_cells, reduce_partition
 from ctqw.oracle import oracle_amplitudes
 from ctqw.verify import entry_status
 from test_catalog import CONSTRUCTIBLE_WITH_ARRAY
@@ -29,7 +27,7 @@ from test_catalog import CONSTRUCTIBLE_WITH_ARRAY
 
 def two_pass_lanczos(g, reference):
     """Reference Lanczos that always takes two Gram-Schmidt passes per step,
-    with the deflation rule of ``lanczos``."""
+    with the deflation rule of ``reduce_walk``."""
     a = g.adjacency
     cutoff = DEFLATION_TOL * max(1.0, float(a.sum(axis=1).max()))
     basis = [reference / np.linalg.norm(reference)]
@@ -102,7 +100,7 @@ class TestFromIntersectionArray:
 
 
 class TestFromStrata:
-    """Explicit graphs: from a QD-type origin Lanczos reproduces the
+    """Explicit graphs: from a QD-type origin the reduction reproduces the
     shell-count coefficients, and only there are the shell sizes reported."""
 
     def test_petersen_matches_array(self, petersen):
@@ -127,8 +125,9 @@ class TestFromStrata:
 
     @pytest.mark.parametrize("family, params", [("petersen", ()), ("path", (9,))])
     def test_krylov_keeps_stated_coefficients(self, family, params):
-        # the oracle's Lanczos run must not replace the coefficients an entry
-        # states, or those of its stated array (Lanczos's differ by rounding)
+        # the oracle's reduction must not replace the coefficients an entry
+        # states, or those of its stated array (the reduction's differ by
+        # rounding)
         entry = make_entry(family, params)
         stated = entry.jacobi or qd_from_intersection_array(entry.intersection_array)
         pipe = pipeline_for_entry(entry)
@@ -160,10 +159,12 @@ class TestFromStrata:
 
 
 class TestLanczos:
+    """The Lanczos coefficients of a walk, as ``reduce_walk`` computes them."""
+
     @pytest.mark.parametrize("n", range(4, 21))
     def test_path_from_second_vertex_pattern(self, n):
         g = path_graph(n)
-        jc, _ = lanczos(g, 1)
+        jc, _ = reduce_walk(g, 1, basis=False)
         expected = expected_path_omegas(n)
         assert len(jc.omega) == len(expected)
         assert np.allclose(jc.omega, expected, atol=1e-12, rtol=0)
@@ -171,19 +172,19 @@ class TestLanczos:
 
     def test_k5_from_vertex(self):
         g = make_entry("complete", (5,)).build()
-        jc, _ = lanczos(g, 0)
+        jc, _ = reduce_walk(g, 0, basis=False)
         assert np.allclose(jc.alpha, (0.0, 3.0), atol=1e-12)
         assert np.allclose(jc.omega, (4.0,), atol=1e-12)
 
     def test_k2(self):
-        jc, _ = lanczos(build_graph(2, [(0, 1)]), 0)
+        jc, _ = reduce_walk(build_graph(2, [(0, 1)]), 0, basis=False)
         assert np.allclose(jc.alpha, (0.0, 0.0), atol=1e-14)
         assert np.allclose(jc.omega, (1.0,), atol=1e-14)
 
     def test_origin_out_of_range(self, petersen):
         for origin in (-1, 10):
-            with pytest.raises(InvalidParams, match=f"vertex {origin} out of range for n=10"):
-                lanczos(petersen, origin)
+            with pytest.raises(InvalidParams, match=f"origin {origin} out of range for n=10"):
+                reduce_walk(petersen, origin, basis=False)
 
     def test_basis_orthonormal(self, rng):
         for _ in range(5):
@@ -195,7 +196,7 @@ class TestLanczos:
                 if u != v
             ]
             g = build_graph(n, edges)
-            jc, basis = lanczos(g, int(rng.integers(0, n)))
+            jc, basis = reduce_walk(g, int(rng.integers(0, n)), basis=True)
             gram = basis.T @ basis
             assert np.abs(gram - np.eye(gram.shape[0])).max() < 1e-10
 
@@ -205,7 +206,7 @@ class TestLanczos:
         edges += [(int(u), int(v)) for u, v in rng.integers(0, n, size=(n, 2)) if u != v]
         g = build_graph(n, edges)
         origin = next(o for o in range(n) if classify_qd(g, stratify(g, o)) is not None)
-        jc, basis = lanczos(g, origin)
+        jc, basis = reduce_walk(g, origin, basis=True)
         assert basis.shape == (n, jc.dim)
         assert np.abs(basis.T @ basis - np.eye(jc.dim)).max() < 1e-10
         diag, off = jc.tridiagonal()
@@ -231,9 +232,9 @@ class TestLanczos:
             entry = make_entry(spec, params)
             g = entry.build()
             from_array = qd_from_intersection_array(entry.intersection_array)
-            from_lanczos, _ = lanczos(g, 0)
+            reduced, _ = reduce_walk(g, 0, basis=False)
             from_graph = pipeline_for_graph(g, 0).jc
-            for b in (from_lanczos, from_graph):
+            for b in (reduced, from_graph):
                 assert np.allclose(from_array.alpha, b.alpha, rtol=0, atol=1e-12)
                 assert np.allclose(from_array.omega, b.omega, rtol=0, atol=1e-12)
 
@@ -243,7 +244,7 @@ class TestLanczos:
             n = int(rng.integers(5, 25))
             edges = [(int(rng.integers(0, v)), v) for v in range(1, n)]
             g = build_graph(n, edges)
-            jc, _ = lanczos(g, int(rng.integers(0, n)))
+            jc, _ = reduce_walk(g, int(rng.integers(0, n)), basis=False)
             diag, off = jc.tridiagonal()
             tri = np.diag(diag)
             if len(off):
@@ -254,7 +255,8 @@ class TestLanczos:
                 assert np.abs(full_vals - x).min() < 1e-8
 
     def test_single_pass_matches_two_on_random_graph(self):
-        # n = 800, m = 1600: the size of the benchmark's random edge list
+        # the reduction against the two-pass reference, at n = 800, m = 1600:
+        # the size of the benchmark's random edge list
         rng = np.random.default_rng(800)
         n, m = 800, 1600
         edges = {(int(rng.integers(0, v)), v) for v in range(1, n)}
@@ -263,7 +265,7 @@ class TestLanczos:
             if u != v:
                 edges.add((u, v))
         g = build_graph(n, sorted(edges))
-        jc, basis = lanczos(g, 0)
+        jc, basis = reduce_walk(g, 0, basis=True)
         assert np.abs(basis.T @ basis - np.eye(jc.dim)).max() < 1e-13
         spectrum = np.linalg.eigvalsh(g.adjacency.toarray())
         for node in spectral_measure(jc).nodes:
@@ -272,43 +274,6 @@ class TestLanczos:
         assert jc.dim == want.dim
         assert np.abs(np.subtract(jc.alpha, want.alpha)).max() < 1e-10
         assert np.abs(np.subtract(jc.omega, want.omega)).max() < 1e-10
-
-    @pytest.mark.parametrize(
-        "build, origin, second_passes",
-        [
-            (lambda: make_entry("glued_trees", (9,)).build(), 5, False),
-            (lambda: build_graph(30, grid_edges(5, 6)), 6, True),
-        ],
-        ids=["glued_trees:9", "grid 5x6"],
-    )
-    def test_one_matvec_per_level(self, caplog, csr_products, build, origin, second_passes):
-        # dim sparse products; a second Gram-Schmidt pass is dense work on
-        # the basis and adds none
-        g = build()
-        before = len(csr_products)
-        with caplog.at_level(logging.DEBUG, logger="ctqw.jacobi"):
-            jc, _ = lanczos(g, origin)
-        assert len(csr_products) - before == jc.dim
-        (line,) = [r.getMessage() for r in caplog.records if r.name == "ctqw.jacobi"]
-        passes = int(re.search(r"(\d+) steps with a second", line)[1])
-        assert (passes > 0) == second_passes, line
-
-    @pytest.mark.parametrize("n, dim", [(10, 10), (9, 8)], ids=["exhausts", "deflates"])
-    def test_debug_line_reports_passes_and_residual(self, caplog, n, dim):
-        # one line whether the space runs out (even n) or the residual
-        # deflates (odd n), entered at the second vertex
-        with caplog.at_level(logging.DEBUG, logger="ctqw.jacobi"):
-            jc, _ = lanczos(path_graph(n), 1)
-        assert jc.dim == dim
-        (line,) = [r.getMessage() for r in caplog.records if r.name == "ctqw.jacobi"]
-        found = re.fullmatch(
-            rf"lanczos dimension {dim}, (\d+) steps with a second Gram-Schmidt pass,"
-            r" final residual (\S+)",
-            line,
-        )
-        assert found, line
-        assert 0 <= int(found[1]) <= dim
-        assert 0 <= float(found[2]) <= DEFLATION_TOL * 2
 
 
 def random_graph(rng, n, tree_only=False):
@@ -328,8 +293,8 @@ PRIME = 33_554_393
 def krylov_rank(g, origin):
     """Rank over GF(PRIME) of the Krylov sequence e_o, A e_o, A^2 e_o, ...: at
     most its rank over the rationals, the exact Krylov dimension. Floating
-    point reductions can run past it (on grids and trees ``lanczos`` and
-    ``householder`` both do, on rounding noise above the cutoff)."""
+    point reductions can run past it, up to the cell count (on grids and
+    trees, on rounding noise above the cutoff)."""
     a = g.adjacency.toarray().astype(np.int64)
     v = vertex_state(g.n, origin).astype(np.int64)
     # reduced row echelon form: row i is 1 at pivots[i] and 0 at every other pivot
@@ -345,12 +310,19 @@ def krylov_rank(g, origin):
         v = a @ v % PRIME
 
 
+def cell_count(g, origin):
+    return int(equitable_cells(g, origin).max()) + 1
+
+
 class TestEquitableCells:
-    """The cell count bounds the exact Krylov dimension."""
+    """The cell count bounds the exact Krylov dimension, and the origin is
+    alone in cell 0."""
 
     @staticmethod
     def assert_bound(g, origin):
-        assert equitable_cells(g, origin) >= krylov_rank(g, origin), origin
+        colour = equitable_cells(g, origin)
+        assert np.flatnonzero(colour == 0).tolist() == [origin]
+        assert cell_count(g, origin) >= krylov_rank(g, origin), origin
 
     @pytest.mark.parametrize("tree_only", [False, True], ids=["graphs", "trees"])
     def test_bound_on_random_graphs(self, tree_only):
@@ -382,31 +354,38 @@ class TestEquitableCells:
     )
     def test_pinned_counts(self, family, params, cells):
         g = make_entry(family, params).build()
-        assert equitable_cells(g, 5) == cells
+        assert cell_count(g, 5) == cells
 
 
-# walks on both sides of the router's choice, each ending at its exact
-# Krylov dimension: (graph, origin, the route reduce_walk takes)
+# walks of few cells and of one cell per vertex, each ending at its exact
+# Krylov dimension: (graph, origin)
 DENSE_CASES = {
-    "glued_trees:5 from 3": (make_entry("glued_trees", (5,)).build(), 3, "lanczos"),
-    "petersen from 3": (make_entry("petersen").build(), 3, "lanczos"),
-    "hamming:3,4 from 7": (make_entry("hamming", (3, 4)).build(), 7, "lanczos"),
-    "path:64 from 5": (path_graph(64), 5, "householder"),
-    "path:9 from 1": (path_graph(9), 1, "householder"),
-    "random n=60": (random_graph(np.random.default_rng(60), 60), 17, "householder"),
-    "random tree n=40": (
-        random_graph(np.random.default_rng(104), 40, tree_only=True), 0, "householder"
-    ),
-    "grid 5x6 from 0": (build_graph(30, grid_edges(5, 6)), 0, "householder"),
+    "glued_trees:5 from 3": (make_entry("glued_trees", (5,)).build(), 3),
+    "petersen from 3": (make_entry("petersen").build(), 3),
+    "hamming:3,4 from 7": (make_entry("hamming", (3, 4)).build(), 7),
+    "path:64 from 5": (path_graph(64), 5),
+    "path:9 from 1": (path_graph(9), 1),
+    "random n=60": (random_graph(np.random.default_rng(60), 60), 17),
+    "random tree n=40": (random_graph(np.random.default_rng(104), 40, tree_only=True), 0),
+    "grid 5x6 from 0": (build_graph(30, grid_edges(5, 6)), 0),
 }
 
 
+def jacobi_log(caplog, reduce, *args):
+    """What ``reduce(*args)`` returns, and the messages ``ctqw.jacobi`` logs."""
+    with caplog.at_level(logging.INFO, logger="ctqw.jacobi"):
+        out = reduce(*args)
+    return out, [r.getMessage() for r in caplog.records if r.name == "ctqw.jacobi"]
+
+
 class TestHouseholder:
+    """LAPACK's Householder tridiagonalization of the symmetrized quotient."""
+
     @pytest.mark.parametrize("case", DENSE_CASES)
     def test_matches_lanczos(self, case):
-        g, origin, _ = DENSE_CASES[case]
-        want, _ = lanczos(g, origin)
-        jc, q = householder(g, origin, basis=True)
+        g, origin = DENSE_CASES[case]
+        want = two_pass_lanczos(g, vertex_state(g.n, origin))
+        jc, q = reduce_walk(g, origin, basis=True)
         assert jc.dim == want.dim == krylov_rank(g, origin)
         assert np.abs(np.subtract(jc.alpha, want.alpha)).max() <= 1e-10
         assert np.abs(np.subtract(jc.omega, want.omega)).max() <= 1e-10
@@ -422,21 +401,25 @@ class TestHouseholder:
         assert np.linalg.norm(residual[:, -1]) <= cutoff
         assert (np.diag(q.T @ aq, 1) > 0).all()
         # coefficients only: the same numbers, no basis
-        assert householder(g, origin, basis=False) == (jc, None)
+        assert reduce_walk(g, origin, basis=False) == (jc, None)
 
     @pytest.mark.parametrize("case", DENSE_CASES)
-    def test_router_picks_by_cell_count(self, case):
-        g, origin, route = DENSE_CASES[case]
-        r = reduce_walk(g, origin, basis=False)
-        assert r.route == route == ("householder" if 2 * r.cells >= g.n else "lanczos")
-        assert r.basis is None
-        assert r.jc == (householder(g, origin, False)[0] if r.route == "householder"
-                        else lanczos(g, origin)[0])
+    def test_router_picks_by_cell_count(self, caplog, case):
+        # the refinement's cell count sizes the quotient the reduction runs
+        # on: no walk has more levels than cells, and one line says both
+        g, origin = DENSE_CASES[case]
+        cells = cell_count(g, origin)
+        (jc, q), messages = jacobi_log(caplog, reduce_walk, g, origin, False)
+        assert q is None and jc.dim <= cells
+        assert messages == [f"origin {origin}: {cells} cells, dimension {jc.dim}"]
 
     @pytest.mark.parametrize("n", range(4, 21))
     def test_path_from_second_vertex_pattern(self, n):
-        # test_10's pattern on the dense route
-        jc, _ = householder(path_graph(n), 1, basis=False)
+        # test_10's pattern through the fallback: the BFS shells of a path
+        # from its second vertex are not equitable (vertex 0 has no neighbour
+        # one shell up), so the reduction takes every vertex as its own cell
+        g = path_graph(n)
+        jc, _ = reduce_partition(g, 1, stratify(g, 1), basis=False)
         expected = expected_path_omegas(n)
         assert len(jc.omega) == len(expected)
         assert np.abs(np.subtract(jc.omega, expected)).max() <= 1e-12
@@ -450,17 +433,19 @@ class TestHouseholder:
         g = Graph(csr_array(np.ones((n, n)) - np.eye(n)))
         for origin in range(n):
             want = np.eye(n)[:, [origin] + [v for v in range(n) if v != origin]]
-            r = reduce_walk(g, origin, basis=True)
-            assert r.route == "householder"
-            assert r.jc == JacobiCoefficients((0.0,) * n, (1.0,) * (n - 1))
-            assert np.array_equal(r.basis, want)
-            jc, basis = lanczos(g, origin)
-            assert jc == r.jc and np.array_equal(basis, want)
+            jc, basis = reduce_walk(g, origin, basis=True)
+            assert jc == JacobiCoefficients((0.0,) * n, (1.0,) * (n - 1))
+            assert np.array_equal(basis, want)
 
     def test_origin_out_of_range(self, petersen):
+        # one check and one message for every reader of an origin
         for origin in (-1, 10):
-            with pytest.raises(InvalidParams, match=f"vertex {origin} out of range for n=10"):
-                householder(petersen, origin, basis=False)
+            for call in (lambda: pipeline_for_graph(petersen, origin),
+                         lambda: stratify(petersen, origin),
+                         lambda: vertex_state(petersen.n, origin),
+                         lambda: oracle_amplitudes(petersen, origin, [0.0])):
+                with pytest.raises(InvalidParams, match=rf"^origin {origin} out of range for n=10$"):
+                    call()
 
     @pytest.mark.parametrize("routine", ["dsytrd", "dorgqr"])
     def test_lapack_failure_raises(self, monkeypatch, routine):
@@ -474,20 +459,53 @@ class TestHouseholder:
 
         monkeypatch.setattr(scipy.linalg.lapack, routine, failing)
         with pytest.raises(EigensolverFailure, match=r"\(LAPACK info -3\)"):
-            householder(path_graph(6), 1, basis=True)
+            reduce_walk(path_graph(6), 1, basis=True)
 
 
-# The dense route's dimension is not Lanczos's walk by walk: on this tree it
-# runs to 23 levels where Lanczos stops at the exact Krylov dimension 18
-# (krylov_rank), and the series on the extra noise levels fails verify. Over
-# random trees the two routes' verdicts differ both ways, mostly at equal
-# dimension, where the series recursion turns the coefficients' rounding
-# into a conservation defect near its bound (README, Known limitation).
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 2: the Householder route ends this tree's Krylov space at 23 "
-    "levels (exact 18) and the series blows up on the noise levels",
-)
+def test_non_equitable_colouring_reduces_the_discrete_partition(caplog):
+    # a colouring the check refuses (as a hash collision in the refinement
+    # would leave) gives the coefficients and basis of every vertex its own
+    # cell, bit for bit, by the same code
+    g = path_graph(9)
+    discrete = np.arange(9)
+    discrete[[0, 1]] = [1, 0]
+    got, messages = jacobi_log(caplog, reduce_partition, g, 1, stratify(g, 1), True)
+    want = reduce_partition(g, 1, discrete, True)
+    assert got[0] == want[0] and np.array_equal(got[1], want[1])
+    assert messages == ["origin 1: 9 cells, dimension 8"]
+
+
+@pytest.mark.parametrize("origin", range(12, 18))
+def test_quotient_caps_the_levels_on_the_grid(origin):
+    # the middle row of P5 □ P6 is fixed by the mirror image across it, so a
+    # walk from there has 18 cells, and 18 levels, its exact Krylov dimension
+    grid = build_graph(30, grid_edges(5, 6))
+    jc, _ = reduce_walk(grid, origin, basis=False)
+    assert cell_count(grid, origin) == jc.dim == krylov_rank(grid, origin) == 18
+
+
+def test_traced_peak_grows_like_the_graph():
+    # the reduction holds O(m + n dim + cells^2), no n x n array: on
+    # glued_trees:6..9 from vertex 5 (cells 33..51, dimension 31..47) each
+    # doubling of n at most 2.5 times the traced peak, and under 2 MB at
+    # n = 1534, where an (n, n) array alone takes 18.8 MB
+    graphs = [make_entry("glued_trees", (d,)).build() for d in range(6, 10)]
+    reduce_walk(graphs[0], 5, basis=True)  # imports stay out of the trace
+    peaks = []
+    for g in graphs:
+        tracemalloc.start()
+        try:
+            reduce_walk(g, 5, basis=True)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (np.divide(peaks[1:], peaks[:-1]) <= 2.5).all(), peaks
+    assert peaks[-1] <= 2e6, peaks
+
+
+# The reduction may run past the exact Krylov dimension on rounding noise,
+# but never past the cell count: this tree has 19 cells from vertex 0, and
+# its 18 levels are exact.
 def test_verify_passes_on_dense_routed_tree():
     tree = random_graph(np.random.default_rng(21), 24, tree_only=True)
     assert entry_status(pipeline_for_graph(tree, 0), np.linspace(0.0, 10.0, 201)).ok
@@ -509,9 +527,9 @@ def vertex_walk(g, origin, times):
         (4, 5),
         pytest.param(5, 6, marks=pytest.mark.xfail(
             strict=True,
-            reason="ROADMAP item 2: from vertex 6 the Householder route runs past the "
+            reason="ROADMAP item 2: from vertex 6 (30 cells) the reduction runs past the "
             "24-dimensional Krylov space (|e_23| = 2.15e-11) and the polynomial recursion "
-            "of the series blows up on the noise levels; every origin fails",
+            "of the series blows up on the noise levels",
         )),
     ],
 )
