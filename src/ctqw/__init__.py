@@ -20,7 +20,6 @@ from .graphs import (
     Graph,
     IntersectionArray,
     build_graph,
-    classify_qd,
     read_edge_list,
     stratify,
     vertex_state,
@@ -52,7 +51,6 @@ __all__ = [
     "SpectralMeasure",
     "amplitude_series",
     "build_graph",
-    "classify_qd",
     "entry_from_spec",
     "laplace_return_amplitude",
     "list_entries",

@@ -4,10 +4,9 @@ A graph is stored once, as a read-only sparse CSR adjacency matrix. The
 distances (``scipy.sparse.csgraph``), the shell and distance-class counts,
 the colour refinement, the quotient of ``jacobi``'s reduction and the oracle
 all run on that one matrix. ``stratify`` gives the shell index of each
-vertex, whose ``np.bincount`` is the shell sizes; the QD test counts every
-vertex's neighbors one shell down, within and up in one pass, O(n + m).
-Everything here is immutable after construction, stores nothing it can
-derive, and all operations are pure.
+vertex, whose ``np.bincount`` is the shell sizes. Everything here is
+immutable after construction, stores nothing it can derive, and all
+operations are pure.
 """
 
 from __future__ import annotations
@@ -25,10 +24,10 @@ from .errors import (
 if TYPE_CHECKING:
     from scipy.sparse import csr_array
 
-# bounds the dense arrays: the k x k quotient of a walk with k cells (n x n,
-# 32 MB at n = 2000, when every vertex is its own cell), the int64 keys of
-# the colour refinement and the all-pairs distance matrix of
-# intersection_numbers
+# bounds the dense arrays: the k x k quotient of a walk with k cells and its
+# symmetrized copy (n x n, 32 MB each at n = 2000, when every vertex is its
+# own cell), the int64 keys of the colour refinement and the all-pairs
+# distance matrix of intersection_numbers
 MAX_VERTICES = 2000
 
 
@@ -235,44 +234,6 @@ def intersection_numbers(g: Graph) -> IntersectionArray:
         prev_counts, cur_counts = cur_counts, next_counts
         next_counts = neighbor_counts(i + 2) if i + 1 < diameter else None
     return IntersectionArray.from_bc(b, c)
-
-
-def classify_qd(g: Graph, shell_of: np.ndarray) -> tuple | None:
-    """Test whether the stratification space is invariant under the level
-    split: None when it is (QD type), else a witness
-    ``(shell, direction, vertex_a, count_a, vertex_b, count_b)``.
-
-    Equivalent condition: within each shell, every vertex has the same number
-    of neighbors one shell down, in its own shell, and one shell up. The
-    counts come from one pass over the CSR entries, O(n + m) in time and
-    memory. The witness names the first failing shell, tries the directions
-    down, within, up in that order, and gives the first vertices (in
-    ascending order) with the smallest and the largest count.
-    """
-    a, n = g.adjacency, g.n
-    rows = np.repeat(np.arange(n), np.diff(a.indptr))
-    # BFS shells of adjacent vertices differ by at most one: 0 down, 1 within, 2 up
-    direction_of = shell_of[a.indices] - shell_of[rows] + 1
-    counts = np.bincount(direction_of * n + rows, minlength=3 * n).reshape(3, n)
-
-    # per shell and direction, the smallest and largest count
-    levels = int(shell_of.max()) + 1
-    where = (np.arange(3)[:, None], shell_of)
-    lo = np.full((3, levels), n)
-    np.minimum.at(lo, where, counts)
-    hi = np.zeros((3, levels), dtype=counts.dtype)
-    np.maximum.at(hi, where, counts)
-    varies = lo != hi
-    failing = np.flatnonzero(varies.any(axis=0))
-    if failing.size == 0:
-        return None
-    k = int(failing[0])
-    d = int(np.argmax(varies[:, k]))
-    verts = np.flatnonzero(shell_of == k)
-    vals = counts[d, verts]
-    ia, ib = int(np.argmin(vals)), int(np.argmax(vals))
-    pair = (verts[ia], vals[ia], verts[ib], vals[ib])
-    return (k, ("down", "within", "up")[d], *(int(x) for x in pair))
 
 
 def parse_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:

@@ -4,15 +4,16 @@ Two routes produce the same object. A catalog entry walked from vertex 0
 states its coefficients or its intersection array, which gives them in
 closed form. Every other walk, on an explicit graph or from another origin,
 goes through ``reduce_walk``. Colour refinement (``equitable_cells``) finds
-the coarsest equitable partition with the origin in a cell of its own. Its
-symmetrized quotient holds the origin's Krylov space (Krovi & Brun, PRA 75,
-062332, 2007), and LAPACK's Householder tridiagonalization of the quotient
+the coarsest equitable partition with the origin in a cell of its own,
+which ``equitable_quotient`` checks exactly while it counts the edges
+between cells. That quotient holds the origin's Krylov space (Krovi & Brun,
+PRA 75, 062332, 2007); LAPACK's Householder tridiagonalization of it
 (``reduce_partition``) gives the coefficients and, on request, the
 orthonormal Krylov basis through which ``verify`` maps levels to vertices.
-On a QD-type origin the partition is the BFS shells, so the coefficients
-are the paper's shell-count ones. The squared off-diagonals ``omega`` are
-stored instead of the off-diagonals themselves because every downstream
-formula consumes the squares.
+The origin is QD type exactly when the cells are its BFS shells, and the
+coefficients are then the paper's shell-count ones. The squared
+off-diagonals ``omega`` are stored instead of the off-diagonals themselves
+because every downstream formula consumes the squares.
 """
 
 from __future__ import annotations
@@ -72,9 +73,10 @@ def qd_from_intersection_array(ia: IntersectionArray) -> JacobiCoefficients:
     )
 
 
-def equitable_cells(g: Graph, origin: int) -> np.ndarray:
+def equitable_cells(g: Graph, origin: int) -> tuple[np.ndarray, np.ndarray]:
     """The colour of each vertex in the coarsest equitable partition with
-    ``{origin}`` as a cell; the origin's colour is 0.
+    ``{origin}`` as a cell, the origin's colour 0, and its integer quotient,
+    from ``equitable_quotient``: the walk's partition.
 
     Colour refinement (Cardon & Crochemore, Theor. Comput. Sci. 19, 85, 1982)
     starts from each vertex's BFS distance and degree, which every such
@@ -83,7 +85,7 @@ def equitable_cells(g: Graph, origin: int) -> np.ndarray:
     until a round splits nothing. Each round numbers its colours in the order
     of the last round's, so the origin, alone at distance 0, keeps colour 0.
     Two weight sums that collide would merge two colours into a cell that is
-    not equitable; ``reduce_partition`` checks that exactly.
+    not equitable, which ``equitable_quotient`` finds.
     """
     a, n = g.adjacency, g.n
     # below 2^40, and a vertex has fewer than 2^11 neighbours (MAX_VERTICES
@@ -97,7 +99,7 @@ def equitable_cells(g: Graph, origin: int) -> np.ndarray:
         _, colour = np.unique(key, return_inverse=True)
         count = int(colour.max()) + 1
         if count == cells:
-            return colour
+            return equitable_quotient(g, origin, colour)
         cells = count
         key = (colour << 51) + (a @ weights[colour]).astype(np.int64)
 
@@ -105,53 +107,63 @@ def equitable_cells(g: Graph, origin: int) -> np.ndarray:
 def reduce_walk(g: Graph, origin: int, basis: bool) -> tuple[JacobiCoefficients, np.ndarray | None]:
     """The walk's coefficients from ``origin`` and, when ``basis`` is set,
     its orthonormal Krylov basis, an (n, dim) array with rows in vertex
-    order: ``reduce_partition`` on the refinement of ``equitable_cells``."""
+    order: ``reduce_partition`` of ``equitable_cells``."""
     return reduce_partition(g, origin, equitable_cells(g, origin), basis)
 
 
-def reduce_partition(
-    g: Graph, origin: int, colour: np.ndarray, basis: bool
-) -> tuple[JacobiCoefficients, np.ndarray | None]:
-    """``reduce_walk`` on the partition ``colour`` gives, in which the origin
-    is alone with colour 0. A partition that is not equitable gives way to
-    the discrete one, every vertex its own cell.
-
-    For an equitable partition with cell sizes s, the vectors 1_i / sqrt(s_i)
-    of the cells are orthonormal, the first is the origin's vertex state, and
-    the adjacency acts on them as the symmetrized quotient E_ij = (edges from
-    cell i to cell j) / sqrt(s_i s_j) does. LAPACK's blocked Householder
-    tridiagonalization (``dsytrd``) of E touches no index 0, so the
-    tridiagonal matrix's leading block, up to its first off-diagonal at or
-    below ``DEFLATION_TOL`` times the largest degree, is the Jacobi matrix of
-    the origin's Krylov space with off-diagonals of either sign. The basis is
-    the first dim columns of the reflectors' product (``dorgqr``), each
-    column's sign chosen so that every off-diagonal is positive, lifted to
-    vertices as ``q[colour] / sqrt(s[colour])``. Costs O(m) and, for k cells,
-    O(k^3) time and one k x k array.
+def equitable_quotient(g: Graph, origin: int, colour: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``colour``, with the origin alone in colour 0, and its read-only
+    integer quotient, e_ij = edges from cell i to cell j; the discrete
+    partition's when ``colour`` is not equitable. One sparse product, each
+    vertex's neighbours per cell, gives e and the exact check: every count
+    times its vertex's cell size s_i is e_ij, a sum of s_i counts, only when
+    those counts are equal. Costs O(m) and one k x k array for k cells.
     """
-    # imported here: scipy.linalg would slow every CLI start
-    from scipy.linalg.lapack import dorgqr, dsytrd, dsytrd_lwork
-    from scipy.sparse import coo_array, csr_array
+    # imported here: scipy.sparse would slow every CLI start
+    from scipy.sparse import csr_array
 
-    a, n = g.adjacency, g.n
+    n = g.n
     k = int(colour.max()) + 1
-    sizes = np.bincount(colour)
-    row_colour = np.repeat(colour, np.diff(a.indptr))
-    e = coo_array((a.data, (row_colour, colour[a.indices])), shape=(k, k)).toarray()
-    # each vertex's neighbours per cell; equitable when every vertex's count
-    # in cell j, times the size of its own cell i, is e_ij
-    counts = a @ csr_array((np.ones(n), colour, np.arange(n + 1)), shape=(n, k))
+    counts = g.adjacency @ csr_array((np.ones(n), colour, np.arange(n + 1)), shape=(n, k))
     row_colour = np.repeat(colour, np.diff(counts.indptr))
+    e = np.bincount(row_colour * k + counts.indices, counts.data, k * k).reshape(k, k)
+    sizes = np.bincount(colour)
     if not np.array_equal(counts.data * sizes[row_colour], e[row_colour, counts.indices]):
         discrete = np.arange(n)
         discrete[[0, origin]] = discrete[[origin, 0]]
-        return reduce_partition(g, origin, discrete, basis)
+        return equitable_quotient(g, origin, discrete)
+    e.setflags(write=False)
+    return colour, e
 
-    root = np.sqrt(sizes)
-    e /= root
+
+def reduce_partition(
+    g: Graph, origin: int, partition: tuple[np.ndarray, np.ndarray], basis: bool
+) -> tuple[JacobiCoefficients, np.ndarray | None]:
+    """``reduce_walk`` on ``partition``, a colouring and its quotient e from
+    ``equitable_quotient``, which it leaves as they are.
+
+    For cell sizes s, the vectors 1_i / sqrt(s_i) of the cells are
+    orthonormal, the first is the origin's vertex state, and the adjacency
+    acts on them as E_ij = e_ij / sqrt(s_i s_j) does. LAPACK's blocked
+    Householder tridiagonalization (``dsytrd``) of E touches no index 0, so
+    the tridiagonal matrix's leading block, up to its first off-diagonal at
+    or below ``DEFLATION_TOL`` times the largest degree, is the Jacobi matrix
+    of the origin's Krylov space with off-diagonals of either sign. The basis
+    is the first dim columns of the reflectors' product (``dorgqr``), each
+    column's sign chosen so that every off-diagonal is positive, lifted to
+    vertices as ``q[colour] / sqrt(s[colour])``. Costs O(k^3) time and one
+    k x k array.
+    """
+    # imported here: scipy.linalg would slow every CLI start
+    from scipy.linalg.lapack import dorgqr, dsytrd, dsytrd_lwork
+
+    colour, e = partition
+    k = e.shape[0]
+    root = np.sqrt(np.bincount(colour))
+    # E, a copy of e; it is symmetric, so E.T is the same matrix in Fortran
+    # order: dsytrd overwrites it instead of a copy
+    e = e / root
     e /= root[:, None]
-    # e is symmetric, so e.T is the same matrix in Fortran order: dsytrd
-    # overwrites it instead of a copy
     lwork, _ = dsytrd_lwork(k, lower=1)
     c, d, off, tau, info = dsytrd(e.T, lower=1, lwork=int(lwork), overwrite_a=1)
     if info != 0:

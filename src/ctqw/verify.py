@@ -8,18 +8,18 @@ other two when their input exists:
   nothing read it before): every vertex at every sample, for every
   origin. The walk stays in the Krylov space of the origin's vertex state
   (Krovi & Brun, PRA 75, 062332, 2007), so the level amplitudes mapped
-  through that space's orthonormal basis, from ``reduce_walk``, give the
-  whole per-vertex state; on QD-type origins the basis columns are the
-  normalized shell indicators;
+  through that space's orthonormal basis, from the partition's reduction,
+  give the whole per-vertex state; on QD-type origins the basis columns
+  are the normalized shell indicators;
 * ``check_conservation``, always: the total probability of the series
   ``compute`` would emit stays within ``CONSERVATION_TOL`` of 1;
 * ``check_closed_form``, when the pipeline carries a tabulated closed form
   (a catalog entry walked from vertex 0): row 0 of the series against it.
 
-A ``Pipeline`` holds only what a walk is given and derives its graph,
-coefficients, measure and shell sizes on first read; only the JSON of
-``ctqw compute`` reads the shell sizes. Each check reads the pipeline and
-its series, never the catalog entry.
+A ``Pipeline`` holds only what a walk is given and derives the rest on
+first read; one checked partition gives a graph walk its coefficients, its
+Krylov basis and its shell sizes, which only the JSON of ``ctqw compute``
+reads. Each check reads the pipeline and its series, never the catalog entry.
 ``entry_status`` is the one place that runs them and decides the outcome:
 both ``ctqw verify`` (which prints its lines and exits 0 or 1 on ``ok``)
 and the acceptance suite call it. A walk that fails the oracle or the
@@ -40,8 +40,8 @@ import numpy as np
 from .amplitudes import AmplitudeSeries, ExponentialSum, amplitude_series
 from .catalog import CatalogEntry
 from .errors import InvalidParams
-from .graphs import Graph, IntersectionArray, check_vertex, classify_qd, stratify
-from .jacobi import JacobiCoefficients, qd_from_intersection_array, reduce_walk
+from .graphs import Graph, IntersectionArray, check_vertex
+from .jacobi import JacobiCoefficients, equitable_cells, qd_from_intersection_array, reduce_partition
 from .oracle import oracle_amplitudes
 from .stieltjes import SpectralMeasure, spectral_measure
 
@@ -72,15 +72,20 @@ class Pipeline:
         """The walk's graph; None when there is no construction."""
         return None if self.builder is None else self.builder()
 
+    @cached_property
+    def partition(self) -> tuple[np.ndarray, np.ndarray]:
+        """The colouring and integer quotient of ``equitable_cells``."""
+        return equitable_cells(self.graph, self.origin)
+
     def krylov(self) -> tuple[JacobiCoefficients, np.ndarray]:
-        """``reduce_walk`` from the origin: the coefficients and the (n, dim)
+        """The partition's reduction: the coefficients and the (n, dim)
         orthonormal Krylov basis. The basis is not kept; on a walk stating
         neither coefficients nor an array they are, as ``jc``, so one
         reduction serves both."""
         return self._reduce(basis=True)
 
     def _reduce(self, basis: bool) -> tuple[JacobiCoefficients, np.ndarray | None]:
-        jc, q = reduce_walk(self.graph, self.origin, basis)
+        jc, q = reduce_partition(self.graph, self.origin, self.partition, basis)
         if self.coefficients is None and self.intersection_array is None:
             # the slot cached_property fills, so jc never reduces again
             jc = self.__dict__.setdefault("jc", jc)
@@ -89,7 +94,7 @@ class Pipeline:
     @cached_property
     def jc(self) -> JacobiCoefficients:
         """The stated coefficients, else the stated array's, else those of
-        ``reduce_walk``."""
+        the partition's reduction."""
         if self.coefficients is not None:
             return self.coefficients
         if self.intersection_array is not None:
@@ -102,16 +107,19 @@ class Pipeline:
 
     @cached_property
     def kappa(self) -> tuple[int, ...] | None:
-        """The stated array's shell sizes, else the graph's BFS shell sizes
-        when ``classify_qd`` (the paper's diagnostic) finds them QD type, else
-        None: the levels are then Krylov levels, not shells."""
+        """The stated array's shell sizes, else the cell sizes when the cells
+        are the BFS shells (the origin is QD type), else None: the levels are
+        then Krylov levels, not shells."""
         if self.intersection_array is not None:
             return self.intersection_array.shell_sizes()
         if self.graph is None:
             return None
-        shell_of = stratify(self.graph, self.origin)
-        qd = classify_qd(self.graph, shell_of) is None
-        return tuple(np.bincount(shell_of).tolist()) if qd else None
+        colour, e = self.partition
+        # the cells are the shells exactly when the quotient is tridiagonal:
+        # cell j + 1 then holds the neighbours of cell j outside cells j - 1
+        # and j, and each of its vertices has one in cell j (equitable)
+        tridiagonal = np.count_nonzero(e) == sum(np.count_nonzero(e.diagonal(d)) for d in (-1, 0, 1))
+        return tuple(np.bincount(colour).tolist()) if tridiagonal else None
 
     def series(self, times) -> AmplitudeSeries:
         return amplitude_series(self.measure, self.jc, times)
@@ -119,7 +127,7 @@ class Pipeline:
 
 def pipeline_for_graph(g: Graph, origin: int) -> Pipeline:
     """The walk on an explicit graph from any origin; its coefficients come
-    from ``reduce_walk`` on first read."""
+    from the reduction of its partition on first read."""
     check_vertex(g.n, origin)
     return Pipeline(origin=origin, builder=lambda: g)
 

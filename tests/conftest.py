@@ -65,3 +65,21 @@ def grid_edges(a, b):
     return [(b * x + y, b * x + y + 1) for x in range(a) for y in range(b - 1)] + [
         (b * x + y, b * (x + 1) + y) for x in range(a - 1) for y in range(b)
     ]
+
+
+def shells_equitable(g, origin):
+    """True when every vertex of a BFS shell around ``origin`` has the same
+    number of neighbours in each shell, which makes the origin QD type. By
+    hand, from the dense adjacency: a breadth-first search and a count
+    matrix, none of the package's own routines."""
+    a = g.adjacency.toarray() > 0
+    dist = np.full(len(a), -1)
+    frontier = np.zeros(len(a), dtype=bool)
+    frontier[origin] = True
+    d = 0
+    while frontier.any():
+        dist[frontier] = d
+        frontier = a[frontier].any(axis=0) & (dist < 0)
+        d += 1
+    counts = a.astype(np.int64) @ np.eye(d, dtype=np.int64)[dist]  # neighbours of v in shell l
+    return all((counts[dist == l] == counts[dist == l][0]).all() for l in range(d))

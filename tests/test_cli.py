@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import grid_edges
-from ctqw import cli
+from ctqw import build_graph, cli, pipeline_for_graph
 from ctqw.cli import main
 from ctqw.errors import PoleProximity
 from ctqw.stieltjes import _CF_POINTS
@@ -710,24 +710,28 @@ class TestGraphBuilds:
 
 @pytest.fixture
 def reductions(monkeypatch):
-    """The vertex count of each graph ``reduce_walk`` reduces, as
-    ``ctqw.verify`` binds it."""
+    """The vertex count of each graph whose partition ``reduce_partition``
+    reduces, as ``ctqw.verify`` binds it."""
     import ctqw.verify
 
     calls = []
-    real = ctqw.verify.reduce_walk
+    real = ctqw.verify.reduce_partition
 
     def counting(g, *args):
         calls.append(g.n)
         return real(g, *args)
 
-    monkeypatch.setattr(ctqw.verify, "reduce_walk", counting)
+    monkeypatch.setattr(ctqw.verify, "reduce_partition", counting)
     return calls
 
 
+# the JSON reads the shell sizes from the partition the coefficients reduce
 @pytest.mark.parametrize(
     "command",
-    [("compute", "--samples", "5"), ("stieltjes",), ("verify", "--samples", "5")],
+    [
+        ("compute", "--samples", "5"), ("compute", "--samples", "5", "--format", "json"),
+        ("stieltjes",), ("verify", "--samples", "5"),
+    ],
     ids=" ".join,
 )
 def test_edge_list_walk_reduces_once(capsys, reductions, tmp_path, command):
@@ -763,16 +767,16 @@ def test_catalog_walk_reductions(capsys, reductions, argv, calls):
 
 @pytest.fixture
 def shell_calls(monkeypatch):
-    """Calls of ``stratify`` and ``classify_qd``, as ``ctqw.verify`` binds
-    them, of ``build_graph``, as ``ctqw.catalog`` binds it, and of
-    ``IntersectionArray.shell_sizes``."""
+    """Calls of ``equitable_cells``, the walk's checked partition, as
+    ``ctqw.verify`` binds it, of ``build_graph``, as ``ctqw.catalog`` binds
+    it, and of ``IntersectionArray.shell_sizes``."""
     import ctqw.catalog
     import ctqw.graphs
     import ctqw.verify
 
-    calls = {"stratify": 0, "classify_qd": 0, "build_graph": 0, "shell_sizes": 0}
+    calls = {"equitable_cells": 0, "build_graph": 0, "shell_sizes": 0}
     for module, name in [
-        (ctqw.verify, "stratify"), (ctqw.verify, "classify_qd"), (ctqw.catalog, "build_graph"),
+        (ctqw.verify, "equitable_cells"), (ctqw.catalog, "build_graph"),
         (ctqw.graphs.IntersectionArray, "shell_sizes"),
     ]:
         def counting(*args, _name=name, _real=getattr(module, name)):
@@ -784,22 +788,26 @@ def shell_calls(monkeypatch):
 
 
 # only the JSON of compute prints the shell sizes, so only it computes them,
-# from the BFS shells of a graph or from a stated intersection array
+# from the partition of a graph walk or from a stated intersection array; a
+# graph walk checks its partition once, whatever of coefficients, basis and
+# shell sizes it reads
 @pytest.mark.parametrize(
     "argv, counts",
     [
-        (("compute", "--graph", "glued_trees:9"), (0, 0, 0, 0)),
-        (("compute", "--graph", "glued_trees:9", "--format", "json"), (1, 1, 1, 0)),
-        (("verify", "--graph", "{edges}", "--samples", "5"), (0, 0, 0, 0)),
-        (("verify", "--graph", "path:64", "--origin", "5"), (0, 0, 1, 0)),
-        (("compute", "--graph", "petersen"), (0, 0, 0, 0)),
-        (("compute", "--graph", "petersen", "--format", "json"), (0, 0, 0, 1)),
-        (("verify", "--graph", "petersen"), (0, 0, 1, 0)),
-        (("stieltjes", "--graph", "petersen", "--eval", "4"), (0, 0, 0, 0)),
+        (("compute", "--graph", "glued_trees:9"), (0, 0, 0)),
+        (("compute", "--graph", "glued_trees:9", "--format", "json"), (1, 1, 0)),
+        (("compute", "--graph", "{edges}", "--format", "json"), (1, 0, 0)),
+        (("verify", "--graph", "{edges}", "--samples", "5"), (1, 0, 0)),
+        (("verify", "--graph", "path:64", "--origin", "5"), (1, 1, 0)),
+        (("compute", "--graph", "petersen"), (0, 0, 0)),
+        (("compute", "--graph", "petersen", "--format", "json"), (0, 0, 1)),
+        (("verify", "--graph", "petersen"), (1, 1, 0)),
+        (("stieltjes", "--graph", "petersen", "--eval", "4"), (0, 0, 0)),
     ],
     ids=[
-        "compute csv", "compute json", "verify edge list", "verify path:64 --origin 5",
-        "compute csv petersen", "compute json petersen", "verify petersen", "stieltjes petersen",
+        "compute csv", "compute json", "compute json edge list", "verify edge list",
+        "verify path:64 --origin 5", "compute csv petersen", "compute json petersen",
+        "verify petersen", "stieltjes petersen",
     ],
 )
 def test_only_json_computes_shells(capsys, shell_calls, tmp_path, argv, counts):
@@ -809,6 +817,14 @@ def test_only_json_computes_shells(capsys, shell_calls, tmp_path, argv, counts):
     # verify fails on the edge list until ROADMAP item 2 lands
     assert code in ((0, 1) if "{edges}" in argv else (0,))
     assert tuple(shell_calls.values()) == counts
+
+
+def test_one_partition_serves_coefficients_basis_and_shells(shell_calls, reductions):
+    pipe = pipeline_for_graph(build_graph(30, grid_edges(5, 6)), 6)
+    assert pipe.kappa is None
+    _, basis = pipe.krylov()
+    assert basis.shape == (30, pipe.jc.dim)
+    assert shell_calls["equitable_cells"] == 1 and reductions == [30]
 
 
 @pytest.fixture(scope="module")

@@ -2,7 +2,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import networkx as nx
@@ -24,13 +23,12 @@ from ctqw.graphs import (
     IntersectionArray,
     bfs_distances,
     build_graph,
-    classify_qd,
     intersection_numbers,
     parse_edge_list,
     read_edge_list,
     stratify,
 )
-from conftest import connected_graphs
+from conftest import connected_graphs, grid_edges, shells_equitable
 from test_catalog import CONSTRUCTIBLE_WITH_ARRAY
 
 # four distance-regular graphs, then every catalog entry that has both a
@@ -362,21 +360,59 @@ class TestIntersectionNumbers:
             IntersectionArray.from_bc((3, 2), (1,))
 
 
+def walk_kappa(g, origin):
+    from ctqw.verify import pipeline_for_graph
+
+    return pipeline_for_graph(g, origin).kappa
+
+
+def random_cubic_graph(seed):
+    """A connected random 3-regular graph on 20 vertices, ``seed`` upwards."""
+    while not nx.is_connected(h := nx.random_regular_graph(3, 20, seed=seed)):
+        seed += 1
+    return build_graph(20, list(h.edges()))
+
+
+# graphs walked from every origin, by name
+EVERY_ORIGIN = {
+    "petersen": lambda: make_entry("petersen").build(),
+    "grid 5x6": lambda: build_graph(30, grid_edges(5, 6)),
+    "grid 8x8": lambda: build_graph(64, grid_edges(8, 8)),
+    **{f"tree n=30 seed {s}": lambda s=s: random_connected_graph(np.random.default_rng(s), 30, 0)
+       for s in range(6)},
+    **{f"cubic n=20 seed {s}": lambda s=s: random_cubic_graph(100 * s) for s in range(6)},
+    # graphs with QD origins besides the Petersen graph's
+    "path 9": lambda: build_graph(9, grid_edges(1, 9)),
+    "hypercube 4": lambda: make_entry("hamming", (4, 2)).build(),
+    "glued trees 4": lambda: make_entry("glued_trees", (4,)).build(),
+    "layered 5x8": lambda: build_graph(*random_qd_edges(np.random.default_rng(58), 5, 8)),
+}
+
+
 class TestClassifyQD:
+    """The QD type of an origin, read from the walk's partition: ``kappa``
+    is the shell sizes exactly when the shells are equitable."""
+
+    @pytest.mark.parametrize("name", EVERY_ORIGIN)
+    def test_kappa_matches_equitable_shells(self, name):
+        g = EVERY_ORIGIN[name]()
+        for origin in range(g.n):
+            got = walk_kappa(g, origin)
+            assert (got is not None) == shells_equitable(g, origin), origin
+            if got is not None:
+                assert got == tuple(np.bincount(stratify(g, origin)).tolist())
+
     def test_petersen_all_origins(self, petersen):
         for origin in range(10):
-            assert classify_qd(petersen, stratify(petersen, origin)) is None
+            assert walk_kappa(petersen, origin) == (1, 3, 6)
 
     def test_path_from_second_vertex_non_qd(self):
         g = build_graph(5, [(i, i + 1) for i in range(4)])
-        witness = classify_qd(g, stratify(g, 1))
-        assert witness is not None
-        shell, direction, va, ca, vb, cb = witness
-        assert ca != cb
+        assert walk_kappa(g, 1) is None
 
     def test_star_from_center(self):
         g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-        assert classify_qd(g, stratify(g, 0)) is None
+        assert walk_kappa(g, 0) == (1, 3)
 
     @pytest.mark.parametrize("depth, width", [(2, 3), (5, 8), (11, 18)])
     def test_qd_counts_match_networkx(self, rng, depth, width):
@@ -387,7 +423,6 @@ class TestClassifyQD:
 
         n, edges = random_qd_edges(rng, depth, width)
         g = build_graph(n, edges)
-        assert classify_qd(g, stratify(g, 0)) is None
         pipe = pipeline_for_graph(g, 0)
         kappa = [0] * (depth + 1)
         per_shell = [set() for _ in range(depth + 1)]
@@ -402,33 +437,20 @@ class TestClassifyQD:
         assert pipe.kappa == tuple(kappa)
 
     @pytest.mark.parametrize("n", [20, 90, 200])
-    def test_non_qd_witness_matches_networkx(self, rng, n):
+    def test_non_qd_matches_networkx(self, rng, n):
+        # some shell holds two vertices with different neighbour counts one
+        # shell down, within or up
         edges = random_connected_edges(rng, n, int(rng.integers(1, n)))
         g = build_graph(n, edges)
         h = nx.Graph(edges)
         for origin in rng.choice(n, size=4, replace=False):
-            witness = classify_qd(g, stratify(g, int(origin)))
-            assert witness is not None
-            shell, direction, va, ca, vb, cb = witness
-            step = {"down": -1, "within": 0, "up": 1}[direction]
-            assert ca != cb
-            want = neighbor_counts_by_distance(h, int(origin))
-            for v, count in ((va, ca), (vb, cb)):
-                k, counts = want[v]
-                assert k == shell
-                assert counts.get(shell + step, 0) == count
-
-    def test_path_memory_grows_with_edges(self):
-        # a count matrix of n x shells would be 2000 x 1999 int64 here, 32 MB
-        g = build_graph(2000, [(i, i + 1) for i in range(1999)])
-        tracemalloc.start()
-        try:
-            witness = classify_qd(g, stratify(g, 1))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert witness is not None
-        assert peak < 4e6
+            assert walk_kappa(g, int(origin)) is None
+            per_shell = {}
+            for k, counts in neighbor_counts_by_distance(h, int(origin)).values():
+                per_shell.setdefault(k, set()).add(
+                    (counts.get(k - 1, 0), counts.get(k, 0), counts.get(k + 1, 0))
+                )
+            assert any(len(c) > 1 for c in per_shell.values())
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(connected_graphs(14))
@@ -437,35 +459,25 @@ class TestClassifyQD:
         g = build_graph(n, edges)
         h = nx.Graph(edges)
         for origin in range(n):
-            shell_of = stratify(g, origin)
-            witness = classify_qd(g, shell_of)
             want = neighbor_counts_by_distance(h, origin)
             depth = max(k for k, _ in want.values())
-            kappa = [0] * (depth + 1)
+            sizes = [0] * (depth + 1)
             per_shell = [set() for _ in range(depth + 1)]
             for k, counts in want.values():
-                kappa[k] += 1
+                sizes[k] += 1
                 per_shell[k].add((counts.get(k - 1, 0), counts.get(k, 0), counts.get(k + 1, 0)))
-            assert tuple(np.bincount(shell_of).tolist()) == tuple(kappa)
-            assert (witness is None) == all(len(c) == 1 for c in per_shell)
-            if witness is not None:
-                shell, direction, va, ca, vb, cb = witness
-                step = {"down": -1, "within": 0, "up": 1}[direction]
-                assert ca != cb
-                for v, count in ((va, ca), (vb, cb)):
-                    assert want[v][0] == shell
-                    assert want[v][1].get(shell + step, 0) == count
+            assert tuple(np.bincount(stratify(g, origin)).tolist()) == tuple(sizes)
+            qd = all(len(c) == 1 for c in per_shell)
+            assert walk_kappa(g, origin) == (tuple(sizes) if qd else None)
 
     def test_distance_regular_implies_qd(self):
-        from ctqw import make_entry
-
         for spec in ["complete:6", "cycle:8", "cycle:9", "petersen", "johnson:6,2", "hamming:2,3"]:
             family, _, params = spec.partition(":")
             entry = make_entry(family, tuple(int(p) for p in params.split(",")) if params else ())
             g = entry.build()
             intersection_numbers(g)  # raises if not DRG
             for origin in range(0, g.n, max(1, g.n // 3)):
-                assert classify_qd(g, stratify(g, origin)) is None
+                assert walk_kappa(g, origin) == entry.intersection_array.shell_sizes()
 
 
 class TestEdgeListFormat:

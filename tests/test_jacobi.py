@@ -4,10 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import grid_edges
+from conftest import grid_edges, shells_equitable
 from ctqw import (
     build_graph,
-    classify_qd,
+    entry_from_spec,
+    list_entries,
     make_entry,
     pipeline_for_entry,
     pipeline_for_graph,
@@ -19,7 +20,9 @@ from ctqw import (
 )
 from ctqw.errors import EigensolverFailure, InvalidParams
 from ctqw.graphs import Graph, IntersectionArray
-from ctqw.jacobi import DEFLATION_TOL, JacobiCoefficients, equitable_cells, reduce_partition
+from ctqw.jacobi import (
+    DEFLATION_TOL, JacobiCoefficients, equitable_cells, equitable_quotient, reduce_partition,
+)
 from ctqw.oracle import oracle_amplitudes
 from ctqw.verify import entry_status
 from test_catalog import CONSTRUCTIBLE_WITH_ARRAY
@@ -205,7 +208,7 @@ class TestLanczos:
         edges = [(int(rng.integers(0, v)), v) for v in range(1, n)]
         edges += [(int(u), int(v)) for u, v in rng.integers(0, n, size=(n, 2)) if u != v]
         g = build_graph(n, edges)
-        origin = next(o for o in range(n) if classify_qd(g, stratify(g, o)) is not None)
+        origin = next(o for o in range(n) if not shells_equitable(g, o))
         jc, basis = reduce_walk(g, origin, basis=True)
         assert basis.shape == (n, jc.dim)
         assert np.abs(basis.T @ basis - np.eye(jc.dim)).max() < 1e-10
@@ -311,7 +314,7 @@ def krylov_rank(g, origin):
 
 
 def cell_count(g, origin):
-    return int(equitable_cells(g, origin).max()) + 1
+    return len(equitable_cells(g, origin)[1])
 
 
 class TestEquitableCells:
@@ -320,7 +323,7 @@ class TestEquitableCells:
 
     @staticmethod
     def assert_bound(g, origin):
-        colour = equitable_cells(g, origin)
+        colour, _ = equitable_cells(g, origin)
         assert np.flatnonzero(colour == 0).tolist() == [origin]
         assert cell_count(g, origin) >= krylov_rank(g, origin), origin
 
@@ -419,7 +422,7 @@ class TestHouseholder:
         # from its second vertex are not equitable (vertex 0 has no neighbour
         # one shell up), so the reduction takes every vertex as its own cell
         g = path_graph(n)
-        jc, _ = reduce_partition(g, 1, stratify(g, 1), basis=False)
+        jc, _ = reduce_partition(g, 1, equitable_quotient(g, 1, stratify(g, 1)), basis=False)
         expected = expected_path_omegas(n)
         assert len(jc.omega) == len(expected)
         assert np.abs(np.subtract(jc.omega, expected)).max() <= 1e-12
@@ -469,10 +472,47 @@ def test_non_equitable_colouring_reduces_the_discrete_partition(caplog):
     g = path_graph(9)
     discrete = np.arange(9)
     discrete[[0, 1]] = [1, 0]
-    got, messages = jacobi_log(caplog, reduce_partition, g, 1, stratify(g, 1), True)
-    want = reduce_partition(g, 1, discrete, True)
+    partition = equitable_quotient(g, 1, stratify(g, 1))
+    assert np.array_equal(partition[0], discrete)
+    got, messages = jacobi_log(caplog, reduce_partition, g, 1, partition, True)
+    want = reduce_partition(g, 1, equitable_quotient(g, 1, discrete), True)
     assert got[0] == want[0] and np.array_equal(got[1], want[1])
     assert messages == ["origin 1: 9 cells, dimension 8"]
+
+
+# every appendix row and family instance that states an intersection array
+# and builds its graph
+STATED_AND_BUILT = sorted(
+    spec
+    for spec in {make_entry(*fp).id for fp in CONSTRUCTIBLE_WITH_ARRAY}
+    | {spec for spec, *_ in list_entries() if spec.startswith("appendix:")}
+    if (entry := entry_from_spec(spec)).builder is not None and entry.intersection_array is not None
+)
+
+
+@pytest.mark.parametrize("spec", STATED_AND_BUILT)
+def test_integer_quotient_is_the_stated_array(spec):
+    # from vertex 0 the cells are the shells, and the edge counts between
+    # them are the stated tridiagonal matrix times the shell sizes, exactly:
+    # e_kk = s_k a_k, e_{k,k+1} = s_k b_k, e_{k+1,k} = s_{k+1} c_{k+1}
+    entry = entry_from_spec(spec)
+    g, ia = entry.build(), entry.intersection_array
+    colour, e = equitable_cells(g, 0)
+    assert np.array_equal(colour, stratify(g, 0))
+    s = np.array(ia.shell_sizes())
+    want = np.diag(s * ia.a) + np.diag(s[:-1] * ia.b, 1) + np.diag(s[1:] * ia.c, -1)
+    assert np.array_equal(e, want)
+    assert pipeline_for_graph(g, 0).kappa == ia.shell_sizes()
+
+
+def test_reduction_leaves_the_partition_as_it_is():
+    # the quotient is read-only, and the reduction scales a copy of it
+    pipe = pipeline_for_graph(make_entry("glued_trees", (5,)).build(), 3)
+    _, e = pipe.partition
+    before = e.copy()
+    pipe.krylov()
+    assert pipe.kappa is None and pipe.jc.dim == 21
+    assert pipe.partition[1] is e and not e.flags.writeable and np.array_equal(e, before)
 
 
 @pytest.mark.parametrize("origin", range(12, 18))

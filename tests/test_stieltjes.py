@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ctqw import build_graph, classify_qd, make_entry, stratify
+from conftest import shells_equitable
+from ctqw import build_graph, make_entry
 from ctqw.errors import InvalidParams, PoleProximity
 from ctqw.jacobi import JacobiCoefficients
 from ctqw.stieltjes import (
@@ -525,7 +526,7 @@ def test_moments_count_closed_walks(name, h, origin, qd):
     n = h.number_of_nodes()
     adjacency = nx.to_numpy_array(h, nodelist=range(n), dtype=np.int64)
     g = build_graph(n, list(h.edges()))
-    assert (classify_qd(g, stratify(g, origin)) is None) == qd
+    assert shells_equitable(g, origin) == qd
     measure = pipeline_for_graph(g, origin).measure
     x, w = measure.nodes_array(), measure.weights_array()
     power = np.eye(n, dtype=np.int64)
