@@ -25,19 +25,6 @@ class InvalidEdgeList(CtqwError):
     """Edge-list file missing or malformed."""
 
 
-class NotDistanceRegular(CtqwError):
-    """Intersection numbers are not constant; carries a witness.
-
-    ``witness`` is ``(distance, kind, (u1, v1, count1), (u2, v2, count2))``
-    where ``kind`` is one of ``"b"``, ``"a"``, ``"c"`` and the two ordered
-    vertex pairs at the given distance produced different counts.
-    """
-
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
 class PoleProximity(CtqwError):
     """Evaluation point too close to a pole of the Stieltjes function."""
 

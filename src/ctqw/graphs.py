@@ -1,8 +1,9 @@
-"""Graph construction, BFS stratification, distance structure, and regularity tests.
+"""Graph construction, BFS stratification, and the distance-regularity test.
 
 A graph is stored once, as a read-only sparse CSR adjacency matrix. The
-distances (``scipy.sparse.csgraph``), the shell and distance-class counts,
-the colour refinement, the quotient of ``jacobi``'s reduction and the oracle
+single-source distances (``scipy.sparse.csgraph``), the distance classes
+that ``intersection_numbers`` grows from its own neighbour counts, the
+colour refinement, the quotient of ``jacobi``'s reduction and the oracle
 all run on that one matrix. ``stratify`` gives the shell index of each
 vertex, whose ``np.bincount`` is the shell sizes. Everything here is
 immutable after construction, stores nothing it can derive, and all
@@ -17,17 +18,15 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DisconnectedGraph, InvalidEdge, InvalidEdgeList, InvalidParams, NotDistanceRegular,
-)
+from .errors import DisconnectedGraph, InvalidEdge, InvalidEdgeList, InvalidParams
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_array
 
 # bounds the dense arrays: the k x k quotient of a walk with k cells and its
 # symmetrized copy (n x n, 32 MB each at n = 2000, when every vertex is its
-# own cell), the int64 keys of the colour refinement and the all-pairs
-# distance matrix of intersection_numbers
+# own cell), the int64 keys of the colour refinement and the n x n neighbour
+# counts of intersection_numbers
 MAX_VERTICES = 2000
 
 
@@ -166,13 +165,11 @@ def _edge_array(n: int, edges) -> np.ndarray:
     return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
-def bfs_distances(g: Graph, source: int | None) -> np.ndarray:
-    """Graph distances from ``source``, or the (n, n) matrix of all pairs
-    when ``source`` is None; -1 marks unreachable vertices."""
+def bfs_distances(g: Graph, source: int) -> np.ndarray:
+    """Graph distances from ``source``; -1 marks unreachable vertices."""
     from scipy.sparse.csgraph import shortest_path
 
-    # unit-weight Dijkstra is a BFS per source; "auto" picks O(n^3)
-    # Floyd-Warshall for all pairs on dense graphs
+    # unit-weight Dijkstra from one source is a BFS
     d = shortest_path(g.adjacency, method="D", unweighted=True, indices=source)
     d[np.isinf(d)] = -1
     return d.astype(np.int64)
@@ -189,50 +186,40 @@ def stratify(g: Graph, origin: int) -> np.ndarray:
 def intersection_numbers(g: Graph) -> IntersectionArray:
     """Intersection array of a distance-regular graph.
 
-    For every ordered pair (u, v) at distance i the counts of neighbors of v
-    at distance i-1, i, i+1 from u must not depend on the pair. A failure
-    raises NotDistanceRegular carrying two offending pairs.
+    Grows the distance classes S_i (S_i[v, u] when v is at distance i from
+    u) from S_0 = I with the neighbour counts N_i = A S_i: N_i[v, u] counts
+    the neighbours of v at distance i from u, so S_{i+1} is where N_i is
+    positive among the pairs not yet reached. Over the pairs in S_i, N_{i-1},
+    N_i and N_{i+1} must each be constant, and are c_i, a_i and b_i; the
+    first that is not, distance by distance, raises InvalidParams naming two
+    of its values. Holds at most three n x n float arrays at once.
     """
-    d = bfs_distances(g, None)
-    diameter = int(d.max())
 
-    def neighbor_counts(k: int) -> np.ndarray:
-        # counts[u, v] = number of neighbors of v at distance k from u, the
-        # (u, v) entry of (d == k) @ A; both factors are symmetric, so it is
-        # the transpose of the sparse product A @ (d == k)
-        at_k = (d == k).astype(np.float64)
-        return np.rint(g.adjacency @ at_k).T.astype(np.int64)
-
-    def constant_or_witness(counts: np.ndarray, mask: np.ndarray, dist_i: int, kind: str) -> int:
-        vals = counts[mask]
-        lo, hi = int(vals.min()), int(vals.max())
+    def constant(counts: np.ndarray, pairs: np.ndarray, name: str, i: int) -> int:
+        values = counts[pairs]
+        lo, hi = int(values.min()), int(values.max())
         if lo != hi:
-            pairs = np.argwhere(mask)
-            p1 = pairs[int(np.argmin(vals))]
-            p2 = pairs[int(np.argmax(vals))]
-            witness = (dist_i, kind, (int(p1[0]), int(p1[1]), lo), (int(p2[0]), int(p2[1]), hi))
-            raise NotDistanceRegular(
-                f"{kind}_{dist_i} not constant: pair {tuple(p1)} gives {lo}, "
-                f"pair {tuple(p2)} gives {hi}",
-                witness=witness,
+            raise InvalidParams(
+                f"not distance-regular: {name}_{i} is {lo} for one pair at distance {i} "
+                f"and {hi} for another"
             )
         return lo
 
-    b: list[int] = []
-    c: list[int] = []
-    prev_counts = None
-    cur_counts = neighbor_counts(0)
-    next_counts = neighbor_counts(1)
-    for i in range(diameter + 1):
-        mask = d == i
-        constant_or_witness(cur_counts, mask, i, "a")
-        if i >= 1:
-            c.append(constant_or_witness(prev_counts, mask, i, "c"))
-        # no vertices beyond the diameter: b_d = 0 by convention
-        if i < diameter:
-            b.append(constant_or_witness(next_counts, mask, i, "b"))
-        prev_counts, cur_counts = cur_counts, next_counts
-        next_counts = neighbor_counts(i + 2) if i + 1 < diameter else None
+    shell = np.eye(g.n, dtype=bool)
+    reached = shell.copy()
+    here = g.adjacency.toarray()  # N_0 = A
+    b, c = [], []
+    for i in range(g.n):
+        constant(here, shell, "a", i)
+        outer = (here > 0) & ~reached
+        # no pairs beyond the diameter: b_d = 0 by convention
+        if not outer.any():
+            break
+        reached |= outer
+        above = g.adjacency @ outer.astype(np.float64)
+        b.append(constant(above, shell, "b", i))
+        c.append(constant(here, outer, "c", i + 1))
+        here, shell = above, outer
     return IntersectionArray.from_bc(b, c)
 
 

@@ -112,8 +112,8 @@ def reduce_walk(g: Graph, origin: int, basis: bool) -> tuple[JacobiCoefficients,
 
 
 def equitable_quotient(g: Graph, origin: int, colour: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``colour``, with the origin alone in colour 0, and its read-only
-    integer quotient, e_ij = edges from cell i to cell j; the discrete
+    """``colour``, with the origin alone in colour 0, and its read-only int32
+    quotient, e_ij = edges from cell i to cell j; the discrete
     partition's when ``colour`` is not equitable. One sparse product, each
     vertex's neighbours per cell, gives e and the exact check: every count
     times its vertex's cell size s_i is e_ij, a sum of s_i counts, only when
@@ -126,7 +126,8 @@ def equitable_quotient(g: Graph, origin: int, colour: np.ndarray) -> tuple[np.nd
     k = int(colour.max()) + 1
     counts = g.adjacency @ csr_array((np.ones(n), colour, np.arange(n + 1)), shape=(n, k))
     row_colour = np.repeat(colour, np.diff(counts.indptr))
-    e = np.bincount(row_colour * k + counts.indices, counts.data, k * k).reshape(k, k)
+    # int32, half the memory: e_ij <= 2m < 2^31, exact in the reduction's float64
+    e = np.bincount(row_colour * k + counts.indices, counts.data, k * k).astype(np.int32).reshape(k, k)
     sizes = np.bincount(colour)
     if not np.array_equal(counts.data * sizes[row_colour], e[row_colour, counts.indices]):
         discrete = np.arange(n)

@@ -17,7 +17,6 @@ from ctqw.errors import (
     InvalidEdge,
     InvalidEdgeList,
     InvalidParams,
-    NotDistanceRegular,
 )
 from ctqw.graphs import (
     IntersectionArray,
@@ -77,6 +76,11 @@ def random_qd_edges(rng, depth, width):
     return n, edges
 
 
+def distance_rows(g):
+    """The (n, n) distances of all pairs: one ``bfs_distances`` row per source."""
+    return np.stack([bfs_distances(g, source) for source in range(g.n)])
+
+
 def neighbor_counts_by_distance(h, source):
     """For every vertex v of networkx graph h: (distance from source,
     {distance: number of neighbors of v at that distance from source})."""
@@ -98,7 +102,7 @@ class TestBuildGraph:
 
     def test_petersen_is_cubic_with_diameter_2(self, petersen):
         assert (np.diff(petersen.adjacency.indptr) == 3).all()
-        assert bfs_distances(petersen, None).max() == 2
+        assert distance_rows(petersen).max() == 2
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraph):
@@ -229,16 +233,16 @@ class TestStratify:
 
 
 class TestDistanceMatrices:
-    """The distance classes (d == i) of the all-pairs distance matrix d."""
+    """The distance classes (d == i) of the stacked single-source rows d."""
 
     def test_k2(self):
-        d = bfs_distances(build_graph(2, [(0, 1)]), None)
+        d = distance_rows(build_graph(2, [(0, 1)]))
         assert (d == 0).astype(int).tolist() == [[1, 0], [0, 1]]
         assert (d == 1).astype(int).tolist() == [[0, 1], [1, 0]]
 
     def test_c4_antipodal(self):
         g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        d = bfs_distances(g, None)
+        d = distance_rows(g)
         assert d.max() == 2
         assert ((d == 1) == g.adjacency.toarray()).all()
         assert (d == 2).astype(int).tolist() == [
@@ -249,7 +253,7 @@ class TestDistanceMatrices:
         ]
 
     def test_petersen_row_sums(self, petersen):
-        d = bfs_distances(petersen, None)
+        d = distance_rows(petersen)
         assert ((d == 1).sum(axis=1) == 3).all()
         assert ((d == 2).sum(axis=1) == 6).all()
 
@@ -257,7 +261,7 @@ class TestDistanceMatrices:
         for _ in range(10):
             n = int(rng.integers(4, 25))
             g = random_connected_graph(rng, n, int(rng.integers(0, n)))
-            d = bfs_distances(g, None)
+            d = distance_rows(g)
             total = np.zeros((n, n), dtype=int)
             for i in range(int(d.max()) + 1):
                 total += d == i
@@ -273,7 +277,7 @@ class TestDistancesAgainstNetworkx:
         edges = random_connected_edges(rng, n, int(rng.integers(0, n)))
         g = build_graph(n, edges)
         h = nx.Graph(edges)
-        d = bfs_distances(g, None)
+        d = distance_rows(g)
         assert d.dtype == np.int64 and d.shape == (n, n)
         for source in range(n):
             want = np.zeros(n, dtype=np.int64)
@@ -301,6 +305,49 @@ class TestDistancesAgainstNetworkx:
             assert (list(ia.b), list(ia.c)) == (b, c)
 
 
+def random_cubic_nx(seed):
+    """A connected random 3-regular networkx graph on 20 vertices, ``seed`` upwards."""
+    while not nx.is_connected(h := nx.random_regular_graph(3, 20, seed=seed)):
+        seed += 1
+    return h
+
+
+# regular graphs, each with its networkx verdict on distance-regularity and
+# labelled 0..n-1
+REGULAR_GRAPHS = {
+    **{f"cycle {n}": (lambda n=n: nx.cycle_graph(n), True) for n in (3, 8, 9)},
+    "hypercube 4": (lambda: nx.convert_node_labels_to_integers(nx.hypercube_graph(4)), True),
+    "petersen": (nx.petersen_graph, True),
+    "heawood": (nx.heawood_graph, True),
+    "dodecahedral": (nx.dodecahedral_graph, True),
+    "K4,4": (lambda: nx.complete_bipartite_graph(4, 4), True),
+    "moebius-kantor": (lambda: nx.LCF_graph(16, [5, -5], 8), False),
+    "pentagonal prism": (lambda: nx.circular_ladder_graph(5), False),
+    **{f"cubic n=20 seed {s}": (lambda s=s: random_cubic_nx(100 * s), False) for s in range(4)},
+}
+
+
+def assert_first_broken_number(h, message):
+    """``message`` names the first of c_i, a_i, b_i (in that order, distance
+    by distance) that takes two values over the pairs at distance i of the
+    networkx graph h, and two of those values."""
+    match = re.fullmatch(
+        r"not distance-regular: ([cab])_(\d+) is (\d+) for one pair at distance \2 and (\d+) for another",
+        message,
+    )
+    assert match, message
+    kind, i, lo, hi = match[1], int(match[2]), int(match[3]), int(match[4])
+    # values[(k, 0 | 1 | 2)]: the c_k, a_k or b_k of every pair at distance k
+    values = {}
+    for u in h:
+        for k, counts in neighbor_counts_by_distance(h, u).values():
+            for j in range(3):
+                values.setdefault((k, j), set()).add(counts.get(k - 1 + j, 0))
+    broken = min(key for key, seen in values.items() if len(seen) > 1)
+    assert broken == (i, "cab".index(kind))
+    assert lo != hi and {lo, hi} <= values[broken]
+
+
 class TestIntersectionNumbers:
     def test_petersen(self, petersen):
         ia = intersection_numbers(petersen)
@@ -316,16 +363,13 @@ class TestIntersectionNumbers:
 
     def test_p3_not_distance_regular(self):
         g = build_graph(3, [(0, 1), (1, 2)])
-        with pytest.raises(NotDistanceRegular) as excinfo:
+        with pytest.raises(InvalidParams) as excinfo:
             intersection_numbers(g)
-        # witness carries two ordered pairs with differing counts
-        witness = excinfo.value.witness
-        assert witness is not None
-        _, _, (u1, v1, c1), (u2, v2, c2) = witness
-        assert c1 != c2
+        assert str(excinfo.value) == (
+            "not distance-regular: b_0 is 1 for one pair at distance 0 and 2 for another"
+        )
 
-    # regular graphs pass the b_0 test and fail further out; seeds 6 and 5
-    # give witness pairs whose counts differ from the reversed pairs' counts
+    # regular graphs pass the b_0 test and fail further out
     @pytest.mark.parametrize(
         "n, degree, seed", [(6, None, None), (40, None, None), (20, 3, 6), (60, 3, 5), (200, 3, 200)]
     )
@@ -335,16 +379,23 @@ class TestIntersectionNumbers:
         else:
             edges = list(nx.random_regular_graph(degree, n, seed=seed).edges())
         g = build_graph(n, edges)
-        h = nx.Graph(edges)
-        with pytest.raises(NotDistanceRegular) as excinfo:
+        with pytest.raises(InvalidParams) as excinfo:
             intersection_numbers(g)
-        dist_i, kind, (u1, v1, c1), (u2, v2, c2) = excinfo.value.witness
-        step = {"c": -1, "a": 0, "b": 1}[kind]
-        assert c1 != c2
-        for u, v, count in ((u1, v1, c1), (u2, v2, c2)):
-            k, counts = neighbor_counts_by_distance(h, u)[v]
-            assert k == dist_i
-            assert counts.get(dist_i + step, 0) == count
+        assert_first_broken_number(nx.Graph(edges), str(excinfo.value))
+
+    @pytest.mark.parametrize("name", REGULAR_GRAPHS)
+    def test_verdict_matches_networkx(self, name):
+        build, distance_regular = REGULAR_GRAPHS[name]
+        h = build()
+        assert nx.is_distance_regular(h) is distance_regular
+        g = build_graph(h.number_of_nodes(), list(h.edges()))
+        if distance_regular:
+            ia = intersection_numbers(g)
+            assert (list(ia.b), list(ia.c)) == nx.intersection_array(h)
+        else:
+            with pytest.raises(InvalidParams) as excinfo:
+                intersection_numbers(g)
+            assert_first_broken_number(h, str(excinfo.value))
 
     def test_shell_sizes_round_trip(self, petersen):
         ia = intersection_numbers(petersen)
@@ -368,9 +419,7 @@ def walk_kappa(g, origin):
 
 def random_cubic_graph(seed):
     """A connected random 3-regular graph on 20 vertices, ``seed`` upwards."""
-    while not nx.is_connected(h := nx.random_regular_graph(3, 20, seed=seed)):
-        seed += 1
-    return build_graph(20, list(h.edges()))
+    return build_graph(20, list(random_cubic_nx(seed).edges()))
 
 
 # graphs walked from every origin, by name

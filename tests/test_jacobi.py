@@ -506,9 +506,11 @@ def test_integer_quotient_is_the_stated_array(spec):
 
 
 def test_reduction_leaves_the_partition_as_it_is():
-    # the quotient is read-only, and the reduction scales a copy of it
+    # the quotient is read-only int32, and the reduction scales a float64
+    # copy of it
     pipe = pipeline_for_graph(make_entry("glued_trees", (5,)).build(), 3)
     _, e = pipe.partition
+    assert e.dtype == np.int32
     before = e.copy()
     pipe.krylov()
     assert pipe.kappa is None and pipe.jc.dim == 21
