@@ -258,7 +258,7 @@ _APPENDIX_INDEX = {row[0]: row for row in _APPENDIX_ROWS}
 def _make_complete(n):
     return dict(
         builder=lambda: build_graph(n, np.column_stack(np.triu_indices(n, 1))),
-        intersection_array=IntersectionArray.from_bc((n - 1,), (1,)),
+        intersection_array=IntersectionArray((n - 1,), (1,)),
         closed_form=ExponentialSum.build(exponentials=[(1 / n, n - 1), ((n - 1) / n, -1)]),
     )
 
@@ -269,14 +269,14 @@ def _make_cycle(n):
     c = (1,) * (m - 1) + (2,) if n % 2 == 0 else (1,) * m
     return dict(
         builder=lambda: build_graph(n, [(i, (i + 1) % n) for i in range(n)]),
-        intersection_array=IntersectionArray.from_bc(b, c),
+        intersection_array=IntersectionArray(b, c),
     )
 
 
 def _make_petersen():
     return dict(
         builder=lambda: _generalized_petersen(5, 2),
-        intersection_array=IntersectionArray.from_bc((3, 2), (1, 1)),
+        intersection_array=IntersectionArray((3, 2), (1, 1)),
         closed_form=ExponentialSum.build(exponentials=[(1 / 2, 1), (2 / 5, -2), (1 / 10, 3)]),
     )
 
@@ -296,7 +296,7 @@ def _make_johnson(n, d):
         )
     return dict(
         builder=lambda: _johnson(n, d),
-        intersection_array=IntersectionArray.from_bc(
+        intersection_array=IntersectionArray(
             tuple((d - i) * (n - d - i) for i in range(d)), tuple((i + 1) ** 2 for i in range(d))
         ),
         closed_form=form,
@@ -305,7 +305,7 @@ def _make_johnson(n, d):
 
 def _make_srg(v, kappa, lam, mu):
     return dict(
-        intersection_array=IntersectionArray.from_bc((kappa, kappa - lam - 1), (1, mu)),
+        intersection_array=IntersectionArray((kappa, kappa - lam - 1), (1, mu)),
         closed_form=_srg_closed_form(v, kappa, lam, mu),
     )
 
@@ -313,7 +313,7 @@ def _make_srg(v, kappa, lam, mu):
 def _make_dihedral(m):
     return dict(
         builder=lambda: build_graph(2 * m, [(u, m + v) for u in range(m) for v in range(m)]),
-        intersection_array=IntersectionArray.from_bc((m, m - 1), (1, m)),
+        intersection_array=IntersectionArray((m, m - 1), (1, m)),
         closed_form=ExponentialSum.build(cosines=[(1 / m, m)], constant=(m - 1) / m),
     )
 
@@ -321,7 +321,7 @@ def _make_dihedral(m):
 def _make_hamming(d, q):
     return dict(
         builder=lambda: _hamming(d, q),
-        intersection_array=IntersectionArray.from_bc(
+        intersection_array=IntersectionArray(
             tuple((d - i) * (q - 1) for i in range(d)), tuple(i + 1 for i in range(d))
         ),
         closed_form=ExponentialSum.build(
@@ -377,7 +377,7 @@ def _make_appendix(row_id):
     _, _, b, c, (exponentials, cosines, constant), builder = _APPENDIX_INDEX[row_id]
     return dict(
         builder=builder,
-        intersection_array=IntersectionArray.from_bc(b, c),
+        intersection_array=IntersectionArray(b, c),
         closed_form=ExponentialSum.build(exponentials, cosines, constant),
     )
 

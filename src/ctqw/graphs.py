@@ -1,20 +1,20 @@
 """Graph construction, BFS stratification, and the distance-regularity test.
 
 A graph is stored once, as a read-only sparse CSR adjacency matrix. The
-single-source distances (``scipy.sparse.csgraph``), the distance classes
-that ``intersection_numbers`` grows from its own neighbour counts, the
-colour refinement, the quotient of ``jacobi``'s reduction and the oracle
-all run on that one matrix. ``stratify`` gives the shell index of each
-vertex, whose ``np.bincount`` is the shell sizes. Everything here is
-immutable after construction, stores nothing it can derive, and all
-operations are pure.
+connectivity check and the BFS shells (both ``scipy.sparse.csgraph``), the
+distance classes that ``intersection_numbers`` grows from its own neighbour
+counts, the colour refinement, the quotient of ``jacobi``'s reduction and
+the oracle all run on that one matrix. ``stratify`` is the one BFS: it gives
+the shell index of each vertex, whose ``np.bincount`` is the shell sizes.
+Everything here is immutable after construction, stores nothing it can
+derive, and all operations are pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -57,13 +57,16 @@ class IntersectionArray:
     """Intersection numbers of a distance-regular graph.
 
     ``b`` holds b_0..b_{d-1} and ``c`` holds c_1..c_d; ``a`` derives
-    a_0..a_d from them (b_d = c_0 = 0 by convention).
+    a_0..a_d from them (b_d = c_0 = 0 by convention). Any sequences of
+    integers may be given; they are stored as tuples of Python ints.
     """
 
     b: tuple[int, ...]
     c: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "b", tuple(int(x) for x in self.b))
+        object.__setattr__(self, "c", tuple(int(x) for x in self.c))
         if len(self.b) != len(self.c):
             raise InvalidParams("b and c must have equal length")
         if not self.b:
@@ -74,10 +77,6 @@ class IntersectionArray:
             raise InvalidParams("b_i (i<d) and c_i must be positive")
         if any(x < 0 for x in self.a):
             raise InvalidParams("derived a_i negative; array infeasible")
-
-    @classmethod
-    def from_bc(cls, b: Sequence[int], c: Sequence[int]) -> "IntersectionArray":
-        return cls(b=tuple(int(x) for x in b), c=tuple(int(x) for x in c))
 
     @property
     def a(self) -> tuple[int, ...]:
@@ -119,6 +118,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
     # imported here: scipy.sparse would slow every CLI start
     from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
 
     # int32 indices, half the memory: every vertex is below MAX_VERTICES
     rows, cols = np.concatenate([pairs, pairs[:, ::-1]], dtype=np.int32).T
@@ -128,15 +128,12 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     adjacency.data[:] = 1.0
     for arr in (adjacency.data, adjacency.indices, adjacency.indptr):
         arr.setflags(write=False)
-    g = Graph(adjacency)
-
-    dist = bfs_distances(g, 0)
-    if (dist < 0).any():
-        missing = int(np.flatnonzero(dist < 0)[0])
-        raise DisconnectedGraph(
-            f"vertex {missing} not reachable from vertex 0"
-        )
-    return g
+    # symmetric: its strong components are its components, with no transposed copy
+    _, labels = connected_components(adjacency, directed=True, connection="strong")
+    outside = np.flatnonzero(labels != labels[0])
+    if outside.size:
+        raise DisconnectedGraph(f"vertex {outside[0]} not reachable from vertex 0")
+    return Graph(adjacency)
 
 
 def _edge_array(n: int, edges) -> np.ndarray:
@@ -165,20 +162,17 @@ def _edge_array(n: int, edges) -> np.ndarray:
     return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
-def bfs_distances(g: Graph, source: int) -> np.ndarray:
-    """Graph distances from ``source``; -1 marks unreachable vertices."""
+def stratify(g: Graph, origin: int) -> np.ndarray:
+    """The BFS shell index (int64) of each vertex around ``origin``,
+    read-only; -1 marks a vertex that ``origin`` cannot reach, which only a
+    ``Graph`` built without ``build_graph`` can have."""
+    check_vertex(g.n, origin)
     from scipy.sparse.csgraph import shortest_path
 
     # unit-weight Dijkstra from one source is a BFS
-    d = shortest_path(g.adjacency, method="D", unweighted=True, indices=source)
+    d = shortest_path(g.adjacency, method="D", unweighted=True, indices=origin)
     d[np.isinf(d)] = -1
-    return d.astype(np.int64)
-
-
-def stratify(g: Graph, origin: int) -> np.ndarray:
-    """The BFS shell index of each vertex around ``origin``, read-only."""
-    check_vertex(g.n, origin)
-    shell_of = bfs_distances(g, origin)
+    shell_of = d.astype(np.int64)
     shell_of.setflags(write=False)
     return shell_of
 
@@ -220,7 +214,7 @@ def intersection_numbers(g: Graph) -> IntersectionArray:
         b.append(constant(above, shell, "b", i))
         c.append(constant(here, outer, "c", i + 1))
         here, shell = above, outer
-    return IntersectionArray.from_bc(b, c)
+    return IntersectionArray(b, c)
 
 
 def parse_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:

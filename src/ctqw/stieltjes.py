@@ -117,16 +117,17 @@ def _cf_point(alpha: list, omega: list, z: complex) -> complex | None:
     return 1.0 / v
 
 
-def _quot(w: float, vr: np.ndarray, vi: np.ndarray, clamp: bool):
+def _quot(w: float, vr: np.ndarray, vi: np.ndarray):
     """(w + 0j) / (vr + i vi) as ``_Py_c_quot`` computes it, divided through
     by the larger part of v (Smith). With a finite ratio, its ``w + 0.0 *
-    ratio`` is w and ``0.0 * ratio - w`` is -w, bit for bit. With ``clamp``,
-    a v of modulus below 1e-150 is first taken as 1e-150, as the per-point
-    route does (w / 1e-150 and a zero imaginary part)."""
+    ratio`` is w and ``0.0 * ratio - w`` is -w, bit for bit. A v of modulus
+    below 1e-150 is first taken as 1e-150, as the per-point route does (w /
+    1e-150 and a zero imaginary part); in the final 1 / v that touches only
+    points the pole rule refuses, since 1e-150 < POLE_TOL."""
     avr, avi = np.abs(vr), np.abs(vi)
     big = avr >= avi
     # max(|vr|, |vi|) <= |v|: hypot runs only where a point may be clamped
-    if clamp and np.fmin.reduce(np.maximum(avr, avi)) < 1e-150:
+    if np.fmin.reduce(np.maximum(avr, avi)) < 1e-150:
         small = np.hypot(vr, vi) < 1e-150
         vr, vi, big = np.where(small, 1e-150, vr), np.where(small, 0.0, vi), big | small
     p, s = np.where(big, vr, vi), np.where(big, vi, vr)
@@ -164,12 +165,12 @@ def stieltjes_continued_fraction(jc: JacobiCoefficients, z):
         # a huge z overflows moduli and denominators to inf, as in CPython
         with np.errstate(all="ignore"):
             for a, w in zip(alpha[-2::-1], omega[::-1]):
-                qr, qi = _quot(w, vr, vi, clamp=True)
+                qr, qi = _quot(w, vr, vi)
                 vr, vi = (zr - a) - qr, zi - qi
             refused = ~np.isfinite(points) | (
                 np.hypot(vr, vi) < POLE_TOL * (1.0 + np.hypot(zr, zi))
             )
-            g.real, g.imag = _quot(1.0, vr, vi, clamp=False)
+            g.real, g.imag = _quot(1.0, vr, vi)
     _refuse(points, refused)
     return complex(g[0]) if z.ndim == 0 else g
 

@@ -1009,6 +1009,35 @@ def test_passing_verify_writes_nothing_to_stderr(argv):
     assert out.stdout.endswith("VERIFY PASS\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--graph", "tchebichef2:400,1", "--samples", "1001"),
+        ("--graph", "path:600", "--samples", "501", "--format", "json"),
+        ("--graph", "glued_trees:9", "--samples", "2001"),
+        ("--graph", "petersen", "--origin", "3"),
+        ("--graph", "glued_trees:9", "--origin", "5"),
+    ],
+    ids=" ".join,
+)
+def test_bytes_do_not_depend_on_blas_threads(argv):
+    # the README's contract: these walks write the same bytes under 1 and 2
+    # OpenBLAS threads. Longer walks (path:700, cycle:1999) may not, since
+    # eigh_tridiagonal's default driver sums in a thread-dependent order
+    src = Path(__file__).resolve().parents[1] / "src"
+    digests = set()
+    for threads in ("1", "2"):
+        out = subprocess.run(
+            [sys.executable, "-m", "ctqw.cli", "compute", *argv],
+            env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True,
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        digests.add(hashlib.sha256(out.stdout).hexdigest())
+    assert len(digests) == 1
+
+
 def test_readme_example_runs():
     root = Path(__file__).resolve().parents[1]
     (block,) = re.findall(r"```python\n(.*?)```", (root / "README.md").read_text(), re.S)

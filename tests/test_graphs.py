@@ -1,3 +1,5 @@
+import io
+import json
 import os
 import re
 import subprocess
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
 
 from ctqw import entry_from_spec, make_entry
 from ctqw.errors import (
@@ -19,14 +22,15 @@ from ctqw.errors import (
     InvalidParams,
 )
 from ctqw.graphs import (
+    Graph,
     IntersectionArray,
-    bfs_distances,
     build_graph,
     intersection_numbers,
     parse_edge_list,
     read_edge_list,
     stratify,
 )
+from ctqw.verify import Pipeline
 from conftest import connected_graphs, grid_edges, shells_equitable
 from test_catalog import CONSTRUCTIBLE_WITH_ARRAY
 
@@ -77,8 +81,8 @@ def random_qd_edges(rng, depth, width):
 
 
 def distance_rows(g):
-    """The (n, n) distances of all pairs: one ``bfs_distances`` row per source."""
-    return np.stack([bfs_distances(g, source) for source in range(g.n)])
+    """The (n, n) distances of all pairs: one ``stratify`` row per source."""
+    return np.stack([stratify(g, source) for source in range(g.n)])
 
 
 def neighbor_counts_by_distance(h, source):
@@ -107,6 +111,25 @@ class TestBuildGraph:
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraph):
             build_graph(4, [(0, 1), (2, 3)])
+
+    def test_disconnected_names_lowest_vertex_outside_origin_component(self):
+        seen = 0
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 30))
+            pairs = (rng.choice(n, 2, replace=False) for _ in range(n // 2 + 1))
+            edges = [(int(u), int(v)) for u, v in pairs]
+            h = nx.Graph(edges)
+            h.add_nodes_from(range(n))
+            outside = sorted(set(range(n)) - nx.node_connected_component(h, 0))
+            if not outside:
+                assert build_graph(n, edges).n == n
+                continue
+            seen += 1
+            with pytest.raises(DisconnectedGraph) as err:
+                build_graph(n, edges)
+            assert str(err.value) == f"vertex {outside[0]} not reachable from vertex 0"
+        assert seen >= 40
 
     def test_out_of_range_edge(self):
         with pytest.raises(InvalidEdge):
@@ -217,6 +240,15 @@ class TestStratify:
         seen = sorted(v for k in levels for v in np.flatnonzero(petersen_shell_of == k))
         assert seen == list(range(10))
 
+    def test_unreachable_component_marked(self):
+        a = np.zeros((6, 6))
+        for u, v in [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]:
+            a[u, v] = a[v, u] = 1.0
+        g = Graph(csr_array(a))
+        assert stratify(g, 0).tolist() == [0, 1, 1, -1, -1, -1]
+        assert stratify(g, 4).tolist() == [-1, -1, -1, 1, 0, 1]
+        assert stratify(g, 4).dtype == np.int64
+
     def test_bad_origin(self, petersen):
         with pytest.raises(InvalidParams):
             stratify(petersen, 10)
@@ -283,7 +315,7 @@ class TestDistancesAgainstNetworkx:
             want = np.zeros(n, dtype=np.int64)
             for v, k in nx.single_source_shortest_path_length(h, source).items():
                 want[v] = k
-            assert (bfs_distances(g, source) == want).all()
+            assert (stratify(g, source) == want).all()
             assert (d[source] == want).all()
 
     @pytest.mark.parametrize("sizes", [(30, 25), (1, 9), (9, 1)])
@@ -404,11 +436,47 @@ class TestIntersectionNumbers:
 
     def test_array_validation(self):
         with pytest.raises(InvalidParams):
-            IntersectionArray.from_bc((3, 2), (2, 1))  # c_1 != 1
+            IntersectionArray((3, 2), (2, 1))  # c_1 != 1
         with pytest.raises(InvalidParams):
-            IntersectionArray.from_bc((1, 2), (1, 1))  # a_1 negative
+            IntersectionArray((1, 2), (1, 1))  # a_1 negative
         with pytest.raises(InvalidParams, match="b and c must have equal length"):
-            IntersectionArray.from_bc((3, 2), (1,))
+            IntersectionArray((3, 2), (1,))
+
+    @pytest.mark.parametrize(
+        "b, c, message",
+        [
+            ((3, 2), (2, 1), "c_1 must be 1, got 2"),
+            ((1, 2), (1, 1), "derived a_i negative; array infeasible"),
+            ((3, 2), (1,), "b and c must have equal length"),
+            ((), (), "intersection array needs diameter >= 1"),
+            ((3, 0), (1, 1), "b_i (i<d) and c_i must be positive"),
+        ],
+    )
+    @pytest.mark.parametrize("kind", [tuple, list, np.array])
+    def test_invalid_array_messages(self, b, c, message, kind):
+        with pytest.raises(InvalidParams) as err:
+            IntersectionArray(kind(b), kind(c))
+        assert str(err.value) == message
+
+    def test_non_integral_shell_sizes(self):
+        with pytest.raises(InvalidParams, match="shell sizes not integral; array infeasible"):
+            IntersectionArray([4, 1], [1, 3]).shell_sizes()
+
+    @pytest.mark.parametrize(
+        "kind",
+        [list, np.array, lambda x: tuple(np.int64(v) for v in x)],
+        ids=["list", "ndarray", "numpy-ints"],
+    )
+    def test_any_integer_sequence_gives_python_ints(self, kind):
+        ia = IntersectionArray(kind([3, 2]), kind([1, 1]))
+        assert ia == IntersectionArray((3, 2), (1, 1))
+        for part in (ia.b, ia.c, ia.a, ia.shell_sizes()):
+            assert type(part) is tuple and all(type(x) is int for x in part)
+        assert ia.shell_sizes() == (1, 3, 6)
+        pipeline = Pipeline(origin=0, intersection_array=ia)
+        out = io.StringIO()
+        pipeline.series([0.0, 0.5]).to_json(out, pipeline.kappa)
+        assert json.loads(out.getvalue())["kappa"] == [1, 3, 6]
 
 
 def walk_kappa(g, origin):

@@ -83,13 +83,13 @@ class TestCoefficientsType:
 
 class TestFromIntersectionArray:
     def test_petersen(self):
-        jc = qd_from_intersection_array(IntersectionArray.from_bc((3, 2), (1, 1)))
+        jc = qd_from_intersection_array(IntersectionArray((3, 2), (1, 1)))
         assert jc.alpha == (0.0, 0.0, 2.0)
         assert jc.omega == (3.0, 2.0)
 
     @pytest.mark.parametrize("n", [2, 3, 10, 50])
     def test_complete(self, n):
-        jc = qd_from_intersection_array(IntersectionArray.from_bc((n - 1,), (1,)))
+        jc = qd_from_intersection_array(IntersectionArray((n - 1,), (1,)))
         assert jc.alpha == (0.0, float(n - 2))
         assert jc.omega == (float(n - 1),)
 
