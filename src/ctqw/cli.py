@@ -64,20 +64,23 @@ def _resolve_pipeline(args: argparse.Namespace) -> Pipeline:
     return pipeline_for_entry(entry, origin=args.origin)
 
 
-# an in-memory stdout (io.StringIO, as a caller capturing main's output
-# passes) gets its text in pieces of at least this many characters. Grown a
-# block at a time on malloc's heap, among the writers' block arrays, its
-# buffer left a varying amount resident: identical in-process runs of compute
-# on tchebichef2:400,1 (CSV) and path:600 (JSON) peaked at 143 or 175 MB; in
-# pieces, at 141.7-143.9 MB over 20 runs. Other streams get each block.
+# every stream gets its text in pieces of at least this many characters, all
+# but the last. Grown a block at a time among the writers' block arrays, an
+# in-memory stream's buffer (as a caller capturing main's output passes) left
+# a varying amount resident: in-process compute on tchebichef2:400,1 (CSV) and
+# path:600 (JSON) peaked at 143 or 175 MB; in pieces, at 141.7-143.9 MB.
 _PIECE_CHARS = 1 << 21
 
 
-class _Pieces:
-    """Text for the in-memory stream ``out``, passed on in pieces of at least
-    ``_PIECE_CHARS`` characters; ``flush`` passes on the rest."""
+class _Sink:
+    """Text for ``out``, passed on in pieces of at least ``_PIECE_CHARS``
+    characters; ``flush`` passes on the rest. A stream with a binary
+    ``buffer`` gets each piece encoded as it encodes text, written again
+    from where a write stopped: a raw buffer (unbuffered stdout) may take
+    part of a write to a closed pipe. Any other stream gets the text."""
 
-    def __init__(self, out: io.StringIO):
+    def __init__(self, out: TextIO):
+        out.flush()  # the text ``out`` holds goes first
         self.out, self.parts, self.size = out, [], 0
 
     def write(self, text: str) -> None:
@@ -87,41 +90,30 @@ class _Pieces:
             self.flush()
 
     def flush(self) -> None:
-        self.out.write("".join(self.parts))
-        self.parts, self.size = [], 0
-
-
-class _Bytes:
-    """Text for the binary ``buffer`` of stdout ``out``, encoded as ``out``
-    encodes it and written again from where a write stopped: a raw buffer
-    (unbuffered stdout) may take part of a write to a closed pipe."""
-
-    def __init__(self, out: TextIO):
-        out.flush()  # the text ``out`` holds goes first
-        self.out, self.flush = out, out.flush
-
-    def write(self, text: str) -> None:
-        data = memoryview(text.encode(self.out.encoding, self.out.errors))
-        while data:
-            taken = self.out.buffer.write(data)
-            if not taken:  # 0, or None where a non-blocking stream would block
-                raise OSError(errno.EIO, "no bytes taken")
-            data = data[taken:]
+        text, self.parts, self.size = "".join(self.parts), [], 0
+        if not hasattr(self.out, "buffer"):
+            self.out.write(text)
+        else:
+            data = memoryview(text.encode(self.out.encoding, self.out.errors))
+            while data:
+                taken = self.out.buffer.write(data)
+                if not taken:  # 0, or None where a non-blocking stream would block
+                    raise OSError(errno.EIO, "no bytes taken")
+                data = data[taken:]
+        self.out.flush()
 
 
 def _emit(write: Callable[[TextIO], object], output: str = "-") -> None:
-    """Call ``write`` on stdout ('-'), via ``_Pieces`` for an ``io.StringIO``
-    or ``_Bytes`` for a binary ``buffer``, or on the file ``output``. Every
-    command writes its stdout here; an OSError is UnwritableOutput."""
+    """Call ``write`` on a ``_Sink`` over stdout ('-') or the file ``output``.
+    Every command writes its stdout here; an OSError, or stdout None (as
+    Python leaves it when descriptor 1 is closed), is UnwritableOutput."""
+    if output == "-" and sys.stdout is None:
+        raise UnwritableOutput("cannot write stdout: it is closed")
     try:
-        if output == "-":
-            out = _Pieces(sys.stdout) if isinstance(sys.stdout, io.StringIO) else sys.stdout
-            out = _Bytes(out) if hasattr(out, "buffer") else out
-            write(out)
-            out.flush()  # a buffered write fails here, not at exit
-        else:
-            with open(output, "w") as fh:
-                write(fh)
+        with open(output, "w") if output != "-" else contextlib.nullcontext(sys.stdout) as out:
+            sink = _Sink(out)
+            write(sink)
+            sink.flush()  # a buffered write fails here, not at exit
     except OSError as exc:
         if output != "-":
             raise UnwritableOutput(f"cannot write {output!r}: {exc.strerror}") from exc
@@ -143,10 +135,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         _emit(series.to_csv, args.output)
     else:
         _emit(lambda out: series.to_json(out, pipeline.kappa), args.output)
-    print(
-        f"max conservation defect: {series.conservation_defect.max():.3e}",
-        file=sys.stderr,
-    )
+    print(f"max conservation defect: {series.conservation_defect.max():.3e}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -12,6 +12,7 @@ derive, and all operations are pure.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
@@ -104,10 +105,10 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a validated graph from an edge list; duplicates collapse.
 
     Raises InvalidParams for vertex counts outside [2, MAX_VERTICES],
-    InvalidEdge for out-of-range endpoints or self-loops, and
+    InvalidEdge for non-integer or out-of-range endpoints or self-loops, and
     DisconnectedGraph when the result is not connected.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+    if not is_integer(n):
         raise InvalidParams(f"vertex count must be an integer, got {n!r}")
     if n < 2:
         raise InvalidParams(f"graph needs at least 2 vertices, got {n}")
@@ -136,13 +137,21 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(adjacency)
 
 
+def is_integer(x) -> bool:
+    """A Python or NumPy integer, not a bool: a vertex count, endpoint or origin."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _edge_array(n: int, edges) -> np.ndarray:
     """The edges as an (m, 2) int64 array; InvalidEdge names the first bad one."""
-    edges = edges if isinstance(edges, np.ndarray) else list(edges)
+    integral = isinstance(edges, np.ndarray) and edges.dtype.kind in "iu"
+    edges = edges if integral else list(edges)
     try:
+        # np.asarray alone would take 1.5, True or '1' for an integer
+        integral = integral or all(map(is_integer, itertools.chain.from_iterable(edges)))
         pairs = np.asarray(edges, dtype=np.int64)
         ok = pairs.shape == (len(edges), 2) and (pairs >= 0).all() and (pairs < n).all()
-        if ok and (pairs[:, 0] != pairs[:, 1]).all():
+        if integral and ok and (pairs[:, 0] != pairs[:, 1]).all():
             return pairs
     except (TypeError, ValueError, OverflowError):
         pass
@@ -153,7 +162,8 @@ def _edge_array(n: int, edges) -> np.ndarray:
             u, v = e
         except (TypeError, ValueError):
             raise InvalidEdge(f"edge {e!r} is not a vertex pair") from None
-        u, v = int(u), int(v)
+        if not (is_integer(u) and is_integer(v)):
+            raise InvalidEdge(f"edge ({u!r}, {v!r}) has an endpoint that is not an integer")
         if not (0 <= u < n and 0 <= v < n):
             raise InvalidEdge(f"edge ({u}, {v}) out of range for n={n}")
         if u == v:
@@ -222,12 +232,8 @@ def parse_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
 
     Blank lines and lines starting with ``#`` are skipped.
     """
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append((lineno, line))
+    lines = ((lineno, raw.strip()) for lineno, raw in enumerate(text.splitlines(), start=1))
+    rows = [(lineno, line) for lineno, line in lines if line and not line.startswith("#")]
     if not rows:
         raise InvalidEdgeList("empty edge list")
     lineno, header = rows[0]
@@ -239,9 +245,7 @@ def parse_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
     except ValueError:
         raise InvalidEdgeList(f"line {lineno}: header must be two integers") from None
     if len(rows) - 1 != m:
-        raise InvalidEdgeList(
-            f"expected {m} edge lines, found {len(rows) - 1}"
-        )
+        raise InvalidEdgeList(f"expected {m} edge lines, found {len(rows) - 1}")
     edges = []
     for lineno, line in rows[1:]:
         parts = line.split()
@@ -266,7 +270,9 @@ def read_edge_list(path: str | Path) -> Graph:
 
 
 def check_vertex(n: int, origin: int) -> None:
-    """Raise ``InvalidParams`` unless ``origin`` indexes one of n vertices."""
+    """Raise ``InvalidParams`` unless ``origin`` is an integer vertex of n."""
+    if not is_integer(origin):
+        raise InvalidParams(f"origin must be an integer, got {origin!r}")
     if not (0 <= origin < n):
         raise InvalidParams(f"origin {origin} out of range for n={n}")
 

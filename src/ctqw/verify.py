@@ -40,7 +40,7 @@ import numpy as np
 from .amplitudes import AmplitudeSeries, ExponentialSum, amplitude_series
 from .catalog import CatalogEntry
 from .errors import InvalidParams
-from .graphs import Graph, IntersectionArray, check_vertex
+from .graphs import Graph, IntersectionArray, check_vertex, is_integer
 from .jacobi import JacobiCoefficients, equitable_cells, qd_from_intersection_array, reduce_partition
 from .oracle import oracle_amplitudes
 from .stieltjes import SpectralMeasure, spectral_measure
@@ -136,7 +136,7 @@ def pipeline_for_entry(entry: CatalogEntry, origin: int = 0) -> Pipeline:
     """The walk on a catalog entry. From vertex 0 the entry states its
     coefficients or its intersection array, and its closed form, if any; any
     other origin is a walk on the built graph."""
-    if origin != 0:
+    if origin != 0 or not is_integer(origin):
         return pipeline_for_graph(entry.build(), origin)
     return Pipeline(
         origin=0,

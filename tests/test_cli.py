@@ -593,16 +593,16 @@ STDOUT_ARGVS = [
 ]
 
 
-def _cli_child(argv, stdout, buffered):
+def _cli_child(argv, stdout, buffered, prefix=()):
     """``python -m ctqw.cli argv`` writing to ``stdout``, with block-buffered
-    or unbuffered standard streams."""
+    or unbuffered standard streams, run by the command ``prefix``, if any."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env.update(PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
     return subprocess.Popen(
-        [sys.executable, "-m", "ctqw.cli", *argv],
+        [*prefix, sys.executable, "-m", "ctqw.cli", *argv],
         env=env, stdout=stdout, stderr=subprocess.PIPE, text=True,
     )
 
@@ -619,17 +619,45 @@ def test_full_stdout_exits_2_with_named_error(argv, buffered):
     assert (proc.returncode, err) == (2, STDOUT_ERROR.format("No space left on device"))
 
 
+# sh closes descriptor 1 and runs the rest of its arguments; Python then
+# leaves sys.stdout None
+CLOSED_STDOUT = ("sh", "-c", 'exec "$@" >&-', "sh")
+
+
+@pytest.mark.parametrize("argv", STDOUT_ARGVS, ids=" ".join)
+def test_closed_stdout_exits_2_with_named_error(argv):
+    """With descriptor 1 closed, every command and the help exit 2 with
+    UnwritableOutput, one stderr line, before anything is written."""
+    proc = _cli_child(argv, subprocess.DEVNULL, True, prefix=CLOSED_STDOUT)
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (2, STDOUT_ERROR.format("it is closed"))
+
+
+def test_closed_stdout_leaves_output_file_written(capsys, tmp_path):
+    argv = ("compute", "--graph", "petersen")
+    _, want, defect = run(capsys, *argv)
+    proc = _cli_child((*argv, "--output", str(tmp_path / "walk.csv")),
+                      subprocess.DEVNULL, True, prefix=CLOSED_STDOUT)
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, defect)
+    assert (tmp_path / "walk.csv").read_text() == want
+
+
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
     "argv, unread",
     [pytest.param(argv, None, id=" ".join(argv)) for argv in STDOUT_ARGVS[:2]]
-    + [pytest.param(STDOUT_ARGVS[0], 200_000, id="compute --graph path:100 200000 unread")],
+    + [pytest.param(STDOUT_ARGVS[0], 200_000, id="compute --graph path:100 200000 unread")]
+    + [pytest.param((*STDOUT_ARGVS[0], "--samples", "1001"), 200_000,
+                    id="compute --graph path:100 --samples 1001 200000 unread")],
 )
 def test_stdout_closed_early_exits_2(capsys, argv, unread, buffered):
     """A reader that closes the pipe after the first 4 KB (the CSV header and
     some rows, or the start of the one JSON line), as ``| head`` does, or
-    ``unread`` characters before the end, during the last block: more than
-    a pipe holds, so the last writes cannot all be taken."""
+    ``unread`` characters before the end: more than a pipe holds, so the
+    last writes cannot all be taken. The 1.76 MB path:100 CSV goes out in
+    one piece; at 1001 samples (8.9 MB) the cut falls during the last of
+    four pieces (1.7 MB)."""
     if unread is not None:
         _, out, _ = run(capsys, *argv)
     proc = _cli_child(argv, subprocess.PIPE, buffered)
@@ -649,24 +677,46 @@ def test_stdout_closed_early_exits_2(capsys, argv, unread, buffered):
     assert (proc.returncode, err) == (2, STDOUT_ERROR.format("Broken pipe"))
 
 
+def _recording(cls, sizes):
+    """``cls`` with each write's size appended to ``sizes``."""
+
+    class Recording(cls):
+        def write(self, data):
+            sizes.append(len(data))
+            return super().write(data)
+
+    return Recording
+
+
+@pytest.mark.parametrize("sink", ["in-memory stdout", "binary stdout", "output file"])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_in_memory_stdout_gets_the_text_in_pieces(capsys, monkeypatch, fmt):
-    """An io.StringIO stdout gets the text any other stdout gets, in pieces
-    of at least _PIECE_CHARS characters but the last."""
+def test_every_sink_gets_the_same_bytes_in_pieces(capsys, monkeypatch, tmp_path, fmt, sink):
+    """An io.StringIO stdout, a stdout with a binary buffer and an --output
+    file get the bytes of the same payload, in writes of at least
+    _PIECE_CHARS characters but the last."""
     argv = ["compute", "--graph", "path:100", "--samples", "1001", "--format", fmt]
-    code, want, _ = run(capsys, *argv)  # capsys's stdout is no io.StringIO
+    code, want, _ = run(capsys, *argv)
     assert code == 0 and len(want) > 2 * cli._PIECE_CHARS
-
-    class Recording(io.StringIO):
-        def write(self, text):
-            sizes.append(len(text))
-            return super().write(text)
-
-    sizes, out = [], Recording()
-    monkeypatch.setattr(sys, "stdout", out)
-    assert main(argv) == 0
-    assert out.getvalue() == want
+    sizes = []
+    if sink == "in-memory stdout":
+        out = _recording(io.StringIO, sizes)()
+        monkeypatch.setattr(sys, "stdout", out)
+        code = main(argv)
+        got = out.getvalue().encode()
+    elif sink == "binary stdout":
+        buffer = _recording(io.BytesIO, sizes)()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(buffer, encoding="utf-8"))
+        code = main(argv)
+        got = buffer.getvalue()
+    else:
+        writer = _recording(io.BufferedWriter, sizes)
+        opened = lambda path, mode: io.TextIOWrapper(writer(io.FileIO(path, mode)), encoding="utf-8")
+        monkeypatch.setattr(cli, "open", opened, raising=False)
+        code = main([*argv, "--output", str(tmp_path / "walk")])
+        got = (tmp_path / "walk").read_bytes()
+    assert (code, got) == (0, want.encode())
     assert len(sizes) > 2 and min(sizes[:-1]) >= cli._PIECE_CHARS
+    assert sum(sizes) == len(got)
 
 
 class TestGraphBuilds:

@@ -169,6 +169,53 @@ class TestBuildGraph:
             build_graph(3, edges)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 1), (1, 2.5)], "edge (1, 2.5) has an endpoint that is not an integer"),
+            ([(0, 1.5), (1, 2)], "edge (0, 1.5) has an endpoint that is not an integer"),
+            ([(0, 1.0), (1, 2)], "edge (0, 1.0) has an endpoint that is not an integer"),
+            ([(0, True), (1, 2)], "edge (0, True) has an endpoint that is not an integer"),
+            ([(0, "1"), (1, 2)], "edge (0, '1') has an endpoint that is not an integer"),
+            ([(0, 1), (np.bool_(True), 2)],
+             "edge (np.True_, 2) has an endpoint that is not an integer"),
+            (np.array([[0, 1.9], [1, 2]]),
+             "edge (np.float64(0.0), np.float64(1.9)) has an endpoint that is not an integer"),
+            (np.array([[0, 1], [1, 1]], dtype=bool),
+             "edge (np.False_, np.True_) has an endpoint that is not an integer"),
+            ([(0, 1.5), (0, 9)], "edge (0, 1.5) has an endpoint that is not an integer"),
+            ([(0, 9), (0, 1.5)], "edge (0, 9) out of range for n=3"),
+        ],
+        ids=["float", "float-first", "integral float", "bool", "str", "numpy bool",
+             "float array", "bool array", "type-first", "range-first"],
+    )
+    def test_non_integer_endpoint_named(self, edges, message):
+        # each of these once built a graph, from int() or np.asarray's cast
+        with pytest.raises(InvalidEdge) as err:
+            build_graph(3, edges)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, np.uint64])
+    def test_integer_array_edges_stay_vectorized(self, monkeypatch, dtype):
+        # no endpoint of an integer array is looked at one by one: the one
+        # scalar check is of the vertex count
+        import ctqw.graphs
+
+        checked = []
+        real = ctqw.graphs.is_integer
+        monkeypatch.setattr(ctqw.graphs, "is_integer", lambda x: checked.append(x) or real(x))
+        g = build_graph(4, np.array([[0, 1], [1, 2], [2, 3]], dtype=dtype))
+        assert checked == [4]
+        assert g.adjacency.toarray().tolist() == [
+            [0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]
+        ]
+
+    def test_numpy_integer_endpoints_in_a_list(self):
+        edges = [(np.int32(0), np.int64(1)), (np.uint8(1), 2)]
+        assert build_graph(3, edges).adjacency.toarray().tolist() == [
+            [0, 1, 0], [1, 0, 1], [0, 1, 0]
+        ]
+
     def test_complete_2000_builds_in_bounded_memory(self):
         # the CSR adjacency of K_2000 is 48 MB; the edge list goes through
         # arrays, never ~2M Python tuples. A child process, so that the peak

@@ -1,4 +1,5 @@
 import logging
+import re
 import tracemalloc
 
 import numpy as np
@@ -449,6 +450,25 @@ class TestHouseholder:
                          lambda: oracle_amplitudes(petersen, origin, [0.0])):
                 with pytest.raises(InvalidParams, match=rf"^origin {origin} out of range for n=10$"):
                     call()
+
+    @pytest.mark.parametrize("origin", [1.5, 1.0, True, "1", np.float64(1.0), None], ids=repr)
+    def test_origin_not_an_integer(self, petersen, origin):
+        # 1.5 and True once walked from vertex 1; '1' and None raised TypeError
+        entry = entry_from_spec("petersen")
+        for call in (lambda: pipeline_for_graph(petersen, origin),
+                     lambda: pipeline_for_entry(entry, origin),
+                     lambda: stratify(petersen, origin),
+                     lambda: reduce_walk(petersen, origin, basis=False),
+                     lambda: vertex_state(petersen.n, origin),
+                     lambda: oracle_amplitudes(petersen, origin, [0.0])):
+            with pytest.raises(InvalidParams, match=rf"^origin must be an integer, got {re.escape(repr(origin))}$"):
+                call()
+
+    def test_numpy_integer_origin(self, petersen):
+        for origin in (np.int64(3), np.uint8(3), np.int32(0)):
+            assert np.array_equal(stratify(petersen, origin), stratify(petersen, int(origin)))
+            jc, _ = reduce_walk(petersen, origin, basis=False)
+            assert jc == reduce_walk(petersen, int(origin), basis=False)[0]
 
     @pytest.mark.parametrize("routine", ["dsytrd", "dorgqr"])
     def test_lapack_failure_raises(self, monkeypatch, routine):
