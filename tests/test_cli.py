@@ -710,7 +710,10 @@ def test_every_sink_gets_the_same_bytes_in_pieces(capsys, monkeypatch, tmp_path,
         got = buffer.getvalue()
     else:
         writer = _recording(io.BufferedWriter, sizes)
-        opened = lambda path, mode: io.TextIOWrapper(writer(io.FileIO(path, mode)), encoding="utf-8")
+
+        def opened(path, mode):
+            return io.TextIOWrapper(writer(io.FileIO(path, mode)), encoding="utf-8")
+
         monkeypatch.setattr(cli, "open", opened, raising=False)
         code = main([*argv, "--output", str(tmp_path / "walk")])
         got = (tmp_path / "walk").read_bytes()
