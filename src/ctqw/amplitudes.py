@@ -21,24 +21,33 @@ and a newline in blocks of whole levels, gathered from ``_json_table``: the
 ``_shortest`` token of each distinct float bit pattern, once, the bytes of
 ``float.__repr__``: the fewest digits that read back as v. In both kernels
 only a few values (|v| outside [1e-300, 1e300], near-ties) go to Python's
-own formatter. A series knows nothing of shells: the shell sizes ``kappa``
-that label the JSON rows come from the walk.
+own formatter. The blocks are formatted on one worker thread per CPU the
+process may run on and taken back in order (``_in_order``): only the
+calling thread writes, at most 2 x CPUs blocks are held at a time, and the
+bytes do not depend on the CPU count. A series knows nothing of shells:
+the shell sizes ``kappa`` that label the JSON rows come from the walk.
 ``MAX_SERIES_CELLS`` bounds the strata x samples of one series.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import functools
 import json
+import logging
 import math
+import os
 from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
 from .errors import InvalidParams
 from .jacobi import JacobiCoefficients
 from .stieltjes import SpectralMeasure, orthonormal_values, stieltjes_pole_sum
+
+logger = logging.getLogger(__name__)
 
 # bounds strata x samples of one series, and terms x samples of the oracle's
 # table, so that a huge grid is refused before either is allocated
@@ -73,6 +82,42 @@ def as_times(t) -> np.ndarray:
     return t
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on: its affinity mask, on
+    platforms that have one, else every CPU."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _in_order(fn: Callable, starts: range) -> Iterator:
+    """``fn(s)`` for each s of ``starts``, yielded in order, computed on one
+    worker thread per CPU (``_cpus``) under the caller's NumPy error state.
+    At most 2 x CPUs results are submitted and not yet taken. The writers'
+    kernels are NumPy code, which releases the GIL inside its array
+    operations; ``fn`` calls only private helpers, so a tracer wrapping the
+    package's public functions sees none of it. Closing the generator
+    cancels the tasks not started and waits for the running ones."""
+    from concurrent.futures import ThreadPoolExecutor  # not loaded by a CLI start
+
+    errors = np.geterr()  # NumPy's error state is per thread
+
+    def task(s):
+        with np.errstate(**errors):
+            return fn(s)
+
+    cpus = _cpus()
+    pool, pending = ThreadPoolExecutor(cpus), collections.deque()
+    try:
+        for s in starts:
+            pending.append(pool.submit(task, s))
+            if len(pending) == 2 * cpus:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _join(cells: np.ndarray, ends: np.ndarray) -> str:
     """The text of NUL-padded 24-byte ``cells`` (..., k, 24), uint8, each
     followed by its NUL-padded end ``ends[i]`` (k, w), with every NUL
@@ -86,12 +131,15 @@ def _json_table(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The float64s ``x`` as ``json.dumps`` writes them, once per distinct
     bit pattern: ``(table, inverse)``, ``table`` the NUL-padded 24-byte
     tokens, uint8, from one ``_shortest`` call per ``_BLOCK`` of distinct
-    values, and ``table[inverse]`` the tokens of ``x``, in order."""
+    values (``_in_order``), and ``table[inverse]`` the tokens of ``x``, in
+    order."""
     distinct, inverse = np.unique(x.view(np.int64), return_inverse=True)
     floats = distinct.view(np.float64)
     table = np.empty((floats.size, 24), dtype=np.uint8)
-    for k in range(0, floats.size, _BLOCK):
-        table[k : k + _BLOCK] = _shortest(floats[k : k + _BLOCK])
+    starts = range(0, floats.size, _BLOCK)
+    # the tokens first: zip then runs the generator to its end
+    for tokens, k in zip(_in_order(lambda k: _shortest(floats[k : k + _BLOCK]), starts), starts):
+        table[k : k + _BLOCK] = tokens
     return table, inverse.reshape(-1)  # inverse's shape varies across numpy releases
 
 
@@ -311,12 +359,14 @@ class AmplitudeSeries:
         """Write the header and one row ``t,stratum,re,im,prob`` per
         (sample, stratum) to ``out``, sample-major, every cell as
         ``'%.17g' % v`` writes it (``_g17``); each block of whole samples is
-        formatted in one ``_g17`` call and goes out as soon as it is."""
+        formatted in one ``_g17`` call on a worker thread (``_in_order``),
+        and the blocks go out in order as soon as they are, so at most 2 x
+        CPUs blocks are held."""
         step = max(1, _BLOCK // (3 * self.levels))  # whole samples per block
         strata = np.arange(self.levels, dtype=np.float64)
         ends = np.frombuffer(b",,,,\n", dtype=np.uint8).reshape(5, 1)
-        out.write("t,stratum,re,im,prob\n")
-        for s0 in range(0, self.times.size, step):
+
+        def block(s0: int) -> str:
             t = self.times[s0 : s0 + step]
             values = self.values[:, s0 : s0 + step].T  # (samples, levels)
             re, im = values.real, values.imag
@@ -327,7 +377,14 @@ class AmplitudeSeries:
             cells[:, :, 0] = text[: t.size, None]
             cells[:, :, 1] = text[t.size : t.size + strata.size]
             cells[:, :, 2:] = text[t.size + strata.size :].reshape(parts.shape + (24,))
-            out.write(_join(cells, ends))
+            return _join(cells, ends)
+
+        starts = range(0, self.times.size, step)
+        logger.debug("to_csv: %d blocks on %d CPUs", len(starts), min(len(starts), _cpus()))
+        out.write("t,stratum,re,im,prob\n")
+        with contextlib.closing(_in_order(block, starts)) as texts:
+            for text in texts:
+                out.write(text)
 
     def as_dict(self, kappa: Sequence[int] | None = None) -> dict:
         """The JSON fields, with the walk's shell sizes ``kappa``, if any."""
@@ -340,8 +397,10 @@ class AmplitudeSeries:
 
     def to_json(self, out: TextIO, kappa: Sequence[int] | None = None) -> None:
         """Write the bytes of ``json.dumps(self.as_dict(kappa))`` and a newline
-        to ``out``; every float is gathered from one ``_json_table``, and each
-        block of whole levels of ``values`` goes out as soon as it is joined."""
+        to ``out``; every float is gathered from one ``_json_table``, each
+        block of whole levels of ``values`` is joined on a worker thread
+        (``_in_order``), and the blocks go out in order as soon as they are,
+        so at most 2 x CPUs blocks are held."""
         levels, samples = self.values.shape
         parts = np.ascontiguousarray(self.values, dtype=np.complex128).view(np.float64)
         table, inverse = _json_table(
@@ -355,11 +414,18 @@ class AmplitudeSeries:
         at[-1] = 2
         ends = np.array([b", ", b"], [", b"]], [["]).view(np.uint8).reshape(3, 6)[at]
         step = max(1, _BLOCK // (2 * samples))  # whole levels per block
-        out.write(f'{{"times": [{times}], "kappa": {json.dumps(kappa)}, "values": [[[')
-        for l0 in range(0, levels, step):
+
+        def block(l0: int) -> str:
             text = _join(table[inverse[l0 : l0 + step]], ends)
             # the last level closes with "]]", not "]], [["
-            out.write(text if l0 + step < levels else text.removesuffix(", [["))
+            return text if l0 + step < levels else text.removesuffix(", [[")
+
+        starts = range(0, levels, step)
+        logger.debug("to_json: %d blocks on %d CPUs", len(starts), min(len(starts), _cpus()))
+        out.write(f'{{"times": [{times}], "kappa": {json.dumps(kappa)}, "values": [[[')
+        with contextlib.closing(_in_order(block, starts)) as texts:
+            for text in texts:
+                out.write(text)
         out.write(f'], "conservation_defect": [{defect}]}}\n')
 
 

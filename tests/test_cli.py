@@ -1,19 +1,22 @@
 import hashlib
 import io
+import itertools
 import json
+import logging
 import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import grid_edges
-from ctqw import build_graph, cli, pipeline_for_graph
+from ctqw import amplitudes, build_graph, cli, make_entry, pipeline_for_entry, pipeline_for_graph
 from ctqw.cli import main
-from ctqw.errors import PoleProximity
+from ctqw.errors import PoleProximity, UnwritableOutput
 from ctqw.stieltjes import _CF_POINTS
 
 
@@ -722,6 +725,91 @@ def test_every_sink_gets_the_same_bytes_in_pieces(capsys, monkeypatch, tmp_path,
     assert sum(sizes) == len(got)
 
 
+def _on_cpus(monkeypatch, cpus):
+    """The writers see ``cpus`` CPUs, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+@pytest.mark.parametrize(
+    "argv, label, blocks",
+    [
+        (("--graph", "path:600", "--samples", "501", "--format", "json"),
+         "compute path:600 json", "to_json: 38 blocks"),           # of 16 levels
+        (("--graph", "tchebichef2:400,1", "--samples", "1001"),
+         "compute tchebichef2:400,1 csv", "to_csv: 77 blocks"),    # of 13 samples
+    ],
+    ids=["path:600 json", "tchebichef2:400,1 csv"],
+)
+def test_bytes_do_not_depend_on_cpu_count(capsys, caplog, monkeypatch, argv, label, blocks):
+    """The writers format their blocks on one thread per CPU and write them
+    in order: on 1 CPU and on 4 (more threads than this host may have, the
+    GIL switched every 0.1 ms) the bytes are those the benchmark pins, and
+    WALK_LOG=debug names the block count and the CPUs used."""
+    pinned = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+    digest = json.loads(pinned.read_text())["emit_series"][label]
+    monkeypatch.setenv("WALK_LOG", "debug")
+    root, interval = logging.getLogger(), sys.getswitchinterval()
+    old = root.level
+    for cpus in (1, 4):
+        _on_cpus(monkeypatch, cpus)
+        caplog.clear()
+        sys.setswitchinterval(1e-4 if cpus > 1 else interval)
+        try:
+            code, out, _ = run(capsys, "compute", *argv)
+        finally:
+            root.setLevel(old)
+            sys.setswitchinterval(interval)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, cpus
+        logged = [r.getMessage() for r in caplog.records if r.name == "ctqw.amplitudes"]
+        assert logged == [f"{blocks} on {cpus} CPUs"]
+
+
+class _BlockError(Exception):
+    pass
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_no_worker_outlives_a_failed_write_or_block(monkeypatch, fmt):
+    """A stream that fails after its first piece gets UnwritableOutput from
+    _emit, and an error inside a block reaches the writer's caller as it is;
+    either way every worker thread has ended when the call returns. path:100
+    x 1001 is 19 CSV blocks (8.9 MB) or 13 JSON blocks (4.4 MB), more than
+    the 8 a writer holds on 4 CPUs."""
+    _on_cpus(monkeypatch, 4)
+    pipeline = pipeline_for_entry(make_entry("path", (100,)))
+    series = pipeline.series(np.linspace(0.0, 10.0, 1001))
+    writer = series.to_csv if fmt == "csv" else lambda out: series.to_json(out, pipeline.kappa)
+    before = threading.active_count()
+
+    class FailsAfterOnePiece(io.StringIO):
+        def write(self, text):
+            if self.tell():
+                raise BrokenPipeError(32, "Broken pipe")
+            return super().write(text)
+
+    monkeypatch.setattr(sys, "stdout", FailsAfterOnePiece())
+    # each error is held, with its traceback and the writer's frame, while
+    # the threads are counted
+    with pytest.raises(UnwritableOutput) as failed_write:
+        cli._emit(writer)
+    assert isinstance(failed_write.value.__cause__, BrokenPipeError)
+    assert sys.stdout.tell() >= cli._PIECE_CHARS
+    assert threading.active_count() == before
+
+    join, calls = amplitudes._join, itertools.count()
+
+    def failing_join(cells, ends):
+        if next(calls) == 5:  # a block of either writer
+            raise _BlockError
+        return join(cells, ends)
+
+    monkeypatch.setattr(amplitudes, "_join", failing_join)
+    with pytest.raises(_BlockError) as failed_block:
+        writer(io.StringIO())
+    assert threading.active_count() == before
+
+
 class TestGraphBuilds:
     """A catalog graph is built only when a check reads it, and at most once."""
 
@@ -1120,13 +1208,13 @@ def test_walk_log_env_sets_level(capsys, monkeypatch):
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded():
-    # scipy.sparse, scipy.linalg and numpy.fft are imported inside the
-    # functions that need them, so that a CLI start does not pay for them;
-    # nothing needs scipy.special
+    # scipy.sparse, scipy.linalg, numpy.fft and the writers' thread pool
+    # (concurrent.futures) are imported inside the functions that need them,
+    # so that a CLI start does not pay for them; nothing needs scipy.special
     src = Path(__file__).resolve().parents[1] / "src"
     probe = (
-        "import ctqw.cli, sys; print([m for m in "
-        "('scipy.sparse', 'scipy.linalg', 'scipy.special', 'numpy.fft') if m in sys.modules])"
+        "import ctqw.cli, sys; print([m for m in ('scipy.sparse', 'scipy.linalg', "
+        "'scipy.special', 'numpy.fft', 'concurrent.futures') if m in sys.modules])"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe],
